@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -298,3 +299,52 @@ def test_validate_records_unit_checks():
     assert validate_trace_records([], method=None) == ["trace is empty"]
     broken = [dict(records[0], action="explode()")]
     assert any("malformed action" in v for v in validate_trace_records(broken))
+
+
+# ---------------------------------------------------------------- golden digests
+
+# SHA-256 of the CLI's output files on the 400-point `generated` dataset.
+# They pin today's results byte for byte: a change that alters any output
+# (a faster kernel included) must re-pin them and say so.
+GOLDEN_RUN_DIGESTS = {
+    "sme:rss": "7e722bf4cd602d116ece64d9b626cd0e59217ed18ee89b60e45d951958203201",
+    "sme:custom": "6cc5109efc46d322be12daf7f23cc9f10651bc7ecec8e6a7d28280e3c1bea55c",
+    "sm:rss": "954423e194069f3116cc8fae111f914f3de027ef01c412c147470b0a136b8891",
+    "sm:custom": "02a93fa13f16eab0d71df13569c3f5b7104b0e22f338aa0f34e6f6fb3012678a",
+}
+GOLDEN_EXPERIMENT_DIGESTS = {
+    "report.csv": "9f3975ca5147b4fe23d51fd879627e692bc048863c0b484e824327b49e805399",
+    "report.json": "ec37746ba9521a44c9e0022907720c3f24d804f4b6d7a7d1a7779737ec198b4e",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method", ["sme", "sm"])
+@pytest.mark.parametrize("feedback", ["rss", "custom"])
+def test_run_trace_matches_golden_digest(tmp_path, generated, method, feedback):
+    dataset, oracle = generated
+    trace_path = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "run", "--dataset", str(dataset), "--method", method, "--feedback", feedback,
+            "--k", "3", "--seed", "7", "--oracle", str(oracle), "--out", str(trace_path),
+        ]
+    )
+    assert code == 0
+    assert _sha256(trace_path) == GOLDEN_RUN_DIGESTS[f"{method}:{feedback}"]
+
+
+def test_experiment_reports_match_golden_digests(tmp_path, generated):
+    dataset, oracle = generated
+    out = tmp_path / "r"
+    code = main(
+        [
+            "experiment", "--dataset", str(dataset), "--oracle", str(oracle), "--out", str(out),
+            "--k-values", "2,3", "--repeats", "1", "--fluctuation-calls", "3", "--seed", "7",
+        ]
+    )
+    assert code == 0
+    assert {name: _sha256(out / name) for name in GOLDEN_EXPERIMENT_DIGESTS} == GOLDEN_EXPERIMENT_DIGESTS
