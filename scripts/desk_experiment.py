@@ -38,14 +38,14 @@ def main() -> None:
     print(f"ran {len(report.records)} cells in {time.perf_counter() - start:.1f}s "
           f"({len(report.failures)} failures)\n")
 
-    own = report.mean_impact_by_method()
-    custom = report.mean_custom_impact_by_method()
+    own = report.mean_by("impact", "method")
+    custom = report.mean_by("custom_impact", "method")
     print(f"{'method':<12}{'own-feedback impact':>22}{'customizability impact':>25}")
     for method in experiment.methods:
         print(f"{method.value:<12}{own[method.value]:>22.4f}{custom[method.value]:>25.4f}")
 
     print("\ncustomizability impact by initial k:")
-    per_k = report.custom_impact_by_method_and_k()
+    per_k = report.mean_by("custom_impact", "method", "k")
     ks = experiment.k_values
     print(f"{'method':<12}" + "".join(f"{k:>9}" for k in ks))
     for method in experiment.methods:
@@ -53,7 +53,7 @@ def main() -> None:
         print(f"{method.value:<12}" + "".join(f"{row.get(k, float('nan')):>9.4f}" for k in ks))
 
     print("\nmean initial customizability by k:")
-    for k, value in report.initial_custom_by_k().items():
+    for k, value in report.mean_by("custom_initial", "k").items():
         print(f"  k={k}: {value:.4f}")
 
     if report.fluctuation_by_k:

@@ -27,7 +27,6 @@ from .feedback import (
     RssFeedback,
     aggregate_weighted,
     customizability_cluster,
-    evaluate_clustering,
     fit_weights,
     load_oracle_profile,
     popularity,

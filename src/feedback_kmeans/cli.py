@@ -9,7 +9,8 @@ Commands:
 All randomness is controlled by explicit --seed flags; nothing is seeded
 from the clock, so re-running a command with the same inputs reproduces
 its output files byte for byte. The FEEDBACK_KMEANS_THREADS environment
-variable caps experiment-cell parallelism (default 1).
+variable caps experiment-cell parallelism (an integer, default 1; values
+below 1 mean 1).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import engines, harness, ingest, synth
@@ -32,14 +34,12 @@ def _threads() -> int:
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"FEEDBACK_KMEANS_THREADS must be an integer, got {raw!r}") from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     config, oracle_kwargs = synth.load_generator_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,46 +114,57 @@ def _parse_methods(raw: str) -> tuple[harness.ExperimentMethod, ...]:
     return tuple(methods)
 
 
+# Experiment config JSON keys, which are also the flag names, mapped to the
+# ExperimentConfig fields they set.
+_EXPERIMENT_KEYS = {
+    "methods": "methods",
+    "k_values": "k_values",
+    "repeats": "repeats_per_cell",
+    "sme_iterations": "sme_iterations",
+    "sm_iterations": "sm_iterations",
+    "fluctuation_calls": "fluctuation_calls",
+    "seed": "seed",
+}
+
+
+def _experiment_value(key: str, value):
+    """Coerce one config-file or flag value to its ExperimentConfig type;
+    list settings may be JSON lists or comma-separated strings."""
+    if key in ("methods", "k_values"):
+        raw = ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
+        if key == "methods":
+            return _parse_methods(raw)
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    return int(value)
+
+
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    defaults = {
-        "methods": "sme:rss,sme:custom,sm:rss,sm:custom",
-        "k_values": "2,3,4,5,6,7",
-        "repeats": 3,
-        "sme_iterations": 6,
-        "sm_iterations": 12,
-        "fluctuation_calls": 10,
-        "seed": 0,
-    }
+    settings = {}
     if args.config is not None:
-        defaults.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-
-    def as_csv(value) -> str:
-        if isinstance(value, (list, tuple)):
-            return ",".join(str(v) for v in value)
-        return str(value)
-
-    methods = _parse_methods(args.methods if args.methods is not None else as_csv(defaults["methods"]))
-    k_raw = args.k_values if args.k_values is not None else as_csv(defaults["k_values"])
-    k_values = tuple(int(tok) for tok in str(k_raw).replace(",", " ").split())
-    needs_oracle = any(m.feedback_kind == "custom" for m in methods)
-    if needs_oracle and args.oracle is None:
-        parser.error("customizability-driven methods require --oracle")
-
-    config = harness.ExperimentConfig(
-        methods=methods,
-        k_values=k_values,
-        sme_iterations=args.sme_iterations if args.sme_iterations is not None else int(defaults["sme_iterations"]),
-        sm_iterations=args.sm_iterations if args.sm_iterations is not None else int(defaults["sm_iterations"]),
-        repeats_per_cell=args.repeats if args.repeats is not None else int(defaults["repeats"]),
-        fluctuation_calls=args.fluctuation_calls if args.fluctuation_calls is not None else int(defaults["fluctuation_calls"]),
-        seed=args.seed if args.seed is not None else int(defaults["seed"]),
+        settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(settings, dict):
+            raise ValueError(f"{args.config}: experiment config must be a JSON object")
+        unknown = sorted(set(settings) - set(_EXPERIMENT_KEYS))
+        if unknown:
+            raise ValueError(
+                f"{args.config}: unknown experiment config key(s) {', '.join(unknown)} "
+                f"(accepted: {', '.join(_EXPERIMENT_KEYS)})"
+            )
+    settings.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS if getattr(args, key) is not None})
+    config = replace(
+        harness.ExperimentConfig(),
+        **{_EXPERIMENT_KEYS[key]: _experiment_value(key, value) for key, value in settings.items()},
     )
+    if args.oracle is None and any(m.feedback_kind == "custom" for m in config.methods):
+        parser.error("customizability-driven methods require --oracle")
+    threads = _threads()
+
     dataset = _load_dataset(args)
     profile = None
     if args.oracle is not None:
         profile = load_oracle_profile(args.oracle, rng_seed=derive_seed(config.seed, "oracle"))
 
-    report = harness.run_experiment(dataset, config, profile, threads=_threads())
+    report = harness.run_experiment(dataset, config, profile, threads=threads)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,10 +172,10 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     ingest.write_report(report, out / "report.json", format="json")
     print(f"wrote {out / 'report.csv'} and {out / 'report.json'} ({len(report.records)} records)")
 
-    own = report.mean_impact_by_method()
-    custom = report.mean_custom_impact_by_method()
+    own = report.mean_by("impact", "method")
+    custom = report.mean_by("custom_impact", "method")
     print(f"{'method':<12}{'mean impact':>14}{'mean custom impact':>22}")
-    for method in methods:
+    for method in config.methods:
         own_val = f"{own[method.value]:.4f}" if method.value in own else "-"
         cus_val = f"{custom[method.value]:.4f}" if method.value in custom else "-"
         print(f"{method.value:<12}{own_val:>14}{cus_val:>22}")
@@ -270,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", choices=["sme", "sm"], required=True)
     run.add_argument("--feedback", choices=["rss", "custom"], default="rss")
     run.add_argument("--k", type=int, required=True, help="initial cluster count")
-    run.add_argument("--iterations", type=int, default=None, help="default: 6 for sme, 12 for sm")
+    run.add_argument(
+        "--iterations", type=int, default=None,
+        help="default: " + ", ".join(f"{n} for {m.value}" for m, n in engines.DEFAULT_ITERATIONS.items()),
+    )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--target", type=float, default=None, help="stop once the evaluation reaches this value")
     run.add_argument("--oracle", default=None, help="oracle profile JSON (required for custom feedback)")

@@ -29,6 +29,17 @@ class Sense(enum.Enum):
             return candidate > incumbent
         return candidate < incumbent
 
+    def reached(self, value: float, target: float) -> bool:
+        """True iff value is at least as good as target."""
+        if self is Sense.HIGHER_IS_BETTER:
+            return value >= target
+        return value <= target
+
+    def worst_first(self, values) -> list[int]:
+        """Indices of values ordered worst to best, ties by lowest index."""
+        sign = -1.0 if self is Sense.LOWER_IS_BETTER else 1.0
+        return sorted(range(len(values)), key=lambda i: (sign * values[i], i))
+
 
 def _frozen_f64(values, name: str, ndim: int) -> np.ndarray:
     arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))

@@ -1,5 +1,8 @@
 """The two refinement loops over an initial k-means clustering.
 
+Both run in one loop, run_engine, and differ only in what one iteration
+does (its step function):
+
 SME: every iteration splits the worst-evaluated cluster, merges the
 globally closest centroid pair (the fresh children included, so an
 iteration may undo its own split) and evaluates once, after the pair;
@@ -9,7 +12,8 @@ S/M: every iteration applies exactly one action, split or merge, chosen
 from the worst cluster's size rank, merges with the nearest centroid, and
 evaluates after each action; the cluster count may drift.
 
-Both track the best evaluation seen (strictly better per sense) but always
+Both stop early once an evaluation reaches the configured target, and both
+track the best evaluation seen (strictly better per sense) but always
 continue from the current clustering, never rolling back.
 """
 
@@ -32,6 +36,7 @@ from .core import (
 from .feedback import FeedbackProvider
 from .kmeans import KMeansConfig, lloyd
 from .operators import (
+    MIN_K,
     SMAction,
     closest_centroid_pair,
     is_splittable,
@@ -56,10 +61,11 @@ DEFAULT_ITERATIONS = {Method.SME: 6, Method.SM: 12}
 class EngineConfig:
     """Run parameters shared by both loops.
 
-    iterations defaults per method (6 for SME, 12 for S/M) so that a run of
-    either performs the same number of elementary split/merge operators.
-    snapshot_cap bounds per-step clustering snapshots; beyond it only the
-    actions (the deltas) and the best snapshot are kept.
+    iterations defaults to DEFAULT_ITERATIONS for the method, which makes
+    a run of either perform the same number of elementary split/merge
+    operators. A run stops early once an evaluation reaches
+    target_evaluation. snapshot_cap bounds per-step clustering snapshots;
+    beyond it only the actions (the deltas) and the best snapshot are kept.
     """
 
     method: Method
@@ -67,14 +73,11 @@ class EngineConfig:
     seed: int
     iterations: int | None = None
     target_evaluation: float | None = None
-    min_k: int = 2
     snapshot_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.min_k < 2:
-            raise ValueError("min_k must be at least 2")
 
     def resolved_iterations(self) -> int:
         if self.iterations is not None:
@@ -91,31 +94,14 @@ def _evaluate(
     return provider.evaluate(dataset, clustering, provider.evaluation_rng(step))
 
 
-def _badness_order(report: FeedbackReport) -> list[int]:
-    """Cluster ids sorted worst-first under the report's sense, ties by id."""
-    values = report.per_cluster
-    if report.sense.value == "lower":
-        return sorted(range(len(values)), key=lambda c: (-values[c], c))
-    return sorted(range(len(values)), key=lambda c: (values[c], c))
-
-
 def _pick_split_target(
     dataset: Dataset, clustering: Clustering, report: FeedbackReport
 ) -> int | None:
     """Worst splittable cluster, falling back down the badness order."""
-    for cid in _badness_order(report):
+    for cid in report.sense.worst_first(report.per_cluster):
         if is_splittable(dataset, clustering, cid):
             return cid
     return None
-
-
-def _target_reached(config: EngineConfig, aggregate: float) -> bool:
-    target = config.target_evaluation
-    if target is None:
-        return False
-    if config.feedback.sense.value == "higher":
-        return aggregate >= target
-    return aggregate <= target
 
 
 class _TraceBuilder:
@@ -130,10 +116,6 @@ class _TraceBuilder:
         self.best_evaluation = report.aggregate
         self.best_snapshot = initial
         self.stalled = False
-
-    @property
-    def latest_report(self) -> FeedbackReport:
-        return self.steps[-1].feedback
 
     def record(self, actions: tuple[Action, ...], clustering: Clustering) -> FeedbackReport:
         index = len(self.steps)
@@ -161,10 +143,71 @@ class _TraceBuilder:
         )
 
 
-def _initial_clustering(dataset: Dataset, k: int, config: EngineConfig) -> Clustering:
-    if k < max(2, config.min_k):
+# One iteration of a loop: the actions to record and the clustering they
+# produce, or None when no legal action remains (the run stalls).
+_Step = tuple[tuple[Action, ...], Clustering] | None
+
+
+def _sme_step(
+    dataset: Dataset, current: Clustering, report: FeedbackReport, seed: int, iteration: int
+) -> _Step:
+    """Split the worst splittable cluster, then merge the closest pair."""
+    target = _pick_split_target(dataset, current, report)
+    if target is None:
+        return None
+    after_split = split_cluster(dataset, current, target, derive_seed(seed, "split", iteration))
+    i, j = closest_centroid_pair(after_split)
+    return (Action.split(target), Action.merge(i, j)), merge_pair(dataset, after_split, i, j)
+
+
+def _sm_step(
+    dataset: Dataset, current: Clustering, report: FeedbackReport, seed: int, iteration: int
+) -> _Step:
+    """Split or merge the worst cluster, as sm_decide rules; a split falls
+    back to the next-worst splittable cluster."""
+    worst = worst_cluster(report)
+    try:
+        action = sm_decide(current, worst)
+    except NoLegalActionError:
+        return None
+    if action is SMAction.MERGE:
+        partner = nearest_cluster(current, worst)
+        return (Action.merge(worst, partner),), merge_pair(dataset, current, worst, partner)
+    target = _pick_split_target(dataset, current, report)  # worst, if splittable
+    if target is None:
+        return None
+    split = split_cluster(dataset, current, target, derive_seed(seed, "split", iteration))
+    return (Action.split(target),), split
+
+
+_STEPS = {Method.SME: _sme_step, Method.SM: _sm_step}
+
+
+def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
+    """Run the loop selected by config.method from a seeded k-means start.
+
+    Every iteration applies one step of the method and evaluates the
+    result. The run ends after the configured iterations, once an
+    evaluation reaches the target, or early, flagged as stalled, when no
+    legal action remains.
+    """
+    if k < MIN_K:
         raise ValueError(f"k={k} below the minimum cluster count")
-    return lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "init")))
+    step = _STEPS[config.method]
+    target = config.target_evaluation
+    current = lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "init")))
+    builder = _TraceBuilder(dataset, config, current)
+    report = builder.steps[0].feedback
+    for iteration in range(1, config.resolved_iterations() + 1):
+        if target is not None and config.feedback.sense.reached(report.aggregate, target):
+            break
+        outcome = step(dataset, current, report, config.seed, iteration)
+        if outcome is None:
+            builder.stalled = True
+            break
+        actions, current = outcome
+        report = builder.record(actions, current)
+    return builder.build()
 
 
 def run_sme(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
@@ -176,70 +219,15 @@ def run_sme(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     """
     if config.method is not Method.SME:
         raise ValueError("config.method must be SME")
-    current = _initial_clustering(dataset, k, config)
-    builder = _TraceBuilder(dataset, config, current)
-    if _target_reached(config, builder.best_evaluation):
-        return builder.build()
-    for iteration in range(1, config.resolved_iterations() + 1):
-        target = _pick_split_target(dataset, current, builder.latest_report)
-        if target is None:
-            builder.stalled = True
-            break
-        after_split = split_cluster(
-            dataset, current, target, derive_seed(config.seed, "split", iteration)
-        )
-        pair = closest_centroid_pair(after_split)
-        current = merge_pair(dataset, after_split, pair[0], pair[1])
-        report = builder.record((Action.split(target), Action.merge(*pair)), current)
-        if _target_reached(config, report.aggregate):
-            break
-    return builder.build()
+    return run_engine(dataset, k, config)
 
 
 def run_sm(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     """One split or merge per iteration, chosen by the worst cluster's size
-    rank; evaluation after every action; k may drift, never below min_k."""
+    rank; evaluation after every action; k may drift, never below MIN_K."""
     if config.method is not Method.SM:
         raise ValueError("config.method must be SM")
-    current = _initial_clustering(dataset, k, config)
-    builder = _TraceBuilder(dataset, config, current)
-    if _target_reached(config, builder.best_evaluation):
-        return builder.build()
-    for iteration in range(1, config.resolved_iterations() + 1):
-        worst = worst_cluster(builder.latest_report)
-        try:
-            action = sm_decide(current, worst)
-        except NoLegalActionError:
-            builder.stalled = True
-            break
-        if action is SMAction.MERGE and current.k <= config.min_k:
-            action = SMAction.SPLIT
-        if action is SMAction.SPLIT:
-            target = worst if is_splittable(dataset, current, worst) else None
-            if target is None:
-                target = _pick_split_target(dataset, current, builder.latest_report)
-            if target is None:
-                builder.stalled = True
-                break
-            current = split_cluster(
-                dataset, current, target, derive_seed(config.seed, "split", iteration)
-            )
-            recorded = Action.split(target)
-        else:
-            partner = nearest_cluster(current, worst)
-            current = merge_pair(dataset, current, worst, partner)
-            recorded = Action.merge(worst, partner)
-        report = builder.record((recorded,), current)
-        if _target_reached(config, report.aggregate):
-            break
-    return builder.build()
-
-
-def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
-    """Dispatch to the loop selected by config.method."""
-    if config.method is Method.SME:
-        return run_sme(dataset, k, config)
-    return run_sm(dataset, k, config)
+    return run_engine(dataset, k, config)
 
 
 def best_clustering(trace: RunTrace) -> tuple[Clustering, float]:

@@ -320,16 +320,6 @@ class CustomizabilityFeedback:
         return substream(self.profile.rng_seed, "eval", step)
 
 
-def evaluate_clustering(
-    dataset: Dataset,
-    clustering: Clustering,
-    provider: FeedbackProvider,
-    rng: np.random.Generator | None = None,
-) -> FeedbackReport:
-    """Evaluate every cluster under the provider and aggregate by size."""
-    return provider.evaluate(dataset, clustering, rng)
-
-
 def provider_from_name(name: str, profile: OracleProfile | None = None) -> FeedbackProvider:
     """Build the provider selected by name ("rss" | "custom")."""
     if name == "rss":

@@ -18,7 +18,7 @@ from enum import Enum
 from statistics import mean
 
 from .core import Clustering, Dataset, Sense
-from .engines import EngineConfig, Method, best_clustering, run_engine
+from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
 from .feedback import (
     CustomizabilityFeedback,
     FeedbackProvider,
@@ -27,6 +27,7 @@ from .feedback import (
     relative_change,
 )
 from .kmeans import KMeansConfig, lloyd
+from .operators import MIN_K
 from .rng import derive_seed, substream
 
 
@@ -52,8 +53,8 @@ ALL_METHODS = tuple(ExperimentMethod)
 class ExperimentConfig:
     methods: tuple[ExperimentMethod, ...] = ALL_METHODS
     k_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
-    sme_iterations: int = 6
-    sm_iterations: int = 12
+    sme_iterations: int = DEFAULT_ITERATIONS[Method.SME]
+    sm_iterations: int = DEFAULT_ITERATIONS[Method.SM]
     repeats_per_cell: int = 3
     fluctuation_calls: int = 10
     seed: int = 0
@@ -63,8 +64,8 @@ class ExperimentConfig:
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
-        if any(k < 2 for k in self.k_values):
-            raise ValueError("every k must be at least 2")
+        if any(k < MIN_K for k in self.k_values):
+            raise ValueError(f"every k must be at least {MIN_K}")
         if self.repeats_per_cell < 1:
             raise ValueError("repeats_per_cell must be at least 1")
 
@@ -108,56 +109,26 @@ class ExperimentReport:
     def failure_dicts(self) -> list[dict]:
         return [asdict(f) for f in self.failures]
 
-    def _by_method(self) -> dict[str, list[ImpactRecord]]:
-        grouped: dict[str, list[ImpactRecord]] = {}
+    def mean_by(self, field: str, *keys: str) -> dict:
+        """Mean of a record field grouped by the given record fields, nested
+        one dict level per key (e.g. mean_by("impact", "method", "k") maps
+        method -> k -> mean). Records whose field is None are skipped, and
+        groups left without values are omitted; groups keep their first-seen
+        record order."""
+        groups: dict = {}
         for record in self.records:
-            grouped.setdefault(record.method, []).append(record)
-        return grouped
+            value = getattr(record, field)
+            if value is None:
+                continue
+            node = groups
+            for key in keys[:-1]:
+                node = node.setdefault(getattr(record, key), {})
+            node.setdefault(getattr(record, keys[-1]), []).append(value)
 
-    def mean_impact_by_method(self) -> dict[str, float]:
-        """Average driving impact per method over all k and repeats."""
-        return {m: mean(r.impact for r in rs) for m, rs in self._by_method().items()}
+        def means(node: dict) -> dict:
+            return {k: means(v) if isinstance(v, dict) else mean(v) for k, v in node.items()}
 
-    def mean_custom_impact_by_method(self) -> dict[str, float]:
-        """Average customizability impact per method (skips cells without a
-        customizability reference)."""
-        out = {}
-        for m, rs in self._by_method().items():
-            vals = [r.custom_impact for r in rs if r.custom_impact is not None]
-            if vals:
-                out[m] = mean(vals)
-        return out
-
-    def impact_by_method_and_k(self) -> dict[str, dict[int, float]]:
-        out: dict[str, dict[int, float]] = {}
-        for m, rs in self._by_method().items():
-            per_k: dict[int, list[float]] = {}
-            for r in rs:
-                per_k.setdefault(r.k, []).append(r.impact)
-            out[m] = {k: mean(v) for k, v in sorted(per_k.items())}
-        return out
-
-    def custom_impact_by_method_and_k(self) -> dict[str, dict[int, float]]:
-        """Per-k customizability impact means (the axis all methods are
-        compared on), skipping cells without a reference."""
-        out: dict[str, dict[int, float]] = {}
-        for m, rs in self._by_method().items():
-            per_k: dict[int, list[float]] = {}
-            for r in rs:
-                if r.custom_impact is not None:
-                    per_k.setdefault(r.k, []).append(r.custom_impact)
-            if per_k:
-                out[m] = {k: mean(v) for k, v in sorted(per_k.items())}
-        return out
-
-    def initial_custom_by_k(self) -> dict[int, float]:
-        """Mean initial customizability evaluation per k, over all cells
-        that measured one."""
-        per_k: dict[int, list[float]] = {}
-        for r in self.records:
-            if r.custom_initial is not None:
-                per_k.setdefault(r.k, []).append(r.custom_initial)
-        return {k: mean(v) for k, v in sorted(per_k.items())}
+        return means(groups)
 
     def final_k_distribution(self, method: str) -> dict[int, int]:
         counts: dict[int, int] = {}

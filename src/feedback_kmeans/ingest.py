@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -82,8 +83,8 @@ def read_csv(
 
     Known extra columns (bookings, hidden_segment, origin, destination) are
     loaded when has_hidden_columns is true; unrecognized columns are ignored
-    with a warning. Non-numeric feature cells fail the load with their file
-    line numbers.
+    with a warning. Non-numeric and non-finite (nan, inf) feature cells fail
+    the load with their file line numbers.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -101,7 +102,9 @@ def read_csv(
             warnings.warn(f"{path}: ignoring unrecognized column(s): {', '.join(unknown)}")
         col_index = {name: header.index(name) for name in header if name not in unknown}
 
+        feature_cols = [col_index[name] for name in FEATURE_NAMES]
         rows = []
+        features = []
         bad_rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -110,20 +113,21 @@ def read_csv(
                 bad_rows.append(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
                 continue
             try:
-                for name in FEATURE_NAMES:
-                    float(row[col_index[name]])
+                values = [float(row[col]) for col in feature_cols]
             except ValueError:
                 bad_rows.append(f"line {line_no}: non-numeric feature value")
                 continue
+            if not all(map(math.isfinite, values)):
+                bad_rows.append(f"line {line_no}: non-finite feature value")
+                continue
             rows.append(row)
+            features.append(values)
         if bad_rows:
             raise ValueError(f"{path}: rejected rows: " + "; ".join(bad_rows))
         if not rows:
             raise ValueError(f"{path}: no data rows")
 
-    points = np.array(
-        [[float(row[col_index[name]]) for name in FEATURE_NAMES] for row in rows]
-    )
+    points = np.array(features)
     bookings = hidden = origins = destinations = None
     if has_hidden_columns:
         if "bookings" in col_index:

@@ -163,10 +163,8 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
     # the first assignment cannot leave a cluster empty.
     history = [weighted_rss(dataset, assignment, centroids)]
     for _ in range(config.max_iterations):
-        new_centroids, empties = update_centroids(dataset, assignment, config.k)
-        if empties:  # unreachable from a surjective assignment; keep the guard
-            repaired = repair_empty(dataset, assignment, new_centroids, empties)
-            assignment, new_centroids = repaired.assignment, repaired.centroids
+        # No cluster is empty here: see above, and the repair below.
+        new_centroids, _ = update_centroids(dataset, assignment, config.k)
         shift = float(np.max(np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)))
         centroids = new_centroids
         assignment = assign_points(dataset, centroids)

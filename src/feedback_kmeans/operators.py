@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 
-from .core import Clustering, Dataset, FeedbackReport, NoLegalActionError, Sense
+from .core import Clustering, Dataset, FeedbackReport, NoLegalActionError
 from .kmeans import KMeansConfig, assign_points, lloyd, repair_empty
+
+MIN_K = 2  # fewest clusters any clustering may have; no merge goes below it
 
 
 class SMAction(enum.Enum):
@@ -83,8 +85,8 @@ def merge_pair(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clus
     for cid in (i, j):
         if not 0 <= cid < clustering.k:
             raise ValueError(f"merge id {cid} out of range for k={clustering.k}")
-    if clustering.k - 1 < 2:
-        raise ValueError("minimum cluster count: merging would leave fewer than 2 clusters")
+    if clustering.k - 1 < MIN_K:
+        raise ValueError(f"minimum cluster count: merging would leave fewer than {MIN_K} clusters")
     union_mask = (clustering.assignment == i) | (clustering.assignment == j)
     union_centroid = dataset.points[union_mask].mean(axis=0)
     kept = [c for c in range(clustering.k) if c not in (i, j)]
@@ -141,10 +143,7 @@ def nearest_cluster(clustering: Clustering, target: int) -> int:
 
 def worst_cluster(report: FeedbackReport) -> int:
     """Cluster with the worst feedback value (ties -> lowest id)."""
-    values = np.asarray(report.per_cluster)
-    if report.sense is Sense.LOWER_IS_BETTER:
-        return int(values.argmax())
-    return int(values.argmin())
+    return report.sense.worst_first(report.per_cluster)[0]
 
 
 def sm_decide(clustering: Clustering, worst: int) -> SMAction:
@@ -166,7 +165,7 @@ def sm_decide(clustering: Clustering, worst: int) -> SMAction:
     action = SMAction.SPLIT if rank < math.ceil(clustering.k / 2) else SMAction.MERGE
     if action is SMAction.SPLIT and sizes[worst] == 1:
         action = SMAction.MERGE
-    if action is SMAction.MERGE and clustering.k == 2:
+    if action is SMAction.MERGE and clustering.k == MIN_K:
         action = SMAction.SPLIT
         if sizes[worst] == 1 and not any(
             sizes[cid] >= 2 for cid in range(clustering.k) if cid != worst

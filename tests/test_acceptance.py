@@ -25,7 +25,6 @@ from feedback_kmeans import (
     build_oracle_profile,
     customizability_cluster,
     demo_generator_config,
-    evaluate_clustering,
     expected_relative_change,
     generate,
     lloyd,
@@ -72,7 +71,7 @@ def test_c01_rss_aggregate_matches_flat_sum():
         dim = int(rng.integers(1, 9))
         k = int(rng.integers(1, min(7, n)))
         ds, clustering = _random_valid_clustering(rng, n, k, dim)
-        report = evaluate_clustering(ds, clustering, RssFeedback())
+        report = RssFeedback().evaluate(ds, clustering)
         diff = ds.points - clustering.centroids[clustering.assignment]
         flat = float(np.sum(np.einsum("nd,nd->n", diff, diff)) / n)
         worst_gap = max(worst_gap, abs(report.aggregate - flat))
@@ -244,7 +243,7 @@ def test_c08_desk_scale_own_feedback_impacts(planted_20k):
     )
     report = run_experiment(dataset, config, profile)
     elapsed = time.perf_counter() - start
-    means = report.mean_impact_by_method()
+    means = report.mean_by("impact", "method")
     rss_mean = means.get("sme:rss", float("nan"))
     custom_mean = means.get("sme:custom", float("nan"))
     ratio = custom_mean / rss_mean if rss_mean > 0 else float("inf")
@@ -277,7 +276,7 @@ def test_c09_desk_scale_customizability_comparison(planted_20k):
     )
     report = run_experiment(dataset, config, profile)
     elapsed = time.perf_counter() - start
-    means = report.mean_custom_impact_by_method()
+    means = report.mean_by("custom_impact", "method")
     sm_custom = means.get("sm:custom", float("nan"))
     rivals = {m: v for m, v in means.items() if m != "sm:custom"}
     ok = (

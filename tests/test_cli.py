@@ -216,6 +216,38 @@ def test_experiment_config_file_with_flag_override(tmp_path, generated):
     assert len(rows) == 1 + 1  # flag overrode the config's repeats=3
 
 
+def test_experiment_config_unknown_key_is_named(tmp_path, generated, capsys):
+    dataset, oracle = generated
+    exp_config = tmp_path / "exp.json"
+    exp_config.write_text(json.dumps({"methods": ["sme:rss"], "k_values": [2], "repeats_per_cell": 1}))
+    out = tmp_path / "r"
+    code = main(
+        [
+            "experiment", "--dataset", str(dataset), "--oracle", str(oracle),
+            "--out", str(out), "--config", str(exp_config),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "repeats_per_cell" in err and "accepted: methods, k_values, repeats," in err
+    assert not out.exists()
+
+
+def test_experiment_non_integer_thread_env_is_an_error(tmp_path, generated, monkeypatch, capsys):
+    dataset, oracle = generated
+    monkeypatch.setenv("FEEDBACK_KMEANS_THREADS", "abc")
+    out = tmp_path / "r"
+    code = main(
+        [
+            "experiment", "--dataset", str(dataset), "--oracle", str(oracle), "--out", str(out),
+            "--methods", "sme:rss", "--k-values", "2", "--repeats", "1",
+        ]
+    )
+    assert code == 1
+    assert "FEEDBACK_KMEANS_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_thread_env_does_not_change_output(tmp_path, generated, monkeypatch):
     dataset, oracle = generated
     args = [

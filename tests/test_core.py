@@ -81,6 +81,21 @@ def test_sense_better_is_strict():
     assert not Sense.LOWER_IS_BETTER.better(1.0, 1.0)
 
 
+def test_sense_worst_first_breaks_ties_to_lowest_id():
+    values = (0.5, 2.0, 0.5, 2.0, 1.0)
+    assert Sense.LOWER_IS_BETTER.worst_first(values) == [1, 3, 4, 0, 2]
+    assert Sense.HIGHER_IS_BETTER.worst_first(values) == [0, 2, 4, 1, 3]
+
+
+def test_sense_reached_is_inclusive():
+    assert Sense.HIGHER_IS_BETTER.reached(0.5, 0.5)
+    assert Sense.HIGHER_IS_BETTER.reached(0.6, 0.5)
+    assert not Sense.HIGHER_IS_BETTER.reached(0.4, 0.5)
+    assert Sense.LOWER_IS_BETTER.reached(0.5, 0.5)
+    assert Sense.LOWER_IS_BETTER.reached(0.4, 0.5)
+    assert not Sense.LOWER_IS_BETTER.reached(0.6, 0.5)
+
+
 @given(
     n=st.integers(min_value=1, max_value=40),
     k=st.integers(min_value=1, max_value=6),

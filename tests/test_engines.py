@@ -13,7 +13,6 @@ from feedback_kmeans import (
     Sense,
     TraceStep,
     best_clustering,
-    evaluate_clustering,
     run_sm,
     run_sme,
     validate_clustering,
@@ -153,7 +152,7 @@ def test_sm_k_bounds(planted_small):
         config = rss_config(Method.SM, seed=seed)
         trace = run_sm(dataset, 2, config)
         for step in trace.steps:
-            assert config.min_k <= step.k <= 2 + 12
+            assert 2 <= step.k <= 2 + 12
             assert validate_clustering(dataset, step.clustering) == []
 
 
@@ -178,13 +177,6 @@ def test_sm_evaluates_after_every_action(planted_small):
     trace = run_sm(dataset, 3, rss_config(Method.SM))
     # one evaluation per step, init included
     assert len(trace.evaluations()) == len(trace.steps) == 13
-
-
-def test_sm_respects_configured_min_k(planted_small):
-    dataset, _ = planted_small
-    config = EngineConfig(method=Method.SM, feedback=RssFeedback(), seed=1, min_k=4)
-    trace = run_sm(dataset, 4, config)
-    assert min(step.k for step in trace.steps) >= 4
 
 
 def test_sm_target_evaluation_stops_mid_run(planted_small):

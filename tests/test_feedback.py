@@ -14,7 +14,6 @@ from feedback_kmeans import (
     Sense,
     aggregate_weighted,
     customizability_cluster,
-    evaluate_clustering,
     fit_weights,
     load_oracle_profile,
     popularity,
@@ -313,12 +312,12 @@ def test_pure_cluster_beats_mixed_cluster():
     assert trials >= 8
 
 
-# ---------------------------------------------------------------- evaluate_clustering
+# ---------------------------------------------------------------- provider evaluation
 
 def test_evaluate_single_cluster_aggregate_is_value():
     ds = make_dataset([[0.0, 0.0], [2.0, 0.0]])
     clustering = Clustering(assignment=[0, 0], centroids=[[1.0, 0.0]], k=1)
-    report = evaluate_clustering(ds, clustering, RssFeedback())
+    report = RssFeedback().evaluate(ds, clustering)
     assert report.aggregate == report.per_cluster[0] == 1.0
     assert report.sense is Sense.LOWER_IS_BETTER
 
@@ -329,7 +328,7 @@ def test_evaluate_rss_matches_flat_global_sum():
     assignment = np.concatenate([np.arange(4), rng.integers(0, 4, 196)])
     centroids, _ = update_centroids(ds, assignment, 4)
     clustering = Clustering(assignment=assignment, centroids=centroids, k=4)
-    report = evaluate_clustering(ds, clustering, RssFeedback())
+    report = RssFeedback().evaluate(ds, clustering)
     diff = ds.points - centroids[assignment]
     flat = float(np.sum(diff * diff) / ds.n_points)
     assert abs(report.aggregate - flat) <= 1e-12
@@ -372,7 +371,7 @@ def test_evaluate_rejects_invalid_clustering():
     ds = make_dataset([[0.0, 0.0], [1.0, 1.0]])
     bad = Clustering(assignment=[0, 0], centroids=np.zeros((2, 2)), k=2)
     with pytest.raises(ValueError, match="invalid clustering"):
-        evaluate_clustering(ds, bad, RssFeedback())
+        RssFeedback().evaluate(ds, bad)
 
 
 # ---------------------------------------------------------------- profile & providers

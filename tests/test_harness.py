@@ -6,6 +6,8 @@ from feedback_kmeans import (
     CustomizabilityFeedback,
     ExperimentConfig,
     ExperimentMethod,
+    ExperimentReport,
+    ImpactRecord,
     KMeansConfig,
     RssFeedback,
     Sense,
@@ -33,6 +35,13 @@ def test_impact_rss_example():
 
 def test_impact_no_improvement_is_zero():
     assert impact(1.7, 1.7, Sense.LOWER_IS_BETTER) == 0.0
+
+
+@pytest.mark.parametrize("sense", list(Sense))
+@pytest.mark.parametrize("value", [1.7, -0.3])
+def test_impact_no_improvement_is_positive_zero(sense, value):
+    # report.csv writes repr(impact); a -0.0 would change the output bytes
+    assert repr(impact(value, value, sense)) == "0.0"
 
 
 def test_impact_negative_initial_orientation():
@@ -234,20 +243,49 @@ def test_summaries(experiment_inputs):
         fluctuation_calls=4,
     )
     report = run_experiment(dataset, config, profile)
-    own = report.mean_impact_by_method()
+    own = report.mean_by("impact", "method")
     assert set(own) == {"sme:rss", "sm:custom"}
-    custom = report.mean_custom_impact_by_method()
+    custom = report.mean_by("custom_impact", "method")
     assert set(custom) == {"sme:rss", "sm:custom"}
-    per_k = report.impact_by_method_and_k()
+    per_k = report.mean_by("impact", "method", "k")
     assert set(per_k["sme:rss"]) == {2, 3}
-    custom_per_k = report.custom_impact_by_method_and_k()
+    custom_per_k = report.mean_by("custom_impact", "method", "k")
     assert set(custom_per_k["sme:rss"]) == {2, 3}
-    initial_custom = report.initial_custom_by_k()
+    initial_custom = report.mean_by("custom_initial", "k")
     assert set(initial_custom) == {2, 3}
     dist = report.final_k_distribution("sm:custom")
     assert sum(dist.values()) == 4
     assert set(report.fluctuation_by_k) == {2, 3}
     assert all(v >= 0 for v in report.fluctuation_by_k.values())
+
+
+def _record(method, k, impact_value, custom_impact):
+    return ImpactRecord(
+        method=method, k=k, seed=0, driving_feedback=method.split(":")[1],
+        initial_eval=1.0, best_eval=1.0, impact=impact_value,
+        custom_initial=None if custom_impact is None else 0.5,
+        custom_reference=None, custom_impact=custom_impact, final_k=k, stalled=False,
+    )
+
+
+def test_mean_by_groups_nests_and_skips_missing_values():
+    report = ExperimentReport(
+        records=(
+            _record("sme:rss", 2, 0.1, None),
+            _record("sme:rss", 2, 0.3, 0.2),
+            _record("sme:rss", 3, 0.5, None),
+            _record("sm:rss", 2, 0.4, None),
+        ),
+        failures=(),
+    )
+    assert report.mean_by("impact", "method") == pytest.approx({"sme:rss": 0.3, "sm:rss": 0.4})
+    assert report.mean_by("impact", "method", "k") == {
+        "sme:rss": {2: pytest.approx(0.2), 3: 0.5},
+        "sm:rss": {2: 0.4},
+    }
+    # records without a value are skipped; groups left empty are omitted
+    assert report.mean_by("custom_impact", "method", "k") == {"sme:rss": {2: 0.2}}
+    assert report.mean_by("custom_initial", "k") == {2: 0.5}
 
 
 def test_config_validation():

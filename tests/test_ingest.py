@@ -68,6 +68,22 @@ def test_non_numeric_cell_reports_line_number(tmp_path, sample_dataset):
         read_csv(path)
 
 
+def test_non_finite_cells_report_line_numbers(tmp_path, sample_dataset):
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    lines = path.read_text().splitlines()
+    for line_index, cell in ((2, "nan"), (5, "inf"), (6, "-Infinity")):
+        cells = lines[line_index].split(",")
+        cells[1] = cell
+        lines[line_index] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(path)
+    message = str(excinfo.value)
+    for line_no in (3, 6, 7):
+        assert f"line {line_no}: non-finite feature value" in message
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
