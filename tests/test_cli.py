@@ -348,10 +348,19 @@ GOLDEN_EXPERIMENT_DIGESTS = {
     "report.csv": "9f3975ca5147b4fe23d51fd879627e692bc048863c0b484e824327b49e805399",
     "report.json": "ec37746ba9521a44c9e0022907720c3f24d804f4b6d7a7d1a7779737ec198b4e",
 }
+GOLDEN_GENERATE_DIGESTS = {
+    "dataset.csv": "b84d324f740d50ff5a4905a1bf57f41196cc49df02072b5a9a2573e69131781e",
+    "oracle.json": "dbb75059a4533bee059205503ac866c0026a0dd8e420335d230436243687b247",
+}
 
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_generate_matches_golden_digests(generated):
+    dataset, oracle = generated
+    assert {path.name: _sha256(path) for path in (dataset, oracle)} == GOLDEN_GENERATE_DIGESTS
 
 
 @pytest.mark.parametrize("method", ["sme", "sm"])
