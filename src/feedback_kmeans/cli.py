@@ -195,6 +195,17 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 _ACTION_RE = re.compile(r"^(init|split\(\d+\)|merge\(\d+,\d+\))(\+(split\(\d+\)|merge\(\d+,\d+\)))*$")
 
+# The JSON types each trace record field may have. Types are compared
+# exactly, so a bool is not taken for a number.
+_RECORD_TYPES = {
+    "step": (int,),
+    "action": (str,),
+    "k": (int,),
+    "per_cluster_feedback": (list,),
+    "aggregate": (int, float),
+    "is_best": (bool,),
+}
+
 
 def validate_trace_records(records: list[dict], method: str | None = None) -> list[str]:
     """Invariant checks on exported trace records.
@@ -207,9 +218,16 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
     if not records:
         return ["trace is empty"]
     for pos, rec in enumerate(records):
-        missing = {"step", "action", "k", "per_cluster_feedback", "aggregate", "is_best"} - set(rec)
+        if not isinstance(rec, dict):
+            violations.append(f"step {pos}: record is not an object")
+            continue
+        missing = set(_RECORD_TYPES) - set(rec)
         if missing:
             violations.append(f"step {pos}: missing fields {sorted(missing)}")
+            continue
+        mistyped = [name for name, types in _RECORD_TYPES.items() if type(rec[name]) not in types]
+        if mistyped:
+            violations.append(f"step {pos}: wrongly typed fields {mistyped}")
             continue
         if rec["step"] != pos:
             violations.append(f"step {pos}: step numbering broken (found {rec['step']})")

@@ -62,8 +62,9 @@ class Dataset:
     """Points to segment plus optional per-point side information.
 
     Attributes:
-        points: (n_points, n_features) float64 matrix. Every feature is
-            stored as a real number, categorical ones included.
+        points: (n_points, n_features) float64 matrix of finite values.
+            Every feature is stored as a real number, categorical ones
+            included.
         feature_names: one label per feature column.
         bookings: optional per-point non-negative booking counts, used by
             the simulated preference oracle.
@@ -84,6 +85,9 @@ class Dataset:
         points = _frozen_f64(self.points, "points", ndim=2)
         if points.shape[0] == 0:
             raise ValueError("dataset is empty")
+        bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(f"points must be finite: row(s) {bad_rows[:5].tolist()} hold nan or inf")
         object.__setattr__(self, "points", points)
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != points.shape[1]:
@@ -206,13 +210,12 @@ class TraceStep:
 
     The initial step carries the single "init" action; an iteration of the
     paired split+merge loop carries both its actions because it is evaluated
-    only once, after the pair. clustering may be None when a trace was
-    recorded with a snapshot cap (the actions remain as the delta record).
+    only once, after the pair.
     """
 
     index: int
     actions: tuple[Action, ...]
-    clustering: Clustering | None
+    clustering: Clustering
     feedback: FeedbackReport
     is_best: bool
 
@@ -226,15 +229,13 @@ class RunTrace:
     """Ordered record of an engine run.
 
     best_evaluation is the optimum (per sense) over all recorded aggregate
-    evaluations; best_snapshot is kept even when per-step snapshots are
-    capped. stalled marks runs that terminated early because no legal
-    action remained.
+    evaluations, reached first at best_step_index. stalled marks runs that
+    terminated early because no legal action remained.
     """
 
     steps: tuple[TraceStep, ...]
     best_step_index: int
     best_evaluation: float
-    best_snapshot: Clustering
     seed: int
     stalled: bool = False
 

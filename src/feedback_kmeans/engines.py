@@ -64,8 +64,7 @@ class EngineConfig:
     iterations defaults to DEFAULT_ITERATIONS for the method, which makes
     a run of either perform the same number of elementary split/merge
     operators. A run stops early once an evaluation reaches
-    target_evaluation. snapshot_cap bounds per-step clustering snapshots;
-    beyond it only the actions (the deltas) and the best snapshot are kept.
+    target_evaluation.
     """
 
     method: Method
@@ -73,7 +72,6 @@ class EngineConfig:
     seed: int
     iterations: int | None = None
     target_evaluation: float | None = None
-    snapshot_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.iterations is not None and self.iterations < 1:
@@ -114,7 +112,6 @@ class _TraceBuilder:
         ]
         self.best_index = 0
         self.best_evaluation = report.aggregate
-        self.best_snapshot = initial
         self.stalled = False
 
     def record(self, actions: tuple[Action, ...], clustering: Clustering) -> FeedbackReport:
@@ -124,11 +121,8 @@ class _TraceBuilder:
         if is_best:
             self.best_index = index
             self.best_evaluation = report.aggregate
-            self.best_snapshot = clustering
-        cap = self.config.snapshot_cap
-        snapshot = clustering if cap is None or index <= cap else None
         self.steps.append(
-            TraceStep(index=index, actions=actions, clustering=snapshot, feedback=report, is_best=is_best)
+            TraceStep(index=index, actions=actions, clustering=clustering, feedback=report, is_best=is_best)
         )
         return report
 
@@ -137,7 +131,6 @@ class _TraceBuilder:
             steps=tuple(self.steps),
             best_step_index=self.best_index,
             best_evaluation=self.best_evaluation,
-            best_snapshot=self.best_snapshot,
             seed=self.config.seed,
             stalled=self.stalled,
         )
@@ -232,9 +225,7 @@ def run_sm(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
 
 def best_clustering(trace: RunTrace) -> tuple[Clustering, float]:
     """The best-evaluated clustering of the trace and its evaluation."""
-    step = trace.steps[trace.best_step_index]
-    clustering = step.clustering if step.clustering is not None else trace.best_snapshot
-    return clustering, trace.best_evaluation
+    return trace.steps[trace.best_step_index].clustering, trace.best_evaluation
 
 
 def trace_records(trace: RunTrace) -> list[dict]:

@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"every k must be at least {MIN_K}")
         if self.repeats_per_cell < 1:
             raise ValueError("repeats_per_cell must be at least 1")
+        if min(self.sme_iterations, self.sm_iterations) < 1:
+            raise ValueError("sme_iterations and sm_iterations must be at least 1")
+        if self.fluctuation_calls < 2:
+            raise ValueError("fluctuation_calls must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -1,90 +1,64 @@
 """Dataset and report I/O: the boundary where real data would enter.
 
 All files are UTF-8. Floats are written with repr precision so write/read
-round-trips are exact; report emissions use a fixed column order and
-sorted JSON keys so identical inputs produce byte-identical files.
+round-trips are exact. The dataset CSV's optional columns are listed once,
+in OPTIONAL_COLUMNS; the report CSV's columns are ImpactRecord's fields, in
+declaration order. Report emissions use that fixed column order and sorted
+JSON keys, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import typing
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Dataset
+from .harness import ExperimentReport, ImpactRecord
 from .synth import FEATURE_NAMES
 from .synth import standardize as _standardize
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .harness import ExperimentReport
+# The dataset CSV's optional columns, in file order: CSV header -> (Dataset
+# attribute, cell parser). write_csv writes the ones a dataset carries and
+# read_csv loads the ones a file has.
+OPTIONAL_COLUMNS = {
+    "bookings": ("bookings", int),
+    "hidden_segment": ("hidden_segment", int),
+    "origin": ("origins", str),
+    "destination": ("destinations", str),
+}
 
-OPTIONAL_COLUMNS = ("bookings", "hidden_segment", "origin", "destination")
-
-REPORT_COLUMNS = (
-    "method",
-    "k",
-    "seed",
-    "driving_feedback",
-    "initial_eval",
-    "best_eval",
-    "impact",
-    "custom_initial",
-    "custom_reference",
-    "custom_impact",
-    "final_k",
-    "stalled",
-)
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ImpactRecord))
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset: the 8 feature columns plus whichever of
-    bookings/hidden_segment/origin/destination are present."""
+    """Write a dataset: its feature columns, then whichever of the
+    OPTIONAL_COLUMNS it carries."""
     header = list(dataset.feature_names)
-    columns: list = [dataset.points[:, i] for i in range(dataset.n_features)]
-    if dataset.bookings is not None:
-        header.append("bookings")
-        columns.append(dataset.bookings)
-    if dataset.hidden_segment is not None:
-        header.append("hidden_segment")
-        columns.append(dataset.hidden_segment)
-    if dataset.origins is not None:
-        header.append("origin")
-        columns.append(dataset.origins)
-    if dataset.destinations is not None:
-        header.append("destination")
-        columns.append(dataset.destinations)
+    columns = [map(repr, dataset.points[:, i].tolist()) for i in range(dataset.n_features)]
+    for name, (attr, _) in OPTIONAL_COLUMNS.items():
+        values = getattr(dataset, attr)
+        if values is not None:
+            header.append(name)
+            columns.append(map(str, values))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row_idx in range(dataset.n_points):
-            row = []
-            for col in columns:
-                value = col[row_idx]
-                if isinstance(value, str):
-                    row.append(value)
-                elif isinstance(value, (np.integer, int)):
-                    row.append(str(int(value)))
-                else:
-                    row.append(repr(float(value)))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
-def read_csv(
-    path: str | Path,
-    has_hidden_columns: bool = True,
-    standardize: bool = False,
-) -> Dataset:
+def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
     """Load a dataset CSV with the 8-feature schema.
 
-    Known extra columns (bookings, hidden_segment, origin, destination) are
-    loaded when has_hidden_columns is true; unrecognized columns are ignored
-    with a warning. Non-numeric and non-finite (nan, inf) feature cells fail
-    the load with their file line numbers.
+    Each of the OPTIONAL_COLUMNS loads when the file has it; unrecognized
+    columns are ignored with a warning. Non-numeric and non-finite (nan,
+    inf) feature cells fail the load with their file line numbers.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -127,34 +101,15 @@ def read_csv(
         if not rows:
             raise ValueError(f"{path}: no data rows")
 
-    points = np.array(features)
-    bookings = hidden = origins = destinations = None
-    if has_hidden_columns:
-        if "bookings" in col_index:
-            raw = [row[col_index["bookings"]] for row in rows]
+    extras = {}
+    for name, (attr, parse) in OPTIONAL_COLUMNS.items():
+        if name in col_index:
+            col = col_index[name]
             try:
-                bookings = np.array([int(v) for v in raw], dtype=np.int64)
-            except ValueError:
-                raise ValueError(f"{path}: bookings column contains non-integer values") from None
-        if "hidden_segment" in col_index:
-            raw = [row[col_index["hidden_segment"]] for row in rows]
-            try:
-                hidden = np.array([int(v) for v in raw], dtype=np.int64)
-            except ValueError:
-                raise ValueError(f"{path}: hidden_segment column contains non-integer values") from None
-        if "origin" in col_index:
-            origins = tuple(row[col_index["origin"]] for row in rows)
-        if "destination" in col_index:
-            destinations = tuple(row[col_index["destination"]] for row in rows)
-
-    dataset = Dataset(
-        points=points,
-        feature_names=FEATURE_NAMES,
-        bookings=bookings,
-        hidden_segment=hidden,
-        origins=origins,
-        destinations=destinations,
-    )
+                extras[attr] = [parse(row[col]) for row in rows]
+            except ValueError as exc:
+                raise ValueError(f"{path}: {name} column: {exc}") from None
+    dataset = Dataset(points=np.array(features), feature_names=FEATURE_NAMES, **extras)
     if standardize:
         dataset, _ = _standardize(dataset)
     return dataset
@@ -175,25 +130,22 @@ def _record_to_row(record: dict) -> list[str]:
     return row
 
 
+# Each report column's cell parser, from ImpactRecord's field type; the
+# optional custom_* floats take the float default.
+_REPORT_PARSERS = {
+    name: {int: int, str: str, bool: lambda cell: cell == "true"}.get(hint, float)
+    for name, hint in typing.get_type_hints(ImpactRecord).items()
+}
+
+
 def _row_to_record(row: list[str]) -> dict:
-    record: dict = {}
-    for col, cell in zip(REPORT_COLUMNS, row):
-        if cell == "":
-            record[col] = None
-        elif col in ("k", "final_k"):
-            record[col] = int(cell)
-        elif col == "seed":
-            record[col] = int(cell)
-        elif col == "stalled":
-            record[col] = cell == "true"
-        elif col in ("method", "driving_feedback"):
-            record[col] = cell
-        else:
-            record[col] = float(cell)
-    return record
+    return {
+        col: None if cell == "" else _REPORT_PARSERS[col](cell)
+        for col, cell in zip(REPORT_COLUMNS, row)
+    }
 
 
-def write_report(report: "ExperimentReport", path: str | Path, format: str = "csv") -> None:
+def write_report(report: ExperimentReport, path: str | Path, format: str = "csv") -> None:
     """Serialize an experiment report.
 
     csv: one fixed-order row per impact record (failures are JSON-only).

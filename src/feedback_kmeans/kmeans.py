@@ -13,27 +13,24 @@ import numpy as np
 
 from .core import Clustering, Dataset
 
+# Lloyd stops once centroid movement, the maximum over centroids of the
+# squared displacement between consecutive iterations, is at most this.
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Lloyd loop parameters.
-
-    tolerance is measured on centroid movement: the maximum over centroids
-    of the squared displacement between consecutive iterations.
-    """
+    """Lloyd loop parameters."""
 
     k: int
     seed: int
     max_iterations: int = 100
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
 
 
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -177,7 +174,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
             assignment, centroids = repaired.assignment, repaired.centroids
             repaired_after_assign = True
         history.append(weighted_rss(dataset, assignment, centroids))
-        if not repaired_after_assign and shift <= config.tolerance:
+        if not repaired_after_assign and shift <= TOLERANCE:
             break
     return Clustering(assignment=assignment, centroids=centroids, k=config.k), history
 

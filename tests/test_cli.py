@@ -233,6 +233,19 @@ def test_experiment_config_unknown_key_is_named(tmp_path, generated, capsys):
     assert not out.exists()
 
 
+def test_experiment_bad_grid_setting_fails_before_loading_data(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = main(
+        [
+            "experiment", "--dataset", str(missing), "--methods", "sme:rss",
+            "--out", str(tmp_path / "r"), "--fluctuation-calls", "1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "fluctuation_calls must be at least 2" in err and "missing.csv" not in err
+
+
 def test_experiment_non_integer_thread_env_is_an_error(tmp_path, generated, monkeypatch, capsys):
     dataset, oracle = generated
     monkeypatch.setenv("FEEDBACK_KMEANS_THREADS", "abc")
@@ -331,6 +344,21 @@ def test_validate_records_unit_checks():
     assert validate_trace_records([], method=None) == ["trace is empty"]
     broken = [dict(records[0], action="explode()")]
     assert any("malformed action" in v for v in validate_trace_records(broken))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("per_cluster_feedback", 5), ("action", 7), ("k", "2"), ("is_best", 1)]
+)
+def test_validate_reports_wrongly_typed_fields(tmp_path, field, value, capsys):
+    records = [
+        {"step": 0, "action": "init", "k": 2, "per_cluster_feedback": [1.0, 2.0], "aggregate": 1.5, "is_best": True},
+    ]
+    records[0][field] = value
+    assert validate_trace_records(records) == [f"step 0: wrongly typed fields ['{field}']"]
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(json.dumps(records[0]) + "\n5\n")
+    assert main(["validate", "--trace", str(trace_path)]) == 1
+    assert "step 1: record is not an object" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- golden digests

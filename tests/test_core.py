@@ -56,6 +56,8 @@ def test_dataset_invariants():
         make_dataset([[1, 2], [3, 4]], hidden_segment=[0, 0, 0])
     with pytest.raises(ValueError, match="origins"):
         make_dataset([[1, 2], [3, 4]], origins=("AAA",))
+    with pytest.raises(ValueError, match=r"finite: row\(s\) \[1, 3\]"):
+        make_dataset([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0], [4.0, -np.inf]])
 
 
 def test_dataset_points_are_read_only():

@@ -279,7 +279,6 @@ def _manual_trace(aggregates, sense):
         steps=tuple(steps),
         best_step_index=best_idx,
         best_evaluation=aggregates[best_idx],
-        best_snapshot=clustering,
         seed=0,
     )
 
@@ -301,15 +300,6 @@ def test_best_clustering_strict_improvement_keeps_first_optimum():
     trace = _manual_trace([0.1, 0.5, 0.5], Sense.HIGHER_IS_BETTER)
     assert trace.best_step_index == 1
     assert best_clustering(trace)[1] == 0.5
-
-
-def test_best_clustering_snapshot_cap(two_blobs):
-    config = rss_config(Method.SME, seed=2, snapshot_cap=0)
-    trace = run_sme(two_blobs, 2, config)
-    assert all(step.clustering is None for step in trace.steps[1:])
-    clustering, evaluation = best_clustering(trace)
-    assert evaluation == trace.best_evaluation
-    assert validate_clustering(two_blobs, clustering) == []
 
 
 # ---------------------------------------------------------------- trace export

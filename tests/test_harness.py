@@ -295,3 +295,9 @@ def test_config_validation():
         ExperimentConfig(k_values=(1, 2))
     with pytest.raises(ValueError, match="repeats"):
         ExperimentConfig(repeats_per_cell=0)
+    with pytest.raises(ValueError, match="sme_iterations and sm_iterations"):
+        ExperimentConfig(sme_iterations=0)
+    with pytest.raises(ValueError, match="sme_iterations and sm_iterations"):
+        ExperimentConfig(sm_iterations=0)
+    with pytest.raises(ValueError, match="fluctuation_calls must be at least 2"):
+        ExperimentConfig(fluctuation_calls=1)

@@ -110,12 +110,17 @@ def test_features_only_file_loads_then_oracle_rejects(tmp_path, sample_dataset):
         provider.evaluate(loaded, clustering, provider.evaluation_rng(0))
 
 
-def test_hidden_columns_can_be_skipped(tmp_path, sample_dataset):
+def test_non_integer_bookings_cell_names_the_column(tmp_path, sample_dataset):
     path = tmp_path / "dataset.csv"
     write_csv(sample_dataset, path)
-    loaded = read_csv(path, has_hidden_columns=False)
-    assert loaded.bookings is None
-    assert loaded.hidden_segment is None
+    lines = path.read_text().splitlines()
+    bookings = lines[0].split(",").index("bookings")
+    cells = lines[1].split(",")
+    cells[bookings] = "2.5"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="bookings column"):
+        read_csv(path)
 
 
 def test_standardize_option(tmp_path, sample_dataset):

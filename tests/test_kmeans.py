@@ -221,5 +221,3 @@ def test_config_validation():
         KMeansConfig(k=0, seed=1)
     with pytest.raises(ValueError):
         KMeansConfig(k=2, seed=1, max_iterations=0)
-    with pytest.raises(ValueError):
-        KMeansConfig(k=2, seed=1, tolerance=-1.0)
