@@ -20,7 +20,7 @@ from feedback_kmeans import (
     Method,
     Sense,
     best_clustering,
-    run_sm,
+    run_engine,
 )
 
 
@@ -62,7 +62,7 @@ def describe(dataset, clustering) -> str:
 def main() -> None:
     dataset = toy_dataset()
     config = EngineConfig(method=Method.SM, feedback=XVarianceFeedback(), seed=0, iterations=6)
-    trace = run_sm(dataset, 2, config)
+    trace = run_engine(dataset, 2, config)
 
     print("feedback: per-cluster x variance (lower is better)\n")
     for step in trace.steps:

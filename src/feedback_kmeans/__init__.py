@@ -12,13 +12,12 @@ from .core import (
     Clustering,
     Dataset,
     FeedbackReport,
-    NoLegalActionError,
     RunTrace,
     Sense,
     TraceStep,
     validate_clustering,
 )
-from .engines import EngineConfig, Method, best_clustering, run_engine, run_sm, run_sme, write_trace
+from .engines import EngineConfig, Method, best_clustering, run_engine, write_trace
 from .feedback import (
     ClusterFeedbackValue,
     CustomizabilityFeedback,

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NoLegalActionError(ValueError):
-    """Raised when neither a split nor a merge can be applied."""
-
-
 class Sense(enum.Enum):
     """Orientation of a feedback value."""
 
@@ -50,7 +46,12 @@ def _frozen_f64(values, name: str, ndim: int) -> np.ndarray:
 
 
 def _frozen_i64(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.int64))
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.isfinite(raw) & (raw == np.trunc(raw))))
+        if bad.size:
+            raise ValueError(f"{name} must be integral: entry(s) {bad[:5].tolist()} are not")
+    arr = np.ascontiguousarray(raw, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)

@@ -29,7 +29,6 @@ from .core import (
     Clustering,
     Dataset,
     FeedbackReport,
-    NoLegalActionError,
     RunTrace,
     TraceStep,
 )
@@ -61,10 +60,10 @@ DEFAULT_ITERATIONS = {Method.SME: 6, Method.SM: 12}
 class EngineConfig:
     """Run parameters shared by both loops.
 
-    iterations defaults to DEFAULT_ITERATIONS for the method, which makes
-    a run of either perform the same number of elementary split/merge
-    operators. A run stops early once an evaluation reaches
-    target_evaluation.
+    iterations defaults to DEFAULT_ITERATIONS for the method (filled in at
+    construction), which makes a run of either perform the same number of
+    elementary split/merge operators. A run stops early once an evaluation
+    reaches target_evaluation.
     """
 
     method: Method
@@ -74,22 +73,10 @@ class EngineConfig:
     target_evaluation: float | None = None
 
     def __post_init__(self) -> None:
-        if self.iterations is not None and self.iterations < 1:
+        if self.iterations is None:
+            object.__setattr__(self, "iterations", DEFAULT_ITERATIONS[self.method])
+        if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-
-    def resolved_iterations(self) -> int:
-        if self.iterations is not None:
-            return self.iterations
-        return DEFAULT_ITERATIONS[self.method]
-
-
-def _evaluate(
-    dataset: Dataset,
-    clustering: Clustering,
-    provider: FeedbackProvider,
-    step: int,
-) -> FeedbackReport:
-    return provider.evaluate(dataset, clustering, provider.evaluation_rng(step))
 
 
 def _pick_split_target(
@@ -100,40 +87,6 @@ def _pick_split_target(
         if is_splittable(dataset, clustering, cid):
             return cid
     return None
-
-
-class _TraceBuilder:
-    def __init__(self, dataset: Dataset, config: EngineConfig, initial: Clustering):
-        self.dataset = dataset
-        self.config = config
-        report = _evaluate(dataset, initial, config.feedback, step=0)
-        self.steps: list[TraceStep] = [
-            TraceStep(index=0, actions=(Action.init(),), clustering=initial, feedback=report, is_best=True)
-        ]
-        self.best_index = 0
-        self.best_evaluation = report.aggregate
-        self.stalled = False
-
-    def record(self, actions: tuple[Action, ...], clustering: Clustering) -> FeedbackReport:
-        index = len(self.steps)
-        report = _evaluate(self.dataset, clustering, self.config.feedback, step=index)
-        is_best = self.config.feedback.sense.better(report.aggregate, self.best_evaluation)
-        if is_best:
-            self.best_index = index
-            self.best_evaluation = report.aggregate
-        self.steps.append(
-            TraceStep(index=index, actions=actions, clustering=clustering, feedback=report, is_best=is_best)
-        )
-        return report
-
-    def build(self) -> RunTrace:
-        return RunTrace(
-            steps=tuple(self.steps),
-            best_step_index=self.best_index,
-            best_evaluation=self.best_evaluation,
-            seed=self.config.seed,
-            stalled=self.stalled,
-        )
 
 
 # One iteration of a loop: the actions to record and the clustering they
@@ -159,11 +112,7 @@ def _sm_step(
     """Split or merge the worst cluster, as sm_decide rules; a split falls
     back to the next-worst splittable cluster."""
     worst = worst_cluster(report)
-    try:
-        action = sm_decide(current, worst)
-    except NoLegalActionError:
-        return None
-    if action is SMAction.MERGE:
+    if sm_decide(current, worst) is SMAction.MERGE:
         partner = nearest_cluster(current, worst)
         return (Action.merge(worst, partner),), merge_pair(dataset, current, worst, partner)
     target = _pick_split_target(dataset, current, report)  # worst, if splittable
@@ -187,40 +136,33 @@ def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     if k < MIN_K:
         raise ValueError(f"k={k} below the minimum cluster count")
     step = _STEPS[config.method]
-    target = config.target_evaluation
+    provider, target = config.feedback, config.target_evaluation
     current = lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "init")))
-    builder = _TraceBuilder(dataset, config, current)
-    report = builder.steps[0].feedback
-    for iteration in range(1, config.resolved_iterations() + 1):
-        if target is not None and config.feedback.sense.reached(report.aggregate, target):
+    report = provider.evaluate(dataset, current, provider.evaluation_rng(0))
+    steps = [TraceStep(index=0, actions=(Action.init(),), clustering=current, feedback=report, is_best=True)]
+    best_index, best_evaluation, stalled = 0, report.aggregate, False
+    for iteration in range(1, config.iterations + 1):
+        if target is not None and provider.sense.reached(report.aggregate, target):
             break
         outcome = step(dataset, current, report, config.seed, iteration)
         if outcome is None:
-            builder.stalled = True
+            stalled = True
             break
         actions, current = outcome
-        report = builder.record(actions, current)
-    return builder.build()
-
-
-def run_sme(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
-    """Split worst, merge closest pair, evaluate once per iteration.
-
-    The cluster count is identical at every recorded step. A singleton (or
-    duplicate-only) worst cluster falls back to the next-worst splittable
-    one; if none exists the run terminates early, flagged as stalled.
-    """
-    if config.method is not Method.SME:
-        raise ValueError("config.method must be SME")
-    return run_engine(dataset, k, config)
-
-
-def run_sm(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
-    """One split or merge per iteration, chosen by the worst cluster's size
-    rank; evaluation after every action; k may drift, never below MIN_K."""
-    if config.method is not Method.SM:
-        raise ValueError("config.method must be SM")
-    return run_engine(dataset, k, config)
+        report = provider.evaluate(dataset, current, provider.evaluation_rng(iteration))
+        is_best = provider.sense.better(report.aggregate, best_evaluation)
+        if is_best:
+            best_index, best_evaluation = iteration, report.aggregate
+        steps.append(
+            TraceStep(index=iteration, actions=actions, clustering=current, feedback=report, is_best=is_best)
+        )
+    return RunTrace(
+        steps=tuple(steps),
+        best_step_index=best_index,
+        best_evaluation=best_evaluation,
+        seed=config.seed,
+        stalled=stalled,
+    )
 
 
 def best_clustering(trace: RunTrace) -> tuple[Clustering, float]:

@@ -143,14 +143,13 @@ class ClusterFeedbackValue:
 def _segment_weight_rows(dataset: Dataset, indices: np.ndarray, profile: OracleProfile) -> np.ndarray:
     if dataset.hidden_segment is None or dataset.bookings is None:
         raise ValueError("oracle requires generator-labeled data")
-    rows = np.empty((len(indices), profile.m))
-    for out, idx in enumerate(indices):
-        seg = int(dataset.hidden_segment[idx])
-        try:
-            rows[out] = profile.segment_weights[seg]
-        except KeyError:
-            raise ValueError(f"segment {seg} missing from oracle profile") from None
-    return rows
+    seg_ids = np.array(sorted(profile.segment_weights), dtype=np.int64)
+    segs = dataset.hidden_segment[indices]
+    pos = np.minimum(np.searchsorted(seg_ids, segs), seg_ids.size - 1)
+    missing = np.flatnonzero(seg_ids[pos] != segs)
+    if missing.size:
+        raise ValueError(f"segment {int(segs[missing[0]])} missing from oracle profile")
+    return np.stack([profile.segment_weights[int(seg)] for seg in seg_ids])[pos]
 
 
 def fit_weights(dataset: Dataset, sample_indices, profile: OracleProfile) -> np.ndarray:

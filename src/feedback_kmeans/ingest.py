@@ -131,18 +131,24 @@ def _record_to_row(record: dict) -> list[str]:
 
 
 # Each report column's cell parser, from ImpactRecord's field type; the
-# optional custom_* floats take the float default.
+# optional custom_* floats take the float default. A bad cell raises
+# ValueError, or KeyError for a bool cell other than true/false.
 _REPORT_PARSERS = {
-    name: {int: int, str: str, bool: lambda cell: cell == "true"}.get(hint, float)
+    name: {int: int, str: str, bool: {"true": True, "false": False}.__getitem__}.get(hint, float)
     for name, hint in typing.get_type_hints(ImpactRecord).items()
 }
 
 
-def _row_to_record(row: list[str]) -> dict:
-    return {
-        col: None if cell == "" else _REPORT_PARSERS[col](cell)
-        for col, cell in zip(REPORT_COLUMNS, row)
-    }
+def _row_to_record(row: list[str], where: str) -> dict:
+    if len(row) != len(REPORT_COLUMNS):
+        raise ValueError(f"{where}: expected {len(REPORT_COLUMNS)} cells, got {len(row)}")
+    record = {}
+    for col, cell in zip(REPORT_COLUMNS, row):
+        try:
+            record[col] = None if cell == "" else _REPORT_PARSERS[col](cell)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{where}: {col}: {exc}") from None
+    return record
 
 
 def write_report(report: ExperimentReport, path: str | Path, format: str = "csv") -> None:
@@ -184,4 +190,8 @@ def read_report(path: str | Path) -> list[dict]:
             raise ValueError(f"{path}: empty report file")
         if tuple(header) != REPORT_COLUMNS:
             raise ValueError(f"{path}: unexpected report header {header}")
-        return [_row_to_record(row) for row in reader if row]
+        return [
+            _row_to_record(row, f"{path}: line {line_no}")
+            for line_no, row in enumerate(reader, start=2)
+            if row
+        ]

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Clustering, Dataset, FeedbackReport, NoLegalActionError
+from .core import Clustering, Dataset, FeedbackReport
 from .kmeans import KMeansConfig, assign_points, lloyd, repair_empty
 
 MIN_K = 2  # fewest clusters any clustering may have; no merge goes below it
@@ -101,25 +101,28 @@ def merge_pair(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clus
     )
 
 
+def _centroid_distances(clustering: Clustering) -> np.ndarray:
+    """(k, k) squared distances between centroids.
+
+    Each entry is the 1 x d by d x 1 product diff @ diff of its pair, which
+    is bit-identical to a per-pair ``diff @ diff``; einsum or a summed
+    square may differ in the last bit and so flip near-ties.
+    """
+    c = clustering.centroids
+    diff = c[:, None, :] - c[None, :, :]
+    return np.matmul(diff[:, :, None, :], diff[:, :, :, None])[:, :, 0, 0]
+
+
 def closest_centroid_pair(clustering: Clustering) -> tuple[int, int]:
     """Unordered pair of clusters with minimum squared centroid distance.
 
     Ties break to the lexicographically smallest (i, j).
     """
-    k = clustering.k
-    if k < 2:
+    if clustering.k < 2:
         raise ValueError("need at least 2 clusters to pick a pair")
-    best: tuple[int, int] | None = None
-    best_d2 = np.inf
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = clustering.centroids[i] - clustering.centroids[j]
-            d2 = float(diff @ diff)
-            if d2 < best_d2:
-                best_d2 = d2
-                best = (i, j)
-    assert best is not None
-    return best
+    rows, cols = np.triu_indices(clustering.k, 1)  # pairs i < j in lexicographic order
+    best = int(np.argmin(_centroid_distances(clustering)[rows, cols]))
+    return int(rows[best]), int(cols[best])
 
 
 def nearest_cluster(clustering: Clustering, target: int) -> int:
@@ -128,17 +131,8 @@ def nearest_cluster(clustering: Clustering, target: int) -> int:
         raise ValueError("need at least 2 clusters")
     if not 0 <= target < clustering.k:
         raise ValueError(f"cluster {target} out of range for k={clustering.k}")
-    best_id = -1
-    best_d2 = np.inf
-    for cid in range(clustering.k):
-        if cid == target:
-            continue
-        diff = clustering.centroids[cid] - clustering.centroids[target]
-        d2 = float(diff @ diff)
-        if d2 < best_d2:
-            best_d2 = d2
-            best_id = cid
-    return best_id
+    others = np.flatnonzero(np.arange(clustering.k) != target)
+    return int(others[np.argmin(_centroid_distances(clustering)[target, others])])
 
 
 def worst_cluster(report: FeedbackReport) -> int:
@@ -152,10 +146,8 @@ def sm_decide(clustering: Clustering, worst: int) -> SMAction:
 
     Overrides: a singleton cannot be split, so a chosen Split becomes Merge;
     a Merge at k=2 would drop below the minimum cluster count, so it becomes
-    Split. If the overrides land on splitting a singleton (the k=2 corner),
-    the action only remains legal when some other cluster can donate a
-    split, in which case the caller is expected to retarget it; otherwise no
-    legal action exists.
+    Split. The caller splits the worst splittable cluster, and stalls when
+    there is none (at k=2 with two singletons, for one).
     """
     if not 0 <= worst < clustering.k:
         raise ValueError(f"cluster {worst} out of range for k={clustering.k}")
@@ -167,8 +159,4 @@ def sm_decide(clustering: Clustering, worst: int) -> SMAction:
         action = SMAction.MERGE
     if action is SMAction.MERGE and clustering.k == MIN_K:
         action = SMAction.SPLIT
-        if sizes[worst] == 1 and not any(
-            sizes[cid] >= 2 for cid in range(clustering.k) if cid != worst
-        ):
-            raise NoLegalActionError("no legal action")
     return action

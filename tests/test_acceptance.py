@@ -29,9 +29,8 @@ from feedback_kmeans import (
     generate,
     lloyd,
     lloyd_history,
+    run_engine,
     run_experiment,
-    run_sm,
-    run_sme,
     standardize,
 )
 from feedback_kmeans.cli import main
@@ -118,7 +117,7 @@ def test_c03_sme_preserves_cluster_count(planted_20k):
                 provider = RssFeedback()
             else:
                 provider = CustomizabilityFeedback(profile.with_rng_seed(seed))
-            trace = run_sme(
+            trace = run_engine(
                 dataset, k, EngineConfig(method=Method.SME, feedback=provider, seed=seed)
             )
             cells += 1
@@ -133,10 +132,10 @@ def test_c03_sme_preserves_cluster_count(planted_20k):
 
 def test_c04_operator_count_parity(planted_small):
     dataset, _ = planted_small
-    sm_trace = run_sm(
+    sm_trace = run_engine(
         dataset, 3, EngineConfig(method=Method.SM, feedback=RssFeedback(), seed=5, iterations=12)
     )
-    sme_trace = run_sme(
+    sme_trace = run_engine(
         dataset, 3, EngineConfig(method=Method.SME, feedback=RssFeedback(), seed=5, iterations=6)
     )
     sm_ok = sm_trace.action_count() == 12 and len(sm_trace.evaluations()) == 13

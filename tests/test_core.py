@@ -58,6 +58,13 @@ def test_dataset_invariants():
         make_dataset([[1, 2], [3, 4]], origins=("AAA",))
     with pytest.raises(ValueError, match=r"finite: row\(s\) \[1, 3\]"):
         make_dataset([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0], [4.0, -np.inf]])
+    with pytest.raises(ValueError, match=r"bookings must be integral: entry\(s\) \[0, 1\]"):
+        make_dataset([[0.0], [1.0]], bookings=[1.7, 2.2])
+    with pytest.raises(ValueError, match=r"hidden_segment must be integral: entry\(s\) \[0, 1\]"):
+        make_dataset([[0.0], [1.0]], hidden_segment=[0.9, 1.5])
+    with pytest.raises(ValueError, match="bookings must be integral"):
+        make_dataset([[0.0], [1.0]], bookings=[1.0, np.nan])
+    assert make_dataset([[0.0], [1.0]], bookings=[1.0, 2.0]).bookings.tolist() == [1, 2]
 
 
 def test_dataset_points_are_read_only():

@@ -13,8 +13,7 @@ from feedback_kmeans import (
     Sense,
     TraceStep,
     best_clustering,
-    run_sm,
-    run_sme,
+    run_engine,
     validate_clustering,
     write_trace,
 )
@@ -52,7 +51,7 @@ def rss_config(method, **kwargs):
 # ---------------------------------------------------------------- SME
 
 def test_sme_counting_contract(two_blobs):
-    trace = run_sme(two_blobs, 2, rss_config(Method.SME))
+    trace = run_engine(two_blobs, 2, rss_config(Method.SME))
     assert len(trace.steps) == 7  # init + 6 iterations
     assert trace.action_count() == 12  # one split + one merge per iteration
     assert trace.steps[0].actions == (Action.init(),)
@@ -62,7 +61,7 @@ def test_sme_counting_contract(two_blobs):
 
 def test_sme_preserves_k(two_blobs):
     for k in (2, 3, 4):
-        trace = run_sme(two_blobs, k, rss_config(Method.SME, seed=k))
+        trace = run_engine(two_blobs, k, rss_config(Method.SME, seed=k))
         assert {step.k for step in trace.steps} == {k}
         for step in trace.steps:
             assert step.clustering.k == k
@@ -71,19 +70,19 @@ def test_sme_preserves_k(two_blobs):
 
 def test_sme_stalls_on_all_singletons():
     ds = make_dataset([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-    trace = run_sme(ds, 3, rss_config(Method.SME))
+    trace = run_engine(ds, 3, rss_config(Method.SME))
     assert trace.stalled
     assert len(trace.steps) == 1  # nothing splittable after init
 
 
 def test_sme_best_no_worse_than_initial(two_blobs):
     for seed in range(4):
-        trace = run_sme(two_blobs, 2, rss_config(Method.SME, seed=seed))
+        trace = run_engine(two_blobs, 2, rss_config(Method.SME, seed=seed))
         assert trace.best_evaluation <= trace.steps[0].feedback.aggregate
 
 
 def test_sme_splits_target_the_worst_cluster(two_blobs):
-    trace = run_sme(two_blobs, 3, rss_config(Method.SME))
+    trace = run_engine(two_blobs, 3, rss_config(Method.SME))
     for prev, step in zip(trace.steps, trace.steps[1:]):
         split_action = step.actions[0]
         values = prev.feedback.per_cluster
@@ -95,8 +94,8 @@ def test_sme_splits_target_the_worst_cluster(two_blobs):
 
 
 def test_sme_deterministic_traces(two_blobs):
-    a = run_sme(two_blobs, 3, rss_config(Method.SME, seed=11))
-    b = run_sme(two_blobs, 3, rss_config(Method.SME, seed=11))
+    a = run_engine(two_blobs, 3, rss_config(Method.SME, seed=11))
+    b = run_engine(two_blobs, 3, rss_config(Method.SME, seed=11))
     assert trace_records(a) == trace_records(b)
     for sa, sb in zip(a.steps, b.steps):
         np.testing.assert_array_equal(sa.clustering.assignment, sb.clustering.assignment)
@@ -104,30 +103,25 @@ def test_sme_deterministic_traces(two_blobs):
 
 
 def test_sme_point_multiset_preserved(two_blobs):
-    trace = run_sme(two_blobs, 3, rss_config(Method.SME))
+    trace = run_engine(two_blobs, 3, rss_config(Method.SME))
     for step in trace.steps:
         assert step.clustering.sizes().sum() == two_blobs.n_points
 
 
 def test_sme_target_evaluation_stops_early(two_blobs):
-    full = run_sme(two_blobs, 2, rss_config(Method.SME, seed=3))
+    full = run_engine(two_blobs, 2, rss_config(Method.SME, seed=3))
     lenient_target = full.steps[0].feedback.aggregate * 2
-    trace = run_sme(
+    trace = run_engine(
         two_blobs, 2, rss_config(Method.SME, seed=3, target_evaluation=lenient_target)
     )
     assert len(trace.steps) == 1  # init already meets the target
-
-
-def test_sme_requires_matching_method(two_blobs):
-    with pytest.raises(ValueError, match="SME"):
-        run_sme(two_blobs, 2, rss_config(Method.SM))
 
 
 # ---------------------------------------------------------------- S/M
 
 def test_sm_counting_contract(planted_small):
     dataset, _ = planted_small
-    trace = run_sm(dataset, 3, rss_config(Method.SM))
+    trace = run_engine(dataset, 3, rss_config(Method.SM))
     assert len(trace.steps) == 13  # init + 12 single-action iterations
     assert trace.action_count() == 12
     for step in trace.steps[1:]:
@@ -135,9 +129,18 @@ def test_sm_counting_contract(planted_small):
         assert step.actions[0].kind in ("split", "merge")
 
 
+def test_sm_stalls_when_no_split_is_legal():
+    # k=2 over two points: both clusters are singletons, merging would drop
+    # below two clusters and neither can be split
+    ds = make_dataset([[0.0, 0.0], [5.0, 0.0]])
+    trace = run_engine(ds, 2, rss_config(Method.SM))
+    assert trace.stalled
+    assert len(trace.steps) == 1
+
+
 def test_sm_k_can_drift(planted_small):
     dataset, _ = planted_small
-    trace = run_sm(dataset, 3, rss_config(Method.SM, seed=42))
+    trace = run_engine(dataset, 3, rss_config(Method.SM, seed=42))
     ks = [step.k for step in trace.steps]
     assert len(set(ks)) > 1
     splits = sum(1 for s in trace.steps for a in s.actions if a.kind == "split")
@@ -150,7 +153,7 @@ def test_sm_k_bounds(planted_small):
     dataset, _ = planted_small
     for seed in range(3):
         config = rss_config(Method.SM, seed=seed)
-        trace = run_sm(dataset, 2, config)
+        trace = run_engine(dataset, 2, config)
         for step in trace.steps:
             assert 2 <= step.k <= 2 + 12
             assert validate_clustering(dataset, step.clustering) == []
@@ -158,8 +161,8 @@ def test_sm_k_bounds(planted_small):
 
 def test_sm_deterministic(planted_small):
     dataset, _ = planted_small
-    a = run_sm(dataset, 4, rss_config(Method.SM, seed=9))
-    b = run_sm(dataset, 4, rss_config(Method.SM, seed=9))
+    a = run_engine(dataset, 4, rss_config(Method.SM, seed=9))
+    b = run_engine(dataset, 4, rss_config(Method.SM, seed=9))
     assert trace_records(a) == trace_records(b)
 
 
@@ -168,33 +171,33 @@ def test_sm_custom_reproducible_with_fixed_oracle_stream(planted_small):
     def run_once():
         provider = CustomizabilityFeedback(profile.with_rng_seed(77))
         config = EngineConfig(method=Method.SM, feedback=provider, seed=5)
-        return trace_records(run_sm(dataset, 3, config))
+        return trace_records(run_engine(dataset, 3, config))
     assert run_once() == run_once()
 
 
 def test_sm_evaluates_after_every_action(planted_small):
     dataset, _ = planted_small
-    trace = run_sm(dataset, 3, rss_config(Method.SM))
+    trace = run_engine(dataset, 3, rss_config(Method.SM))
     # one evaluation per step, init included
     assert len(trace.evaluations()) == len(trace.steps) == 13
 
 
 def test_sm_target_evaluation_stops_mid_run(planted_small):
     dataset, _ = planted_small
-    full = run_sm(dataset, 3, rss_config(Method.SM, seed=2))
+    full = run_engine(dataset, 3, rss_config(Method.SM, seed=2))
     evaluations = full.evaluations()
     # pick a target only reachable after a few actions
     target = sorted(evaluations)[len(evaluations) // 2]
     if target == evaluations[0]:
         target = min(evaluations)
-    trace = run_sm(dataset, 3, rss_config(Method.SM, seed=2, target_evaluation=target))
+    trace = run_engine(dataset, 3, rss_config(Method.SM, seed=2, target_evaluation=target))
     assert len(trace.steps) < len(full.steps)
     assert trace.evaluations()[-1] <= target
 
 
 def test_engine_rejects_k_below_minimum(two_blobs):
     with pytest.raises(ValueError, match="minimum cluster count"):
-        run_sme(two_blobs, 1, rss_config(Method.SME))
+        run_engine(two_blobs, 1, rss_config(Method.SME))
 
 
 def test_random_datasets_yield_valid_traces():
@@ -209,8 +212,8 @@ def test_random_datasets_yield_valid_traces():
         k = int(min(rng.integers(2, 6), len(np.unique(ds.points, axis=0))))
         if k < 2:
             continue
-        sme_trace = run_sme(ds, k, rss_config(Method.SME, seed=trial, iterations=3))
-        sm_trace = run_sm(ds, k, rss_config(Method.SM, seed=trial, iterations=6))
+        sme_trace = run_engine(ds, k, rss_config(Method.SME, seed=trial, iterations=3))
+        sm_trace = run_engine(ds, k, rss_config(Method.SM, seed=trial, iterations=6))
         for trace in (sme_trace, sm_trace):
             for step in trace.steps:
                 assert validate_clustering(ds, step.clustering) == []
@@ -218,11 +221,11 @@ def test_random_datasets_yield_valid_traces():
 
 
 def test_best_is_optimum_over_all_evaluations(two_blobs, planted_small):
-    trace = run_sme(two_blobs, 3, rss_config(Method.SME, seed=8))
+    trace = run_engine(two_blobs, 3, rss_config(Method.SME, seed=8))
     assert trace.best_evaluation == min(trace.evaluations())
     dataset, profile = planted_small
     provider = CustomizabilityFeedback(profile.with_rng_seed(4))
-    custom_trace = run_sm(
+    custom_trace = run_engine(
         dataset, 3, EngineConfig(method=Method.SM, feedback=provider, seed=8)
     )
     assert custom_trace.best_evaluation == max(custom_trace.evaluations())
@@ -242,7 +245,7 @@ def test_split_then_merges_improve_horizontal_homogeneity():
     ds = make_dataset(points)
     provider = XVarianceFeedback()
     config = EngineConfig(method=Method.SM, feedback=provider, seed=0, iterations=6)
-    trace = run_sm(ds, 2, config)
+    trace = run_engine(ds, 2, config)
     initial = trace.steps[0].feedback.aggregate
     assert initial == 25.0  # both seeded initial clusters mix the two bands
     assert trace.best_evaluation == 0.0
@@ -305,7 +308,7 @@ def test_best_clustering_strict_improvement_keeps_first_optimum():
 # ---------------------------------------------------------------- trace export
 
 def test_trace_jsonl_round_trip(tmp_path, two_blobs):
-    trace = run_sme(two_blobs, 3, rss_config(Method.SME, seed=6))
+    trace = run_engine(two_blobs, 3, rss_config(Method.SME, seed=6))
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     records = read_trace_records(path)

@@ -191,6 +191,13 @@ def test_fit_weights_unknown_segment():
     ds = labeled_dataset([[0, 0]], [7])
     with pytest.raises(ValueError, match="segment 7"):
         fit_weights(ds, [0], profile_two_segments())
+    # the first unknown id in sample order is named, below or between known ids
+    gapped = OracleProfile(segment_weights={0: [1.0, 0.0], 2: [0.0, 2.0]}, noise_sigma=0.0)
+    ds = labeled_dataset([[0, 0]] * 4, [2, 1, -1, 0])
+    with pytest.raises(ValueError, match="segment 1 missing"):
+        fit_weights(ds, np.arange(4), gapped)
+    with pytest.raises(ValueError, match="segment -1 missing"):
+        fit_weights(ds, [3, 2, 1], gapped)
 
 
 # ---------------------------------------------------------------- popularity

@@ -211,6 +211,34 @@ def test_empty_report_is_header_only(tmp_path):
     assert read_report(path) == []
 
 
+def test_report_row_with_wrong_cell_count_is_rejected(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(_report(), path, format="csv")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["sme:rss,2,1"] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=f"report.csv: line 3: expected {len(REPORT_COLUMNS)} cells, got 3"):
+        read_report(path)
+    path.write_text("\n".join(lines[:2] + [lines[2] + ",extra"]) + "\n")
+    with pytest.raises(ValueError, match="line 3: expected"):
+        read_report(path)
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("k", "x"), ("seed", "1.5"), ("impact", "high"), ("stalled", "maybe")],
+)
+def test_report_bad_cell_names_line_and_column(tmp_path, column, cell):
+    path = tmp_path / "report.csv"
+    write_report(_report(), path, format="csv")
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[REPORT_COLUMNS.index(column)] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"report.csv: line 3: {column}: .*{cell}"):
+        read_report(path)
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         write_report(_report(), tmp_path / "report.xml", format="xml")
