@@ -8,6 +8,7 @@ are marked read-only.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,36 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.points.shape[1]
+
+    @functools.cached_property
+    def row_ids(self) -> np.ndarray:
+        """Per-point distinct-row id: the rank of the point's row among the
+        sorted distinct rows, computed on first use and then cached.
+
+        Two points share an id iff their rows are equal, and ids order like
+        the rows they stand for, so the ids can stand in for the rows in
+        sorting and deduplication. Threads racing on the first use compute
+        equal arrays, so the cache needs no lock.
+        """
+        _, inverse = np.unique(self.points, axis=0, return_inverse=True)
+        # numpy 2.0.x returns the axis=0 inverse as a column, not a vector.
+        ids = inverse.reshape(-1)
+        ids.setflags(write=False)
+        return ids
+
+    def subset(self, members: np.ndarray) -> "Dataset":
+        """The points at the given indices, without side data.
+
+        The subset keeps this dataset's row ids, so it never sorts its rows
+        again; they still compare and order like its rows, but need not be
+        dense.
+        """
+        sub = Dataset(points=self.points[members], feature_names=self.feature_names)
+        ids = self.row_ids[members]
+        ids.setflags(write=False)
+        # cached_property reads the instance dict first.
+        sub.__dict__["row_ids"] = ids
+        return sub
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,12 +130,17 @@ def _record_to_row(record: dict) -> list[str]:
     return row
 
 
-# Each report column's cell parser, from ImpactRecord's field type; the
-# optional custom_* floats take the float default. A bad cell raises
-# ValueError, or KeyError for a bool cell other than true/false.
+# ImpactRecord's field types. Only the optional custom_* fields may be None
+# (an empty CSV cell, a JSON null).
+_REPORT_TYPES = typing.get_type_hints(ImpactRecord)
+_NULLABLE = {name for name, hint in _REPORT_TYPES.items() if type(None) in typing.get_args(hint)}
+
+# Each report column's cell parser, from its field type; the optional
+# custom_* floats take the float default. A bad cell raises ValueError, or
+# KeyError for a bool cell other than true/false.
 _REPORT_PARSERS = {
     name: {int: int, str: str, bool: {"true": True, "false": False}.__getitem__}.get(hint, float)
-    for name, hint in typing.get_type_hints(ImpactRecord).items()
+    for name, hint in _REPORT_TYPES.items()
 }
 
 
@@ -145,8 +150,40 @@ def _row_to_record(row: list[str], where: str) -> dict:
     record = {}
     for col, cell in zip(REPORT_COLUMNS, row):
         try:
-            record[col] = None if cell == "" else _REPORT_PARSERS[col](cell)
+            record[col] = None if cell == "" and col in _NULLABLE else _REPORT_PARSERS[col](cell)
         except (KeyError, ValueError) as exc:
+            raise ValueError(f"{where}: {col}: {exc}") from None
+    return record
+
+
+def _json_value(col: str, value):
+    """A JSON report value checked against its ImpactRecord field type. bool
+    is a subclass of int, so it is rejected by name where it is not the
+    type, and float fields also take an integer."""
+    if value is None and col in _NULLABLE:
+        return None
+    hint = _REPORT_TYPES[col]
+    expected = typing.get_args(hint)[0] if col in _NULLABLE else hint
+    accepted = (int, float) if expected is float else expected
+    if not isinstance(value, accepted) or (isinstance(value, bool) and expected is not bool):
+        raise ValueError(f"expected {expected.__name__}, got {type(value).__name__}")
+    return float(value) if expected is float else value
+
+
+def _json_to_record(item, where: str) -> dict:
+    if not isinstance(item, dict):
+        raise ValueError(f"{where}: expected an object, got {type(item).__name__}")
+    missing = [col for col in REPORT_COLUMNS if col not in item]
+    if missing:
+        raise ValueError(f"{where}: missing field(s): {', '.join(missing)}")
+    extra = sorted(set(item) - set(REPORT_COLUMNS))
+    if extra:
+        raise ValueError(f"{where}: unexpected field(s): {', '.join(extra)}")
+    record = {}
+    for col in REPORT_COLUMNS:
+        try:
+            record[col] = _json_value(col, item[col])
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"{where}: {col}: {exc}") from None
     return record
 
@@ -178,11 +215,22 @@ def write_report(report: ExperimentReport, path: str | Path, format: str = "csv"
 
 
 def read_report(path: str | Path) -> list[dict]:
-    """Read back the impact records of a report file (.csv or .json)."""
+    """Read back the impact records of a report file (.csv or .json).
+
+    Every record is checked field by field against ImpactRecord's types; a
+    bad one fails the read with its CSV line or its index in the JSON
+    records list.
+    """
     path = Path(path)
     if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return payload["records"]
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        records = payload.get("records") if isinstance(payload, dict) else None
+        if not isinstance(records, list):
+            raise ValueError(f"{path}: expected an object with a \"records\" list")
+        return [_json_to_record(item, f"{path}: record {i}") for i, item in enumerate(records)]
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

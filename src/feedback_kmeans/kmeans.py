@@ -46,20 +46,19 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def init_centroids(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     """k distinct data points chosen uniformly without replacement.
 
-    Sampling is over the distinct point values so the returned centroids
-    are pairwise distinct even when the dataset contains duplicates.
+    Sampling is over the distinct point values, in sorted row order, so the
+    returned centroids are pairwise distinct even when the dataset contains
+    duplicates. Each drawn value is its row's first occurrence.
 
     Raises:
         ValueError: if the dataset has fewer than k distinct points.
     """
-    distinct = np.unique(dataset.points, axis=0)
-    if k > distinct.shape[0]:
-        raise ValueError(
-            f"k exceeds distinct points: k={k}, distinct={distinct.shape[0]}"
-        )
+    _, first = np.unique(dataset.row_ids, return_index=True)
+    if k > first.size:
+        raise ValueError(f"k exceeds distinct points: k={k}, distinct={first.size}")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(distinct.shape[0], size=k, replace=False)
-    return distinct[chosen].copy()
+    chosen = rng.choice(first.size, size=k, replace=False)
+    return dataset.points[first[chosen]]
 
 
 def assign_points(dataset: Dataset, centroids: np.ndarray) -> np.ndarray:
@@ -80,21 +79,30 @@ def update_centroids(
 ) -> tuple[np.ndarray, list[int]]:
     """Arithmetic mean of each cluster's points.
 
+    Each column's cluster sums accumulate in point order, as numpy's mean
+    over the rows of a cluster does for two or more features.
+
     Returns (centroids, empties); centroids of empty ids are NaN so an
     accidental use without repair fails loudly.
     """
     assignment = np.asarray(assignment)
-    if assignment.size and assignment.max() >= k:
+    if assignment.shape != (dataset.n_points,):
+        raise ValueError(f"assignment has shape {assignment.shape} for {dataset.n_points} points")
+    if assignment.dtype.kind not in "iu":
+        raise ValueError(f"assignment must hold integer cluster ids, got dtype {assignment.dtype}")
+    if assignment.min() < 0:
+        raise ValueError("assignment refers to a negative cluster id")
+    if assignment.max() >= k:
         raise ValueError("assignment refers to a cluster id >= k")
-    centroids = np.full((k, dataset.n_features), np.nan)
-    empties: list[int] = []
-    for cid in range(k):
-        mask = assignment == cid
-        if mask.any():
-            centroids[cid] = dataset.points[mask].mean(axis=0)
-        else:
-            empties.append(cid)
-    return centroids, empties
+    assignment = assignment.astype(np.intp, copy=False)  # bincount takes no uint64
+    counts = np.bincount(assignment, minlength=k)
+    sums = np.stack(
+        [np.bincount(assignment, weights=column, minlength=k) for column in dataset.points.T],
+        axis=1,
+    )
+    with np.errstate(invalid="ignore"):
+        centroids = sums / counts[:, None]
+    return centroids, np.flatnonzero(counts == 0).tolist()
 
 
 def repair_empty(

@@ -47,8 +47,7 @@ def bisect_cluster(
     members = clustering.members(target)
     if members.size < 2:
         raise ValueError(f"cannot split singleton cluster {target}")
-    sub = Dataset(points=dataset.points[members], feature_names=dataset.feature_names)
-    child = lloyd(sub, KMeansConfig(k=2, seed=seed))
+    child = lloyd(dataset.subset(members), KMeansConfig(k=2, seed=seed))
     return child.centroids, child.assignment
 
 

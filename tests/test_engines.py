@@ -200,6 +200,27 @@ def test_engine_rejects_k_below_minimum(two_blobs):
         run_engine(two_blobs, 1, rss_config(Method.SME))
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_engine_sorts_the_rows_once(monkeypatch, method):
+    # A row sort is an np.unique(..., axis=0) call; the dataset caches its row
+    # ids, and every bisect subset reuses them.
+    sorts = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        if kwargs.get("axis") == 0:
+            sorts.append(args[0].shape)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    rng = np.random.default_rng(17)
+    points = np.vstack([rng.normal(c, 0.6, size=(50, 3)) for c in (0.0, 4.0, 8.0)])
+    dataset = make_dataset(np.vstack([points, points[:20]]))  # with duplicate rows
+    trace = run_engine(dataset, 3, rss_config(method))
+    assert trace.action_count() > 0
+    assert sorts == [dataset.points.shape]
+
+
 def test_random_datasets_yield_valid_traces():
     # robustness sweep: mixed continuous/duplicate-heavy data, both engines
     rng = np.random.default_rng(99)

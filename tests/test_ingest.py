@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,90 @@ def test_report_bad_cell_names_line_and_column(tmp_path, column, cell):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"report.csv: line 3: {column}: .*{cell}"):
         read_report(path)
+
+
+def test_report_empty_cell_is_null_only_for_custom_fields(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(_report(), path, format="csv")
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[REPORT_COLUMNS.index("custom_impact")] = ""
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert read_report(path)[1]["custom_impact"] is None
+    cells[REPORT_COLUMNS.index("k")] = ""
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="report.csv: line 3: k: invalid literal"):
+        read_report(path)
+
+
+def _write_json_report(tmp_path, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("payload", [{}, {"records": {"k": 2}}, [1, 2]])
+def test_json_report_without_records_list_is_rejected(tmp_path, payload):
+    path = _write_json_report(tmp_path, payload)
+    with pytest.raises(ValueError, match='report.json: expected an object with a "records" list'):
+        read_report(path)
+
+
+def test_json_report_that_is_not_json_names_the_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match="report.json: Expecting property name"):
+        read_report(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("k", "x", "k: expected int, got str"),
+        ("k", True, "k: expected int, got bool"),
+        ("seed", 1.5, "seed: expected int, got float"),
+        ("impact", "high", "impact: expected float, got str"),
+        ("impact", False, "impact: expected float, got bool"),
+        ("custom_impact", True, "custom_impact: expected float, got bool"),
+        pytest.param("best_eval", 10**400, "best_eval: int too large to convert to float", id="huge-int"),
+        ("stalled", 1, "stalled: expected bool, got int"),
+        ("method", None, "method: expected str, got NoneType"),
+        ("final_k", None, "final_k: expected int, got NoneType"),
+    ],
+)
+def test_json_report_bad_field_names_record_and_field(tmp_path, field, value, message):
+    records = _report().record_dicts()
+    records[1][field] = value
+    path = _write_json_report(tmp_path, {"records": records})
+    with pytest.raises(ValueError, match=f"report.json: record 1: {message}$"):
+        read_report(path)
+
+
+def test_json_report_missing_or_extra_field_is_rejected(tmp_path):
+    records = _report().record_dicts()
+    del records[0]["seed"], records[0]["stalled"]
+    path = _write_json_report(tmp_path, {"records": records})
+    with pytest.raises(ValueError, match="report.json: record 0: missing field\\(s\\): seed, stalled$"):
+        read_report(path)
+    records = _report().record_dicts()
+    records[1]["note"] = "x"
+    path = _write_json_report(tmp_path, {"records": records})
+    with pytest.raises(ValueError, match="report.json: record 1: unexpected field\\(s\\): note$"):
+        read_report(path)
+    path = _write_json_report(tmp_path, {"records": [3]})
+    with pytest.raises(ValueError, match="report.json: record 0: expected an object, got int$"):
+        read_report(path)
+
+
+def test_json_report_takes_null_custom_fields_and_integral_floats(tmp_path):
+    records = _report().record_dicts()
+    records[0].update(custom_initial=None, custom_reference=None, custom_impact=None)
+    records[1]["impact"] = 0
+    loaded = read_report(_write_json_report(tmp_path, {"records": records}))
+    assert loaded[0] == records[0]
+    assert loaded[1]["impact"] == 0.0 and isinstance(loaded[1]["impact"], float)
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -50,6 +50,43 @@ def test_init_errors_on_too_few_distinct_points():
     assert len(np.unique(centroids, axis=0)) == 2
 
 
+def _sorted_distinct_draw(ds, k, seed):
+    # The draw as a sort of the dataset's own rows makes it.
+    distinct = np.unique(ds.points, axis=0)
+    rng = np.random.default_rng(seed)
+    return distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
+
+
+def test_init_on_subset_matches_sorted_distinct_draw():
+    rng = np.random.default_rng(5)
+    pool = rng.integers(0, 4, size=(30, 3)).astype(float)
+    ds = make_dataset(pool[rng.integers(0, 30, size=300)])  # many duplicate rows
+    members = np.flatnonzero(ds.points[:, 0] != 1.0)  # drops some distinct rows
+    sub = ds.subset(members)
+    np.testing.assert_array_equal(sub.points, ds.points[members])
+    distinct = len(np.unique(sub.points, axis=0))
+    assert distinct < len(np.unique(ds.points, axis=0))
+    for k in (1, 2, 5, distinct):
+        for seed in range(6):
+            np.testing.assert_array_equal(
+                init_centroids(sub, k, seed), _sorted_distinct_draw(sub, k, seed)
+            )
+            np.testing.assert_array_equal(
+                init_centroids(ds, k, seed), _sorted_distinct_draw(ds, k, seed)
+            )
+    with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
+        init_centroids(sub, distinct + 1, seed=0)
+
+
+def test_subset_row_ids_compare_like_rows():
+    ds = make_dataset([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [0.0, 1.0], [3.0, 0.0]])
+    assert ds.row_ids.tolist() == [2, 1, 2, 0, 3]
+    sub = ds.subset(np.array([0, 2, 4]))
+    assert sub.row_ids.tolist() == [2, 2, 3]
+    assert not sub.row_ids.flags.writeable
+    assert sub.bookings is None and sub.hidden_segment is None
+
+
 # ---------------------------------------------------------------- assign
 
 def test_assign_point_on_centroid():
@@ -104,6 +141,57 @@ def test_update_matches_independent_summation():
         members = ds.points[assignment == cid]
         expected = [sum(float(p[d]) for p in members) / len(members) for d in range(3)]
         np.testing.assert_allclose(centroids[cid], expected, rtol=0, atol=1e-12)
+
+
+def test_update_rejects_bad_ids():
+    ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="negative cluster id"):
+        update_centroids(ds, np.array([0, -1, 1]), k=2)
+    with pytest.raises(ValueError, match="cluster id >= k"):
+        update_centroids(ds, np.array([0, 2, 1]), k=2)
+    with pytest.raises(ValueError, match=r"assignment has shape \(2,\) for 3 points"):
+        update_centroids(ds, np.array([0, 1]), k=2)
+    with pytest.raises(ValueError, match="integer cluster ids, got dtype float64"):
+        update_centroids(ds, np.array([0.0, 1.0, 1.0]), k=2)
+    centroids, empties = update_centroids(ds, np.array([0, 1, 1], dtype=np.uint64), k=2)
+    np.testing.assert_array_equal(centroids, [[0.0, 0.0], [1.5, 0.0]])
+    assert empties == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=200),
+    d=st.integers(min_value=2, max_value=5),
+    k=st.integers(min_value=1, max_value=6),
+)
+def test_update_equals_per_cluster_mean_bit_for_bit(seed, n, d, k):
+    # d starts at 2: numpy's mean sums a single column pairwise, while the
+    # update (and numpy's mean over two or more columns) sums in row order.
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4))
+    assignment = rng.integers(0, k, size=n)  # some ids may stay empty
+    centroids, empties = update_centroids(ds, assignment, k)
+    assert empties == [c for c in range(k) if not (assignment == c).any()]
+    for cid in range(k):
+        if cid in empties:
+            assert np.isnan(centroids[cid]).all()
+        else:
+            np.testing.assert_array_equal(centroids[cid], ds.points[assignment == cid].mean(axis=0))
+
+
+def test_update_single_feature_is_the_row_order_mean():
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.normal(size=(200, 1)))
+    assignment = rng.integers(0, 3, size=200)
+    centroids, _ = update_centroids(ds, assignment, k=3)
+    for cid in range(3):
+        column = ds.points[assignment == cid, 0]
+        total = 0.0
+        for value in column:
+            total += value
+        assert centroids[cid, 0] == total / column.size
+        np.testing.assert_allclose(centroids[cid, 0], column.mean(), rtol=1e-13)
 
 
 # ---------------------------------------------------------------- repair
