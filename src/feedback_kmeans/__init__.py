@@ -49,7 +49,6 @@ from .kmeans import (
     assign_points,
     init_centroids,
     lloyd,
-    lloyd_history,
     repair_empty,
     update_centroids,
 )

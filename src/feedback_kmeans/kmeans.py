@@ -70,6 +70,9 @@ def assign_points(dataset: Dataset, centroids: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"centroid dimension {centroids.shape[1]} != dataset dimension {dataset.n_features}"
         )
+    if not np.isfinite(centroids).all():
+        bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
+        raise ValueError(f"centroids must be finite: row(s) {bad[:5].tolist()} are not")
     d2 = squared_distances(dataset.points, centroids)
     return d2.argmin(axis=1).astype(np.int64)
 
@@ -123,11 +126,19 @@ def repair_empty(
         raise ValueError(
             f"cannot repair: k={k} exceeds dataset size {dataset.n_points}"
         )
-    if not empties:
+    pending = sorted(int(e) for e in empties)
+    sizes = np.bincount(assignment, minlength=k)
+    for i, empty in enumerate(pending):
+        if not 0 <= empty < k:
+            raise ValueError(f"cannot repair cluster {empty}: ids run from 0 to {k - 1}")
+        if sizes[empty]:
+            raise ValueError(f"cannot repair cluster {empty}: it holds {sizes[empty]} point(s)")
+        if i and pending[i - 1] == empty:
+            raise ValueError(f"cannot repair cluster {empty}: it is listed twice")
+    if not pending:
         return Clustering(assignment=assignment, centroids=centroids, k=k)
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
-    pending = sorted(int(e) for e in empties)
     while pending:
         empty = pending.pop(0)
         diff = dataset.points - centroids[assignment]
@@ -143,46 +154,74 @@ def repair_empty(
     return Clustering(assignment=assignment, centroids=centroids, k=k)
 
 
-def weighted_rss(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> float:
-    """Size-weighted mean cluster RSS, computed as the flat global mean of
-    squared point-to-assigned-centroid distances (the two forms agree
-    algebraically)."""
-    diff = dataset.points - centroids[assignment]
-    return float(np.mean(np.einsum("nd,nd->n", diff, diff)))
+def _nearest_with_bounds(
+    points: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid per row (ties to the lowest index), the distance to
+    it and the distance to the second-nearest centroid (inf for k=1)."""
+    d2 = squared_distances(points, centroids)
+    nearest = d2.argmin(axis=1)
+    if centroids.shape[0] == 1:
+        return nearest, np.sqrt(d2[:, 0]), np.full(d2.shape[0], np.inf)
+    d2.partition(1, axis=1)
+    return nearest, np.sqrt(d2[:, 0]), np.sqrt(d2[:, 1])
 
 
-def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, list[float]]:
-    """Run Lloyd's algorithm and record the objective after every iteration.
+# A row is recomputed unless its upper bound is below its lower bound by
+# this relative margin, so rounding in the bounds never decides a row and
+# near-ties always go to the argmin.
+_SLACK = (1.0 - 1e-9) / (1.0 + 1e-9)
 
-    history[0] is the weighted RSS right after initialization plus the
-    first assignment; one entry follows per update+assign iteration. The
-    sequence is non-increasing.
+
+def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, list[int]]:
+    """Run Lloyd's algorithm, recomputing distances only for rows whose
+    nearest centroid may have changed.
+
+    Each row keeps an upper bound on the distance to its own centroid and a
+    lower bound on the distance to every other centroid. When the centroids
+    move, the upper bound grows by the own centroid's movement and the lower
+    bound shrinks by the largest movement (triangle inequality); a row whose
+    upper bound stays below its lower bound keeps its centroid. The result
+    equals a full nearest-centroid pass on every iteration, bit for bit.
+
+    history[0] is n, the first full pass; one entry follows per update+assign
+    iteration: the number of rows whose distances that pass recomputed.
     """
     if config.k > dataset.n_points:
         raise ValueError(
             f"k={config.k} exceeds dataset size {dataset.n_points}"
         )
+    points = dataset.points
     centroids = init_centroids(dataset, config.k, config.seed)
-    assignment = assign_points(dataset, centroids)
+    assignment, upper, lower = _nearest_with_bounds(points, centroids)
     # Centroids are distinct data points, so each owns at least itself and
     # the first assignment cannot leave a cluster empty.
-    history = [weighted_rss(dataset, assignment, centroids)]
+    history = [dataset.n_points]
     for _ in range(config.max_iterations):
         # No cluster is empty here: see above, and the repair below.
         new_centroids, _ = update_centroids(dataset, assignment, config.k)
-        shift = float(np.max(np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)))
+        moved2 = np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)
         centroids = new_centroids
-        assignment = assign_points(dataset, centroids)
-        repaired_after_assign = False
+        moved = np.sqrt(moved2)
+        upper += moved[assignment]
+        lower -= moved.max()
+        stale = upper >= lower * _SLACK
+        if stale.all():
+            assignment, upper, lower = _nearest_with_bounds(points, centroids)
+            history.append(dataset.n_points)
+        else:
+            rows = np.flatnonzero(stale)
+            assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
+            history.append(rows.size)
         sizes = np.bincount(assignment, minlength=config.k)
-        if (sizes == 0).any():
-            repaired = repair_empty(
-                dataset, assignment, centroids, list(np.flatnonzero(sizes == 0))
-            )
-            assignment, centroids = repaired.assignment, repaired.centroids
-            repaired_after_assign = True
-        history.append(weighted_rss(dataset, assignment, centroids))
-        if not repaired_after_assign and shift <= TOLERANCE:
+        repaired = bool((sizes == 0).any())
+        if repaired:
+            clustering = repair_empty(dataset, assignment, centroids, list(np.flatnonzero(sizes == 0)))
+            assignment, centroids = clustering.assignment, clustering.centroids
+            # The repaired assignment need not be nearest-centroid: every
+            # row recomputes on the next pass.
+            lower.fill(-np.inf)
+        if not repaired and moved2.max() <= TOLERANCE:
             break
     return Clustering(assignment=assignment, centroids=centroids, k=config.k), history
 

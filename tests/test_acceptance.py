@@ -28,14 +28,13 @@ from feedback_kmeans import (
     expected_relative_change,
     generate,
     lloyd,
-    lloyd_history,
     run_engine,
     run_experiment,
     standardize,
 )
 from feedback_kmeans.cli import main
 from feedback_kmeans.rng import substream
-from helpers import make_dataset
+from helpers import make_dataset, objective_sequence
 
 
 def report_line(name: str, passed: bool, detail: str = "") -> None:
@@ -92,9 +91,9 @@ def test_c02_lloyd_objective_monotone():
         dim = int(rng.integers(2, 9))
         ds = make_dataset(rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0))
         k = int(rng.integers(2, 7))
-        _, history = lloyd_history(ds, KMeansConfig(k=min(k, n), seed=seed))
+        objective = objective_sequence(ds, KMeansConfig(k=min(k, n), seed=seed))
         runs += 1
-        for earlier, later in zip(history, history[1:]):
+        for earlier, later in zip(objective, objective[1:]):
             if later > earlier + 1e-12 * max(1.0, abs(earlier)):
                 violations += 1
     elapsed = time.perf_counter() - start

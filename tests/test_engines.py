@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from feedback_kmeans import (
     Action,
@@ -193,6 +195,35 @@ def test_sm_target_evaluation_stops_mid_run(planted_small):
     trace = run_engine(dataset, 3, rss_config(Method.SM, seed=2, target_evaluation=target))
     assert len(trace.steps) < len(full.steps)
     assert trace.evaluations()[-1] <= target
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=80),
+    d=st.integers(min_value=1, max_value=4),
+    grid=st.booleans(),
+    k_draw=st.integers(min_value=0, max_value=4),
+    method=st.sampled_from(list(Method)),
+)
+def test_rss_runs_complete_or_stall_with_valid_clusterings(seed, n, d, grid, k_draw, method):
+    rng = np.random.default_rng(seed)
+    if grid:  # duplicate-heavy: tiny clusters and unsplittable duplicates
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(n, d))
+    ds = make_dataset(points)
+    distinct = len(np.unique(points, axis=0))
+    assume(distinct >= 2)
+    k = 2 + k_draw % (min(6, distinct) - 1)
+    config = rss_config(method, seed=seed)
+    trace = run_engine(ds, k, config)
+    assert trace.stalled or len(trace.steps) == config.iterations + 1
+    for step in trace.steps:
+        assert validate_clustering(ds, step.clustering) == []
+        if method is Method.SME:
+            assert step.k == step.clustering.k == k
+    assert trace_records(run_engine(ds, k, config)) == trace_records(trace)
 
 
 def test_engine_rejects_k_below_minimum(two_blobs):

@@ -8,14 +8,14 @@ from feedback_kmeans import (
     assign_points,
     init_centroids,
     lloyd,
-    lloyd_history,
     repair_empty,
     update_centroids,
     validate_clustering,
 )
-from feedback_kmeans.kmeans import weighted_rss
+from feedback_kmeans import kmeans
+from feedback_kmeans.kmeans import lloyd_history, squared_distances
 
-from helpers import make_dataset
+from helpers import make_dataset, objective_sequence, plain_lloyd, weighted_rss
 
 
 # ---------------------------------------------------------------- init
@@ -112,6 +112,28 @@ def test_assign_rejects_dimension_mismatch():
     ds = make_dataset([[1.0, 2.0]])
     with pytest.raises(ValueError, match="dimension"):
         assign_points(ds, np.zeros((2, 3)))
+
+
+def test_assign_rejects_non_finite_centroids():
+    # argmin over a NaN column picks it for every row
+    ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 5.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"centroids must be finite: row\(s\) \[0\]"):
+            assign_points(ds, [[bad, 0.0], [5.0, 5.0]])
+    with pytest.raises(ValueError, match=r"row\(s\) \[1, 2\]"):
+        assign_points(ds, [[0.0, 0.0], [np.nan, np.nan], [1.0, np.inf]])
+
+
+def test_squared_distances_rows_do_not_depend_on_the_batch():
+    # The bounded Lloyd recomputes subsets of rows and must get the values a
+    # full pass would.
+    rng = np.random.default_rng(8)
+    for n, k, d in ((500, 7, 8), (40, 1, 3), (30, 16, 5), (9, 2, 1)):
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        centroids = rng.normal(size=(k, d))
+        full = squared_distances(points, centroids)
+        for rows in (np.arange(1), np.flatnonzero(rng.random(n) < 0.3), rng.integers(0, n, 3)):
+            assert squared_distances(points[rows], centroids).tobytes() == full[rows].tobytes()
 
 
 # ---------------------------------------------------------------- update
@@ -243,6 +265,21 @@ def test_repair_impossible_when_k_exceeds_points():
         repair_empty(ds, np.array([0, 1]), np.zeros((3, 2)), [2])
 
 
+def test_repair_rejects_ids_that_are_not_empty_clusters():
+    ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+    assignment = np.array([0, 0, 1])
+    centroids = np.array([[0.5, 0.0], [5.0, 0.0]])
+    with pytest.raises(ValueError, match="cannot repair cluster -1: ids run from 0 to 1"):
+        repair_empty(ds, assignment, centroids, [-1])
+    with pytest.raises(ValueError, match="cannot repair cluster 2: ids run from 0 to 1"):
+        repair_empty(ds, assignment, centroids, [2])
+    with pytest.raises(ValueError, match=r"cannot repair cluster 0: it holds 2 point\(s\)"):
+        repair_empty(ds, assignment, centroids, [0])
+    three = np.array([[0.5, 0.0], [5.0, 0.0], [9.0, 0.0]])
+    with pytest.raises(ValueError, match="cannot repair cluster 2: it is listed twice"):
+        repair_empty(ds, assignment, three, [2, 2])
+
+
 # ---------------------------------------------------------------- lloyd
 
 def test_lloyd_recovers_separated_blobs(two_blobs):
@@ -265,8 +302,8 @@ def test_lloyd_no_worse_than_first_assignment():
     rng = np.random.default_rng(11)
     ds = make_dataset(rng.normal(size=(120, 4)))
     for seed in range(5):
-        _, history = lloyd_history(ds, KMeansConfig(k=4, seed=seed))
-        assert history[-1] <= history[0] + 1e-12
+        objective = objective_sequence(ds, KMeansConfig(k=4, seed=seed))
+        assert objective[-1] <= objective[0] + 1e-12
 
 
 def test_lloyd_deterministic_bit_for_bit(two_blobs):
@@ -298,10 +335,68 @@ def test_lloyd_objective_monotone(seed, n, k):
     rng = np.random.default_rng(seed)
     ds = make_dataset(rng.normal(size=(n, 2)))
     k = min(k, len(np.unique(ds.points, axis=0)))
-    clustering, history = lloyd_history(ds, KMeansConfig(k=k, seed=seed))
-    assert validate_clustering(ds, clustering) == []
-    for earlier, later in zip(history, history[1:]):
+    config = KMeansConfig(k=k, seed=seed)
+    assert validate_clustering(ds, lloyd(ds, config)) == []
+    objective = objective_sequence(ds, config)
+    for earlier, later in zip(objective, objective[1:]):
         assert later <= earlier + 1e-12 * max(1.0, abs(earlier))
+
+
+def _assert_bounded_equals_plain(ds, config):
+    clustering, history = lloyd_history(ds, config)
+    reference, iterations = plain_lloyd(ds, config)
+    np.testing.assert_array_equal(clustering.assignment, reference.assignment)
+    assert clustering.centroids.tobytes() == reference.centroids.tobytes()
+    assert len(history) == iterations + 1
+    assert history[0] == ds.n_points
+    assert all(0 <= rows <= ds.n_points for rows in history)
+    return history
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=200),
+    d=st.integers(min_value=1, max_value=5),
+    grid=st.booleans(),
+    k_draw=st.integers(min_value=1, max_value=200),
+)
+def test_bounded_lloyd_equals_plain_lloyd(seed, n, d, grid, k_draw):
+    rng = np.random.default_rng(seed)
+    if grid:  # duplicate-heavy, with exact distance ties
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    ds = make_dataset(points)
+    k = 1 + (k_draw - 1) % len(np.unique(points, axis=0))
+    _assert_bounded_equals_plain(ds, KMeansConfig(k=k, seed=seed))
+
+
+def test_bounded_lloyd_equals_plain_lloyd_through_a_repair(monkeypatch):
+    # After the first update, cluster 1 loses both its points to other
+    # clusters, and the loop repairs it.
+    ds = make_dataset(
+        [[4, 0, 0], [0, 2, 4], [2, 2, 4], [3, 4, 1], [0, 2, 3],
+         [4, 1, 2], [3, 4, 0], [3, 3, 0], [3, 0, 0]]
+    )
+    repairs = []
+
+    def counted(*args):
+        repairs.append(args[3])
+        return repair_empty(*args)
+
+    monkeypatch.setattr(kmeans, "repair_empty", counted)
+    history = _assert_bounded_equals_plain(ds, KMeansConfig(k=4, seed=4))
+    assert len(repairs) == 1
+    assert history == [9, 9, 9, 0]  # the pass after the repair recomputes every row
+
+
+def test_bounded_lloyd_equals_plain_lloyd_on_a_planted_mix():
+    rng = np.random.default_rng(16)
+    means = rng.normal(size=(12, 8)) * 3.0
+    ds = make_dataset(means[rng.integers(0, 12, 5000)] + rng.normal(size=(5000, 8)))
+    history = _assert_bounded_equals_plain(ds, KMeansConfig(k=16, seed=3))
+    assert sum(history[2:]) < 0.5 * ds.n_points * len(history[2:])  # most rows skip
 
 
 def test_config_validation():
