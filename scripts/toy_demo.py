@@ -16,10 +16,10 @@ import numpy as np
 from feedback_kmeans import (
     Dataset,
     EngineConfig,
-    FeedbackReport,
     Method,
     Sense,
     best_clustering,
+    evaluate_per_cluster,
     run_engine,
 )
 
@@ -30,13 +30,12 @@ class XVarianceFeedback:
     deterministic = True
 
     def evaluate(self, dataset, clustering, rng=None):
-        values, sizes = [], []
-        for cid in range(clustering.k):
-            xs = dataset.points[clustering.members(cid), 0]
-            values.append(float(np.var(xs)))
-            sizes.append(len(xs))
-        aggregate = float(np.dot(values, np.asarray(sizes) / sum(sizes)))
-        return FeedbackReport(per_cluster=tuple(values), aggregate=aggregate, sense=self.sense)
+        return evaluate_per_cluster(
+            dataset,
+            clustering,
+            self.sense,
+            lambda cid, members: float(np.var(dataset.points[members, 0])),
+        )
 
     def evaluation_rng(self, step):
         return None

@@ -19,13 +19,13 @@ from .core import (
 )
 from .engines import EngineConfig, Method, best_clustering, run_engine, write_trace
 from .feedback import (
-    ClusterFeedbackValue,
     CustomizabilityFeedback,
     FeedbackProvider,
     OracleProfile,
     RssFeedback,
     aggregate_weighted,
     customizability_cluster,
+    evaluate_per_cluster,
     fit_weights,
     load_oracle_profile,
     popularity,

@@ -162,7 +162,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     dataset = _load_dataset(args)
     profile = None
     if args.oracle is not None:
-        profile = load_oracle_profile(args.oracle, rng_seed=derive_seed(config.seed, "oracle"))
+        profile = load_oracle_profile(args.oracle)
 
     report = harness.run_experiment(dataset, config, profile, threads=threads)
 

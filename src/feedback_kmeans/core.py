@@ -38,8 +38,13 @@ class Sense(enum.Enum):
         return sorted(range(len(values)), key=lambda i: (sign * values[i], i))
 
 
+# The two helpers below freeze a copy when the input is itself a writeable
+# array, so building a value never makes the caller's array read-only; an
+# input that is already read-only is shared.
 def _frozen_f64(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -53,6 +58,8 @@ def _frozen_i64(values, name: str) -> np.ndarray:
         if bad.size:
             raise ValueError(f"{name} must be integral: entry(s) {bad[:5].tolist()} are not")
     arr = np.ascontiguousarray(raw, dtype=np.int64)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -172,9 +179,7 @@ class Clustering:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", _frozen_i64(self.assignment, "assignment"))
-        centroids = np.atleast_2d(np.asarray(self.centroids, dtype=np.float64))
-        centroids = np.ascontiguousarray(centroids)
-        centroids.setflags(write=False)
+        centroids = _frozen_f64(np.atleast_2d(self.centroids), "centroids", ndim=2)
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "k", int(self.k))
 

@@ -24,11 +24,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import Clustering, Dataset, FeedbackReport, Sense, validate_clustering
+from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, validate_clustering
 from .rng import substream
 
 BASELINE_EPSILON = 1e-12
@@ -98,9 +98,7 @@ class OracleProfile:
         weights: dict[int, np.ndarray] = {}
         m = self.m
         for seg, w in self.segment_weights.items():
-            arr = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
-            if arr.ndim != 1:
-                raise ValueError(f"segment {seg}: weights must be a flat vector")
+            arr = _frozen_f64(w, f"segment {seg}: weights", ndim=1)
             if m is None:
                 m = arr.shape[0]
             if arr.shape[0] != m:
@@ -112,10 +110,14 @@ class OracleProfile:
                     f"segment {seg}: ||w*||^2 = {float(arr @ arr):g} exceeds the "
                     f"score offset {self.score_offset:g}"
                 )
-            arr.setflags(write=False)
             weights[int(seg)] = arr
         object.__setattr__(self, "segment_weights", weights)
         object.__setattr__(self, "m", int(m))
+        # Sorted segment ids and the (S, m) table of their weight rows, so a
+        # lookup is one searchsorted and one gather.
+        seg_ids = sorted(weights)
+        object.__setattr__(self, "_segment_ids", np.array(seg_ids, dtype=np.int64))
+        object.__setattr__(self, "_segment_table", np.stack([weights[seg] for seg in seg_ids]))
         if self.score_offset <= 0:
             raise ValueError("score_offset must be positive")
         if self.noise_sigma < 0:
@@ -129,27 +131,21 @@ class OracleProfile:
         return replace(self, rng_seed=int(rng_seed))
 
 
-@dataclass(frozen=True)
-class ClusterFeedbackValue:
-    """One cluster's customizability value with its audit detail."""
-
-    value: float
-    cluster_size: int
-    pop_w: float
-    pop_0: float
-    fitted_weights: np.ndarray
+def _labels(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's (bookings, hidden_segment), which the oracle needs."""
+    if dataset.bookings is None or dataset.hidden_segment is None:
+        raise ValueError("oracle requires generator-labeled data")
+    return dataset.bookings, dataset.hidden_segment
 
 
 def _segment_weight_rows(dataset: Dataset, indices: np.ndarray, profile: OracleProfile) -> np.ndarray:
-    if dataset.hidden_segment is None or dataset.bookings is None:
-        raise ValueError("oracle requires generator-labeled data")
-    seg_ids = np.array(sorted(profile.segment_weights), dtype=np.int64)
-    segs = dataset.hidden_segment[indices]
+    segs = _labels(dataset)[1][indices]
+    seg_ids = profile._segment_ids
     pos = np.minimum(np.searchsorted(seg_ids, segs), seg_ids.size - 1)
     missing = np.flatnonzero(seg_ids[pos] != segs)
     if missing.size:
         raise ValueError(f"segment {int(segs[missing[0]])} missing from oracle profile")
-    return np.stack([profile.segment_weights[int(seg)] for seg in seg_ids])[pos]
+    return profile._segment_table[pos]
 
 
 def fit_weights(dataset: Dataset, sample_indices, profile: OracleProfile) -> np.ndarray:
@@ -189,7 +185,7 @@ def customizability_cluster(
     member_indices,
     profile: OracleProfile,
     rng: np.random.Generator,
-) -> ClusterFeedbackValue:
+) -> float:
     """Customizability of one cluster.
 
     Protocol: fit weights on the cluster's most-booked points, sample a
@@ -201,9 +197,7 @@ def customizability_cluster(
     n = member_indices.size
     if n < 2:
         raise ValueError("customizability needs a cluster of at least 2 points")
-    if dataset.bookings is None or dataset.hidden_segment is None:
-        raise ValueError("oracle requires generator-labeled data")
-    bookings = dataset.bookings[member_indices]
+    bookings = _labels(dataset)[0][member_indices]
     # Descending bookings; the stable sort breaks ties by lowest point index
     # because member_indices is ascending.
     ranked = member_indices[np.argsort(-bookings, kind="stable")]
@@ -222,14 +216,7 @@ def customizability_cluster(
     pop_0 = popularity(dataset, eval_set, np.zeros(profile.m), profile, rng)
     if abs(pop_0) < POP_BASELINE_EPSILON:
         raise ValueError("degenerate price baseline")
-    value = relative_change(pop_0, pop_w)
-    return ClusterFeedbackValue(
-        value=value,
-        cluster_size=int(n),
-        pop_w=pop_w,
-        pop_0=pop_0,
-        fitted_weights=fitted,
-    )
+    return relative_change(pop_0, pop_w)
 
 
 @runtime_checkable
@@ -247,10 +234,32 @@ class FeedbackProvider(Protocol):
     def evaluation_rng(self, step: int) -> np.random.Generator | None: ...
 
 
-def _require_valid(dataset: Dataset, clustering: Clustering) -> None:
+def evaluate_per_cluster(
+    dataset: Dataset,
+    clustering: Clustering,
+    sense: Sense,
+    value_of: Callable[[int, np.ndarray], float],
+) -> FeedbackReport:
+    """Feedback report of value_of(cluster_id, members) over the clusters.
+
+    Validates the clustering, calls value_of once per cluster in id order
+    with the cluster's point indices (ascending), and aggregates the values
+    weighted by cluster size. Providers implement evaluate with it.
+    """
     violations = validate_clustering(dataset, clustering)
     if violations:
         raise ValueError("invalid clustering: " + "; ".join(violations))
+    values = []
+    sizes = []
+    for cid in range(clustering.k):
+        members = clustering.members(cid)
+        values.append(value_of(cid, members))
+        sizes.append(members.size)
+    return FeedbackReport(
+        per_cluster=tuple(values),
+        aggregate=aggregate_weighted(values, sizes),
+        sense=sense,
+    )
 
 
 class RssFeedback:
@@ -263,17 +272,11 @@ class RssFeedback:
     def evaluate(
         self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None = None
     ) -> FeedbackReport:
-        _require_valid(dataset, clustering)
-        values = []
-        sizes = []
-        for cid in range(clustering.k):
-            members = clustering.members(cid)
-            values.append(rss_cluster(dataset.points[members], clustering.centroids[cid]))
-            sizes.append(members.size)
-        return FeedbackReport(
-            per_cluster=tuple(values),
-            aggregate=aggregate_weighted(values, sizes),
-            sense=self.sense,
+        return evaluate_per_cluster(
+            dataset,
+            clustering,
+            self.sense,
+            lambda cid, members: rss_cluster(dataset.points[members], clustering.centroids[cid]),
         )
 
     def evaluation_rng(self, step: int) -> None:
@@ -283,9 +286,10 @@ class RssFeedback:
 class CustomizabilityFeedback:
     """Simulated preference-oracle feedback (higher is better).
 
-    Per-cluster randomness is drawn from children spawned off the supplied
-    generator, in cluster-id order, so evaluating clusters concurrently or
-    serially yields identical values.
+    Each cluster draws its randomness from its own child of the supplied
+    generator, spawned in cluster-id order (the children of
+    ``rng.spawn(k)``), so a cluster's value does not depend on the values
+    drawn for the others.
     """
 
     kind = "custom"
@@ -298,21 +302,15 @@ class CustomizabilityFeedback:
     def evaluate(
         self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None = None
     ) -> FeedbackReport:
-        _require_valid(dataset, clustering)
         if rng is None:
             rng = self.evaluation_rng(0)
-        children = rng.spawn(clustering.k)
-        values = []
-        sizes = []
-        for cid in range(clustering.k):
-            members = clustering.members(cid)
-            detail = customizability_cluster(dataset, members, self.profile, children[cid])
-            values.append(detail.value)
-            sizes.append(members.size)
-        return FeedbackReport(
-            per_cluster=tuple(values),
-            aggregate=aggregate_weighted(values, sizes),
-            sense=self.sense,
+        return evaluate_per_cluster(
+            dataset,
+            clustering,
+            self.sense,
+            lambda cid, members: customizability_cluster(
+                dataset, members, self.profile, rng.spawn(1)[0]
+            ),
         )
 
     def evaluation_rng(self, step: int) -> np.random.Generator:

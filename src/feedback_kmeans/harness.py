@@ -23,7 +23,7 @@ from .feedback import (
     CustomizabilityFeedback,
     FeedbackProvider,
     OracleProfile,
-    RssFeedback,
+    provider_from_name,
     relative_change,
 )
 from .kmeans import KMeansConfig, lloyd
@@ -181,14 +181,23 @@ def expected_relative_change(
     return mean(abs(relative_change(reference, v)) for v in values[1:])
 
 
+def _oracle_provider(profile: OracleProfile, *seed_parts: int | str) -> CustomizabilityFeedback:
+    """Customizability provider whose own evaluation streams derive from
+    seed_parts; without parts it keeps the profile's seed, for callers that
+    pass a stream to every evaluation."""
+    if seed_parts:
+        profile = profile.with_rng_seed(derive_seed(*seed_parts))
+    return CustomizabilityFeedback(profile)
+
+
 def _cell_provider(
     method: ExperimentMethod, cell_seed: int, profile: OracleProfile | None
 ) -> FeedbackProvider:
     if method.feedback_kind == "rss":
-        return RssFeedback()
+        return provider_from_name("rss")
     if profile is None:
         raise ValueError(f"{method.value} requires an oracle profile")
-    return CustomizabilityFeedback(profile.with_rng_seed(derive_seed(cell_seed, "oracle")))
+    return _oracle_provider(profile, cell_seed, "oracle")
 
 
 def _run_cell(
@@ -223,9 +232,7 @@ def _run_cell(
         custom_reference: float | None = best_eval
         custom_impact: float | None = own_impact
     elif profile is not None:
-        ref_provider = CustomizabilityFeedback(
-            profile.with_rng_seed(derive_seed(cell_seed, "reference"))
-        )
+        ref_provider = _oracle_provider(profile, cell_seed, "reference")
         custom_initial = ref_provider.evaluate(
             dataset, trace.steps[0].clustering, ref_provider.evaluation_rng(0)
         ).aggregate
@@ -259,13 +266,10 @@ def _fluctuation_by_k(
     for k in config.k_values:
         try:
             base = lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "fluct-init", k)))
-            provider = CustomizabilityFeedback(
-                profile.with_rng_seed(derive_seed(config.seed, "fluct-oracle", k))
-            )
             out[k] = expected_relative_change(
                 dataset,
                 base,
-                provider,
+                _oracle_provider(profile),
                 calls=config.fluctuation_calls,
                 seed=derive_seed(config.seed, "fluct-calls", k),
             )

@@ -108,39 +108,27 @@ def update_centroids(
     return centroids, np.flatnonzero(counts == 0).tolist()
 
 
-def repair_empty(
-    dataset: Dataset,
-    assignment: np.ndarray,
-    centroids: np.ndarray,
-    empties: list[int],
-) -> Clustering:
+def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> Clustering:
     """Re-seed each empty cluster at the point farthest from its centroid.
 
-    The chosen point (ties broken by lowest point index) moves to the empty
-    cluster, whose centroid becomes that point; repeats until no cluster is
-    empty. Points that are the sole member of their cluster are not eligible
-    donors, otherwise a singleton could be drained and the repair would loop.
+    The empty ids are those of the k = len(centroids) ids that no point is
+    assigned to. In ascending id order, the chosen point (ties broken by
+    lowest point index) moves to the empty cluster, whose centroid becomes
+    that point. Points that are the sole member of their cluster are not
+    eligible donors, otherwise a singleton could be drained and the repair
+    would loop.
     """
     k = centroids.shape[0]
     if k > dataset.n_points:
         raise ValueError(
             f"cannot repair: k={k} exceeds dataset size {dataset.n_points}"
         )
-    pending = sorted(int(e) for e in empties)
-    sizes = np.bincount(assignment, minlength=k)
-    for i, empty in enumerate(pending):
-        if not 0 <= empty < k:
-            raise ValueError(f"cannot repair cluster {empty}: ids run from 0 to {k - 1}")
-        if sizes[empty]:
-            raise ValueError(f"cannot repair cluster {empty}: it holds {sizes[empty]} point(s)")
-        if i and pending[i - 1] == empty:
-            raise ValueError(f"cannot repair cluster {empty}: it is listed twice")
-    if not pending:
+    empties = np.flatnonzero(np.bincount(assignment, minlength=k) == 0)
+    if not empties.size:
         return Clustering(assignment=assignment, centroids=centroids, k=k)
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
-    while pending:
-        empty = pending.pop(0)
+    for empty in empties:
         diff = dataset.points - centroids[assignment]
         dist = np.einsum("nd,nd->n", diff, diff)
         sizes = np.bincount(assignment, minlength=k)
@@ -213,10 +201,9 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
             rows = np.flatnonzero(stale)
             assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
             history.append(rows.size)
-        sizes = np.bincount(assignment, minlength=config.k)
-        repaired = bool((sizes == 0).any())
+        repaired = bool((np.bincount(assignment, minlength=config.k) == 0).any())
         if repaired:
-            clustering = repair_empty(dataset, assignment, centroids, list(np.flatnonzero(sizes == 0)))
+            clustering = repair_empty(dataset, assignment, centroids)
             assignment, centroids = clustering.assignment, clustering.centroids
             # The repaired assignment need not be nearest-centroid: every
             # row recomputes on the next pass.

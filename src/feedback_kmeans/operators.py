@@ -66,10 +66,8 @@ def split_cluster(dataset: Dataset, clustering: Clustering, target: int, seed: i
     new_centroids = np.vstack([kept, child_centroids])
     new_k = clustering.k + 1
     assignment = assign_points(dataset, new_centroids)
-    sizes = np.bincount(assignment, minlength=new_k)
-    empties = list(np.flatnonzero(sizes == 0))
-    if empties:
-        return repair_empty(dataset, assignment, new_centroids, empties)
+    if (np.bincount(assignment, minlength=new_k) == 0).any():
+        return repair_empty(dataset, assignment, new_centroids)
     return Clustering(assignment=assignment, centroids=new_centroids, k=new_k)
 
 

@@ -38,10 +38,9 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
         shift = float(np.max(np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)))
         centroids = new_centroids
         assignment = assign_points(dataset, centroids)
-        sizes = np.bincount(assignment, minlength=config.k)
-        repaired = bool((sizes == 0).any())
+        repaired = bool((np.bincount(assignment, minlength=config.k) == 0).any())
         if repaired:
-            clustering = repair_empty(dataset, assignment, centroids, list(np.flatnonzero(sizes == 0)))
+            clustering = repair_empty(dataset, assignment, centroids)
             assignment, centroids = clustering.assignment, clustering.centroids
         if not repaired and shift <= TOLERANCE:
             break

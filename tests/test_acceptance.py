@@ -204,7 +204,7 @@ def test_c06_oracle_closed_form():
         bookings=np.arange(n, 0, -1),
         hidden_segment=np.zeros(n, dtype=int),
     )
-    value = customizability_cluster(ds, np.arange(n), profile, substream(6)).value
+    value = customizability_cluster(ds, np.arange(n), profile, substream(6))
     expected = (10.0 - 6.0) / 6.0
     gap = abs(value - expected)
     report_line(

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feedback_kmeans import Clustering, Dataset, FeedbackReport, Sense, validate_clustering
+from feedback_kmeans import (
+    Clustering,
+    Dataset,
+    FeedbackReport,
+    OracleProfile,
+    Sense,
+    validate_clustering,
+)
 
 from helpers import make_dataset
 
@@ -71,6 +78,26 @@ def test_dataset_points_are_read_only():
     ds = make_dataset([[1.0, 2.0]])
     with pytest.raises(ValueError):
         ds.points[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "caller, stored",
+    [
+        (np.array([0, 1]), lambda a: Clustering(assignment=a, centroids=[[0.0], [1.0]], k=2).assignment),
+        (np.array([[0.0], [1.0]]), lambda c: Clustering(assignment=[0, 1], centroids=c, k=2).centroids),
+        (np.array([[0.0], [1.0]]), lambda p: Dataset(points=p, feature_names=("a",)).points),
+        (np.array([3, 4]), lambda b: make_dataset([[0.0], [1.0]], bookings=b).bookings),
+        (np.array([0, 1]), lambda s: make_dataset([[0.0], [1.0]], hidden_segment=s).hidden_segment),
+        (np.array([1.0, 0.0]), lambda w: OracleProfile(segment_weights={0: w}).segment_weights[0]),
+    ],
+    ids=["assignment", "centroids", "points", "bookings", "hidden_segment", "segment_weights"],
+)
+def test_construction_leaves_the_callers_array_writeable(caller, stored):
+    kept = stored(caller)
+    before = kept.copy()
+    caller[0] += 1  # raises if construction froze the caller's own array
+    assert not kept.flags.writeable
+    np.testing.assert_array_equal(kept, before)
 
 
 def test_duplicate_points_are_allowed():

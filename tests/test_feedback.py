@@ -236,17 +236,22 @@ def pure_cluster_dataset(n, seg=0, weights=(2.0, 0.0)):
 
 def test_customizability_closed_form():
     ds, profile = pure_cluster_dataset(40)
+    # 40 points, sample_size 100: the oracle fits on the 20 most-booked
+    # points and evaluates on the other 20.
+    fitted = fit_weights(ds, np.arange(20), profile)
+    pop_w = popularity(ds, np.arange(20, 40), fitted, profile, substream(5))
+    pop_0 = popularity(ds, np.arange(20, 40), np.zeros(2), profile, substream(5))
+    assert pop_w == 10.0
+    assert pop_0 == 6.0
     value = customizability_cluster(ds, np.arange(40), profile, substream(5))
-    assert value.pop_w == 10.0
-    assert value.pop_0 == 6.0
-    assert abs(value.value - (10.0 - 6.0) / 6.0) <= 1e-12
-    assert abs(value.value - (value.pop_w - value.pop_0) / abs(value.pop_0)) <= 1e-12
+    assert abs(value - (10.0 - 6.0) / 6.0) <= 1e-12
+    assert abs(value - (pop_w - pop_0) / abs(pop_0)) <= 1e-12
 
 
 def test_customizability_zero_weight_segment():
     ds, profile = pure_cluster_dataset(20, weights=(0.0, 0.0))
     value = customizability_cluster(ds, np.arange(20), profile, substream(6))
-    assert value.value == 0.0
+    assert value == 0.0
 
 
 def test_customizability_requires_two_points():
@@ -267,16 +272,16 @@ def test_customizability_reproducible_per_substream():
     profile = profile_two_segments(noise=0.05, sample_size=50, eval_pool_fraction=1.0)
     a = customizability_cluster(ds, np.arange(600), profile, substream(10, 0))
     b = customizability_cluster(ds, np.arange(600), profile, substream(10, 0))
-    assert a.value == b.value
+    assert a == b
     c = customizability_cluster(ds, np.arange(600), profile, substream(10, 1))
-    assert c.value != a.value  # distinct substream draws a different sample
+    assert c != a  # distinct substream draws a different sample
 
 
 def test_customizability_fluctuation_is_small_relative_to_value():
     ds = segment_blocks({0: 400, 1: 400}, seed=12)
     profile = profile_two_segments(noise=0.05, sample_size=50, eval_pool_fraction=1.0)
     values = [
-        customizability_cluster(ds, np.arange(800), profile, substream(11, j)).value
+        customizability_cluster(ds, np.arange(800), profile, substream(11, j))
         for j in range(10)
     ]
     spread = max(values) - min(values)
@@ -315,7 +320,7 @@ def test_pure_cluster_beats_mixed_cluster():
         pure = customizability_cluster(
             ds, np.arange(2 * n, 3 * n), profile, substream(trial, 1)
         )
-        assert pure.value >= mixed.value - 1e-9
+        assert pure >= mixed - 1e-9
     assert trials >= 8
 
 

@@ -222,7 +222,7 @@ def test_repair_moves_farthest_point():
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [0.0, 0.0]])
     assignment = np.array([0, 0, 0])  # everything ties to cluster 0
-    repaired = repair_empty(ds, assignment, centroids, [1])
+    repaired = repair_empty(ds, assignment, centroids)
     assert repaired.assignment.tolist() == [0, 0, 1]  # farthest point moved
     np.testing.assert_array_equal(repaired.centroids[1], [5.0, 0.0])
     assert validate_clustering(ds, repaired) == []
@@ -232,7 +232,7 @@ def test_repair_without_empties_is_identity():
     ds = make_dataset([[0.0, 0.0], [5.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [5.0, 0.0]])
     assignment = np.array([0, 1])
-    repaired = repair_empty(ds, assignment, centroids, [])
+    repaired = repair_empty(ds, assignment, centroids)
     np.testing.assert_array_equal(repaired.assignment, assignment)
     np.testing.assert_array_equal(repaired.centroids, centroids)
 
@@ -242,7 +242,7 @@ def test_repair_line_dataset_passes_validation():
     centroids = np.array([[0.0, 0.0], [9.0, 0.0], [100.0, 0.0]])
     assignment = assign_points(ds, centroids)  # cluster 2 ends up empty
     assert 2 not in assignment
-    repaired = repair_empty(ds, assignment, centroids, [2])
+    repaired = repair_empty(ds, assignment, centroids)
     assert validate_clustering(ds, repaired) == []
 
 
@@ -253,7 +253,7 @@ def test_repair_never_drains_a_singleton_donor():
     ds = make_dataset([[5.0], [0.0], [0.0]])
     assignment = np.array([1, 0, 0])
     centroids = np.array([[0.0], [5.0], [7.0]])  # cluster 2 empty
-    repaired = repair_empty(ds, assignment, centroids, [2])
+    repaired = repair_empty(ds, assignment, centroids)
     assert validate_clustering(ds, repaired) == []
     assert repaired.assignment[0] == 1  # the singleton kept its point
     assert sorted(repaired.sizes().tolist()) == [1, 1, 1]
@@ -262,22 +262,7 @@ def test_repair_never_drains_a_singleton_donor():
 def test_repair_impossible_when_k_exceeds_points():
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="repair"):
-        repair_empty(ds, np.array([0, 1]), np.zeros((3, 2)), [2])
-
-
-def test_repair_rejects_ids_that_are_not_empty_clusters():
-    ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-    assignment = np.array([0, 0, 1])
-    centroids = np.array([[0.5, 0.0], [5.0, 0.0]])
-    with pytest.raises(ValueError, match="cannot repair cluster -1: ids run from 0 to 1"):
-        repair_empty(ds, assignment, centroids, [-1])
-    with pytest.raises(ValueError, match="cannot repair cluster 2: ids run from 0 to 1"):
-        repair_empty(ds, assignment, centroids, [2])
-    with pytest.raises(ValueError, match=r"cannot repair cluster 0: it holds 2 point\(s\)"):
-        repair_empty(ds, assignment, centroids, [0])
-    three = np.array([[0.5, 0.0], [5.0, 0.0], [9.0, 0.0]])
-    with pytest.raises(ValueError, match="cannot repair cluster 2: it is listed twice"):
-        repair_empty(ds, assignment, three, [2, 2])
+        repair_empty(ds, np.array([0, 1]), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------- lloyd
@@ -382,7 +367,7 @@ def test_bounded_lloyd_equals_plain_lloyd_through_a_repair(monkeypatch):
     repairs = []
 
     def counted(*args):
-        repairs.append(args[3])
+        repairs.append(args)
         return repair_empty(*args)
 
     monkeypatch.setattr(kmeans, "repair_empty", counted)
