@@ -25,9 +25,7 @@ from feedback_kmeans import (
 
 
 class XVarianceFeedback:
-    kind = "xvar"
     sense = Sense.LOWER_IS_BETTER
-    deterministic = True
 
     def evaluate(self, dataset, clustering, rng=None):
         return evaluate_per_cluster(

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def relative_change(reference: float, new: float) -> float:
     return (float(new) - reference) / abs(reference)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleProfile:
     """Hidden ground truth powering the simulated customizability oracle.
 
@@ -219,16 +219,15 @@ def customizability_cluster(
     return relative_change(pop_0, pop_w)
 
 
-@runtime_checkable
 class FeedbackProvider(Protocol):
-    """What engines need from a feedback source."""
+    """What engines need from a feedback source: its sense, an evaluation
+    of a clustering under a given stream, and the stream for each step
+    (None for a deterministic provider)."""
 
-    kind: str
     sense: Sense
-    deterministic: bool
 
     def evaluate(
-        self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None = None
+        self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None
     ) -> FeedbackReport: ...
 
     def evaluation_rng(self, step: int) -> np.random.Generator | None: ...
@@ -265,9 +264,7 @@ def evaluate_per_cluster(
 class RssFeedback:
     """Deterministic geometric feedback (lower is better)."""
 
-    kind = "rss"
     sense = Sense.LOWER_IS_BETTER
-    deterministic = True
 
     def evaluate(
         self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None = None
@@ -292,18 +289,14 @@ class CustomizabilityFeedback:
     drawn for the others.
     """
 
-    kind = "custom"
     sense = Sense.HIGHER_IS_BETTER
-    deterministic = False
 
     def __init__(self, profile: OracleProfile):
         self.profile = profile
 
     def evaluate(
-        self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None = None
+        self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator
     ) -> FeedbackReport:
-        if rng is None:
-            rng = self.evaluation_rng(0)
         return evaluate_per_cluster(
             dataset,
             clustering,

@@ -19,13 +19,7 @@ from statistics import mean
 
 from .core import Clustering, Dataset, Sense
 from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
-from .feedback import (
-    CustomizabilityFeedback,
-    FeedbackProvider,
-    OracleProfile,
-    provider_from_name,
-    relative_change,
-)
+from .feedback import FeedbackProvider, OracleProfile, provider_from_name, relative_change
 from .kmeans import KMeansConfig, lloyd
 from .operators import MIN_K
 from .rng import derive_seed, substream
@@ -167,7 +161,7 @@ def expected_relative_change(
     pairing against the first call is one reading of the statistic; it is
     the package's declared convention.
     """
-    if provider.deterministic:
+    if provider.evaluation_rng(0) is None:
         raise ValueError("expected relative change needs a non-deterministic provider")
     if calls < 2:
         raise ValueError("need at least 2 evaluation calls")
@@ -175,41 +169,21 @@ def expected_relative_change(
         provider.evaluate(dataset, clustering, substream(seed, "fluctuation", j)).aggregate
         for j in range(calls)
     ]
-    reference = values[0]
-    if abs(reference) < 1e-12:
-        raise ValueError("degenerate baseline: first evaluation is (near) zero")
-    return mean(abs(relative_change(reference, v)) for v in values[1:])
-
-
-def _oracle_provider(profile: OracleProfile, *seed_parts: int | str) -> CustomizabilityFeedback:
-    """Customizability provider whose own evaluation streams derive from
-    seed_parts; without parts it keeps the profile's seed, for callers that
-    pass a stream to every evaluation."""
-    if seed_parts:
-        profile = profile.with_rng_seed(derive_seed(*seed_parts))
-    return CustomizabilityFeedback(profile)
-
-
-def _cell_provider(
-    method: ExperimentMethod, cell_seed: int, profile: OracleProfile | None
-) -> FeedbackProvider:
-    if method.feedback_kind == "rss":
-        return provider_from_name("rss")
-    if profile is None:
-        raise ValueError(f"{method.value} requires an oracle profile")
-    return _oracle_provider(profile, cell_seed, "oracle")
+    return mean(abs(relative_change(values[0], v)) for v in values[1:])
 
 
 def _run_cell(
     dataset: Dataset,
     method: ExperimentMethod,
     k: int,
-    repeat: int,
+    cell_seed: int,
     config: ExperimentConfig,
     profile: OracleProfile | None,
 ) -> ImpactRecord:
-    cell_seed = derive_seed(config.seed, method.value, k, repeat)
-    provider = _cell_provider(method, cell_seed, profile)
+    oracle = profile
+    if method.feedback_kind == "custom" and profile is not None:
+        oracle = profile.with_rng_seed(derive_seed(cell_seed, "oracle"))
+    provider = provider_from_name(method.feedback_kind, oracle)
     iterations = (
         config.sme_iterations if method.engine_method is Method.SME else config.sm_iterations
     )
@@ -232,7 +206,9 @@ def _run_cell(
         custom_reference: float | None = best_eval
         custom_impact: float | None = own_impact
     elif profile is not None:
-        ref_provider = _oracle_provider(profile, cell_seed, "reference")
+        ref_provider = provider_from_name(
+            "custom", profile.with_rng_seed(derive_seed(cell_seed, "reference"))
+        )
         custom_initial = ref_provider.evaluate(
             dataset, trace.steps[0].clustering, ref_provider.evaluation_rng(0)
         ).aggregate
@@ -269,7 +245,7 @@ def _fluctuation_by_k(
             out[k] = expected_relative_change(
                 dataset,
                 base,
-                _oracle_provider(profile),
+                provider_from_name("custom", profile),
                 calls=config.fluctuation_calls,
                 seed=derive_seed(config.seed, "fluct-calls", k),
             )
@@ -300,14 +276,12 @@ def run_experiment(
 
     def run(cell) -> ImpactRecord | CellFailure:
         method, k, repeat = cell
+        cell_seed = derive_seed(config.seed, method.value, k, repeat)
         try:
-            return _run_cell(dataset, method, k, repeat, config, oracle_profile)
+            return _run_cell(dataset, method, k, cell_seed, config, oracle_profile)
         except Exception as exc:  # record, never drop silently
             return CellFailure(
-                method=method.value,
-                k=k,
-                seed=derive_seed(config.seed, method.value, k, repeat),
-                error=f"{type(exc).__name__}: {exc}",
+                method=method.value, k=k, seed=cell_seed, error=f"{type(exc).__name__}: {exc}"
             )
 
     if threads > 1:

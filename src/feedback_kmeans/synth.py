@@ -217,6 +217,9 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
         )
     except KeyError as missing:
         raise ValueError(f"generator config {path}: missing field {missing}") from None
+    oracle = payload.get("oracle", {})
+    if "score_offset" in oracle and "C" in oracle:
+        raise ValueError(f"generator config {path}: oracle sets both 'score_offset' and 'C'")
     oracle_kwargs = {}
     for src, dst in (
         ("score_offset", "score_offset"),
@@ -225,8 +228,8 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
         ("sample_size", "sample_size"),
         ("eval_pool_fraction", "eval_pool_fraction"),
     ):
-        if src in payload.get("oracle", {}):
-            oracle_kwargs[dst] = payload["oracle"][src]
+        if src in oracle:
+            oracle_kwargs[dst] = oracle[src]
     return config, oracle_kwargs
 
 

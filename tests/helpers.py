@@ -1,6 +1,6 @@
 import numpy as np
 
-from feedback_kmeans import Clustering, Dataset, KMeansConfig, lloyd
+from feedback_kmeans import Clustering, Dataset, KMeansConfig, Sense, evaluate_per_cluster, lloyd
 from feedback_kmeans.kmeans import (
     TOLERANCE,
     assign_points,
@@ -9,6 +9,41 @@ from feedback_kmeans.kmeans import (
     repair_empty,
     update_centroids,
 )
+from feedback_kmeans.rng import substream
+
+CONTRACT_MEMBERS = {"sense", "evaluate", "evaluation_rng"}
+
+
+class NoisyPlugIn:
+    """A feedback plug-in with only the contract's three members: each
+    cluster scores 1 plus a uniform draw from the evaluation stream, higher
+    is better."""
+
+    sense = Sense.HIGHER_IS_BETTER
+
+    def evaluate(self, dataset, clustering, rng):
+        return evaluate_per_cluster(
+            dataset, clustering, self.sense, lambda cid, members: 1.0 + rng.random()
+        )
+
+    def evaluation_rng(self, step):
+        return substream(0, "plug-in", step)
+
+
+class ConstantPlugIn:
+    """A deterministic plug-in with only the contract's three members."""
+
+    sense = Sense.HIGHER_IS_BETTER
+
+    def evaluate(self, dataset, clustering, rng):
+        return evaluate_per_cluster(dataset, clustering, self.sense, lambda cid, members: 1.0)
+
+    def evaluation_rng(self, step):
+        return None
+
+
+def own_members(cls) -> set[str]:
+    return {name for name in vars(cls) if not name.startswith("__")}
 
 
 def make_dataset(points, feature_names=None, **kwargs) -> Dataset:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from feedback_kmeans.cli import main, validate_trace_records
+from feedback_kmeans.cli import build_parser, main, validate_trace_records
 from feedback_kmeans.engines import read_trace_records
 
 
@@ -41,6 +44,31 @@ def generated(tmp_path):
     out = tmp_path / "data"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
     return out / "dataset.csv", out / "oracle.json"
+
+
+# ---------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Every feedback-kmeans command in README's bash blocks, with
+    backslash continuations joined, as argument lists."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["feedback-kmeans"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {c[0] for c in commands} == {"generate", "run", "experiment", "validate"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a flag README names but the CLI lacks exits 2
 
 
 # ---------------------------------------------------------------- generate

@@ -20,7 +20,7 @@ from feedback_kmeans import (
     write_trace,
 )
 from feedback_kmeans.engines import read_trace_records, trace_records
-from helpers import make_dataset
+from helpers import CONTRACT_MEMBERS, NoisyPlugIn, make_dataset, own_members
 
 
 class XVarianceFeedback:
@@ -28,9 +28,7 @@ class XVarianceFeedback:
     lower is better. Prizes clusters whose points share similar horizontal
     values regardless of the other features."""
 
-    kind = "xvar"
     sense = Sense.LOWER_IS_BETTER
-    deterministic = True
 
     def evaluate(self, dataset, clustering, rng=None):
         values = []
@@ -305,6 +303,21 @@ def test_split_then_merges_improve_horizontal_homogeneity():
     for cid in range(best.k):
         xs = ds.points[best.members(cid), 0]
         assert np.var(xs) <= 1e-12  # each cluster is x-homogeneous
+
+
+@pytest.mark.parametrize("plug_in", [NoisyPlugIn, XVarianceFeedback])
+@pytest.mark.parametrize("method", list(Method))
+def test_three_member_plug_in_runs_through_the_engine(two_blobs, plug_in, method):
+    assert own_members(plug_in) == CONTRACT_MEMBERS
+    provider = plug_in()
+    config = EngineConfig(method=method, feedback=provider, seed=3, iterations=4)
+    trace = run_engine(two_blobs, 3, config)
+    assert len(trace.steps) == 5
+    for step in trace.steps:
+        assert validate_clustering(two_blobs, step.clustering) == []
+        # each step is evaluated under the provider's own stream for it
+        rng = provider.evaluation_rng(step.index)
+        assert step.feedback == provider.evaluate(two_blobs, step.clustering, rng)
 
 
 # ---------------------------------------------------------------- best_clustering

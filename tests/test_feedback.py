@@ -398,6 +398,15 @@ def test_profile_rejects_mixed_dimensions():
         OracleProfile(segment_weights={0: np.array([1.0]), 1: np.array([1.0, 0.0])})
 
 
+def test_profiles_compare_by_identity():
+    # the generated field-wise __eq__ compared dicts of arrays and raised
+    a, b = profile_two_segments(), profile_two_segments()
+    assert a != b
+    assert a not in [b]
+    assert a == a and a in [b, a]
+    assert len({a, b, a}) == 2
+
+
 def test_profile_json_round_trip(tmp_path):
     profile = OracleProfile(
         segment_weights={0: np.array([1.0, 0.5, 0.0]), 3: np.array([0.0, 2.0, 1.0])},
@@ -421,10 +430,10 @@ def test_profile_json_round_trip(tmp_path):
 
 
 def test_provider_from_name():
-    assert provider_from_name("rss").kind == "rss"
+    assert isinstance(provider_from_name("rss"), RssFeedback)
     with pytest.raises(ValueError, match="oracle profile"):
         provider_from_name("custom")
     profile = profile_two_segments()
-    assert provider_from_name("custom", profile).kind == "custom"
+    assert isinstance(provider_from_name("custom", profile), CustomizabilityFeedback)
     with pytest.raises(ValueError, match="unknown feedback provider"):
         provider_from_name("silhouette")

@@ -20,7 +20,7 @@ from feedback_kmeans import (
     run_experiment,
     standardize,
 )
-from helpers import make_dataset
+from helpers import CONTRACT_MEMBERS, ConstantPlugIn, NoisyPlugIn, make_dataset, own_members
 
 
 # ---------------------------------------------------------------- impact
@@ -94,6 +94,15 @@ def test_fluctuation_rejects_deterministic_provider(two_blobs):
     clustering = lloyd(two_blobs, KMeansConfig(k=2, seed=0))
     with pytest.raises(ValueError, match="non-deterministic"):
         expected_relative_change(two_blobs, clustering, RssFeedback(), calls=10, seed=0)
+
+
+def test_fluctuation_takes_a_plug_in_by_its_evaluation_stream(two_blobs):
+    clustering = lloyd(two_blobs, KMeansConfig(k=2, seed=0))
+    assert own_members(ConstantPlugIn) == own_members(NoisyPlugIn) == CONTRACT_MEMBERS
+    with pytest.raises(ValueError, match="non-deterministic"):
+        expected_relative_change(two_blobs, clustering, ConstantPlugIn(), calls=3, seed=0)
+    stat = expected_relative_change(two_blobs, clustering, NoisyPlugIn(), calls=3, seed=0)
+    assert 0.0 < stat < 1.0  # aggregates all lie in [1, 2)
 
 
 def test_fluctuation_needs_two_calls():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from feedback_kmeans import (
     lloyd,
     standardize,
 )
+from feedback_kmeans.synth import load_generator_config
 
 
 def single_segment_config(n=50, stddevs=(0.0,) * 8, seed=1):
@@ -197,3 +200,39 @@ def test_standardize_round_trips():
     np.testing.assert_allclose(restored, ds.points, atol=1e-9)
     assert standardized.bookings is ds.bookings
     assert standardized.hidden_segment is ds.hidden_segment
+
+
+# ---------------------------------------------------------------- config file
+
+def write_generator_config(path, oracle):
+    segment = single_segment_config().segments[0]
+    payload = {
+        "n_points": 50,
+        "seed": 1,
+        "segments": [
+            {
+                "id": segment.id,
+                "mixture_weight": segment.mixture_weight,
+                "feature_means": list(segment.feature_means),
+                "feature_stddevs": list(segment.feature_stddevs),
+                "oracle_weights": list(segment.oracle_weights),
+                "booking_lognormal": list(segment.booking_lognormal),
+            }
+        ],
+        "oracle": oracle,
+    }
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("key", ["score_offset", "C"])
+def test_config_score_offset_under_either_name(tmp_path, key):
+    path = write_generator_config(tmp_path / "config.json", {key: 20, "noise_sigma": 0.1})
+    _, oracle_kwargs = load_generator_config(path)
+    assert oracle_kwargs == {"score_offset": 20, "noise_sigma": 0.1}
+
+
+def test_config_with_both_score_offset_names_is_rejected(tmp_path):
+    path = write_generator_config(tmp_path / "config.json", {"score_offset": 5, "C": 20})
+    with pytest.raises(ValueError, match="'score_offset' and 'C'"):
+        load_generator_config(path)
