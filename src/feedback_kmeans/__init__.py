@@ -50,6 +50,7 @@ from .kmeans import (
     init_centroids,
     lloyd,
     repair_empty,
+    squared_distances,
     update_centroids,
 )
 from .operators import (

@@ -129,13 +129,19 @@ _EXPERIMENT_KEYS = {
 
 def _experiment_value(key: str, value):
     """Coerce one config-file or flag value to its ExperimentConfig type;
-    list settings may be JSON lists or comma-separated strings."""
+    list settings may be JSON lists or comma-separated strings, and every
+    other setting must be an integer (a bool or a fraction is rejected)."""
     if key in ("methods", "k_values"):
         raw = ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
         if key == "methods":
             return _parse_methods(raw)
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    return int(value)
+        try:
+            return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"k_values must be integers, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

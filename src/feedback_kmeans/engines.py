@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     Action,
     Clustering,
@@ -33,7 +35,7 @@ from .core import (
     TraceStep,
 )
 from .feedback import FeedbackProvider
-from .kmeans import KMeansConfig, lloyd
+from .kmeans import KMeansConfig, lloyd, squared_distances
 from .operators import (
     MIN_K,
     SMAction,
@@ -89,37 +91,50 @@ def _pick_split_target(
     return None
 
 
-# One iteration of a loop: the actions to record and the clustering they
-# produce, or None when no legal action remains (the run stalls).
-_Step = tuple[tuple[Action, ...], Clustering] | None
+# One iteration of a loop: the actions to record, the clustering they
+# produce and its distance matrix, or None when no legal action remains
+# (the run stalls).
+_Step = tuple[tuple[Action, ...], Clustering, np.ndarray] | None
 
 
 def _sme_step(
-    dataset: Dataset, current: Clustering, report: FeedbackReport, seed: int, iteration: int
+    dataset: Dataset,
+    current: Clustering,
+    distances: np.ndarray,
+    report: FeedbackReport,
+    seed: int,
+    iteration: int,
 ) -> _Step:
     """Split the worst splittable cluster, then merge the closest pair."""
     target = _pick_split_target(dataset, current, report)
     if target is None:
         return None
-    after_split = split_cluster(dataset, current, target, derive_seed(seed, "split", iteration))
+    after_split, distances = split_cluster(
+        dataset, current, distances, target, derive_seed(seed, "split", iteration)
+    )
     i, j = closest_centroid_pair(after_split)
-    return (Action.split(target), Action.merge(i, j)), merge_pair(dataset, after_split, i, j)
+    return (Action.split(target), Action.merge(i, j)), *merge_pair(dataset, after_split, distances, i, j)
 
 
 def _sm_step(
-    dataset: Dataset, current: Clustering, report: FeedbackReport, seed: int, iteration: int
+    dataset: Dataset,
+    current: Clustering,
+    distances: np.ndarray,
+    report: FeedbackReport,
+    seed: int,
+    iteration: int,
 ) -> _Step:
     """Split or merge the worst cluster, as sm_decide rules; a split falls
     back to the next-worst splittable cluster."""
     worst = worst_cluster(report)
     if sm_decide(current, worst) is SMAction.MERGE:
         partner = nearest_cluster(current, worst)
-        return (Action.merge(worst, partner),), merge_pair(dataset, current, worst, partner)
+        return (Action.merge(worst, partner),), *merge_pair(dataset, current, distances, worst, partner)
     target = _pick_split_target(dataset, current, report)  # worst, if splittable
     if target is None:
         return None
-    split = split_cluster(dataset, current, target, derive_seed(seed, "split", iteration))
-    return (Action.split(target),), split
+    split_seed = derive_seed(seed, "split", iteration)
+    return (Action.split(target),), *split_cluster(dataset, current, distances, target, split_seed)
 
 
 _STEPS = {Method.SME: _sme_step, Method.SM: _sm_step}
@@ -132,23 +147,28 @@ def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     result. The run ends after the configured iterations, once an
     evaluation reaches the target, or early, flagged as stalled, when no
     legal action remains.
+
+    The current clustering's point-to-centroid distance matrix is built once
+    from the start and carried through the split and merge operators; only
+    the current step's matrix is kept.
     """
     if k < MIN_K:
         raise ValueError(f"k={k} below the minimum cluster count")
     step = _STEPS[config.method]
     provider, target = config.feedback, config.target_evaluation
     current = lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "init")))
+    distances = squared_distances(dataset.points, current.centroids)
     report = provider.evaluate(dataset, current, provider.evaluation_rng(0))
     steps = [TraceStep(index=0, actions=(Action.init(),), clustering=current, feedback=report, is_best=True)]
     best_index, best_evaluation, stalled = 0, report.aggregate, False
     for iteration in range(1, config.iterations + 1):
         if target is not None and provider.sense.reached(report.aggregate, target):
             break
-        outcome = step(dataset, current, report, config.seed, iteration)
+        outcome = step(dataset, current, distances, report, config.seed, iteration)
         if outcome is None:
             stalled = True
             break
-        actions, current = outcome
+        actions, current, distances = outcome
         report = provider.evaluate(dataset, current, provider.evaluation_rng(iteration))
         is_best = provider.sense.better(report.aggregate, best_evaluation)
         if is_best:

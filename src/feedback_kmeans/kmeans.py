@@ -1,8 +1,9 @@
 """Lloyd's k-means with seeded random initialization.
 
 Provides the individual steps (init / assign / update / empty-cluster
-repair) as standalone operations because the split operator reuses the
-assignment pass on its own, outside a full Lloyd loop.
+repair) as standalone operations. The split operator reuses the assignment
+pass, against its two new centroids only, and the repair outside a full
+Lloyd loop; the merge operator reuses the distance kernel.
 """
 
 from __future__ import annotations
@@ -61,8 +62,14 @@ def init_centroids(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     return dataset.points[first[chosen]]
 
 
-def assign_points(dataset: Dataset, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid per point; ties go to the lowest index."""
+def assign_points(
+    dataset: Dataset, centroids: np.ndarray, *, return_distances: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest centroid per point; ties go to the lowest index.
+
+    With return_distances, returns (assignment, distances), distances being
+    the (n, k) ``squared_distances`` matrix the assignment was taken from.
+    """
     centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
     if centroids.shape[0] == 0:
         raise ValueError("centroids must be non-empty")
@@ -74,7 +81,8 @@ def assign_points(dataset: Dataset, centroids: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
         raise ValueError(f"centroids must be finite: row(s) {bad[:5].tolist()} are not")
     d2 = squared_distances(dataset.points, centroids)
-    return d2.argmin(axis=1).astype(np.int64)
+    assignment = d2.argmin(axis=1).astype(np.int64)
+    return (assignment, d2) if return_distances else assignment
 
 
 def update_centroids(

@@ -5,6 +5,15 @@ every action. A split removes the target centroid and appends the two
 replacement centroids produced by a seeded 2-means on the target's points;
 a merge removes the pair and appends the union, whose centroid is the
 arithmetic mean of the union's raw points.
+
+Both operators take the clustering's (n, k) point-to-centroid squared
+distance matrix, one column per centroid in centroid order, and return the
+new clustering's matrix with it: the removed centroids' columns are dropped
+and the new centroids' columns appended, so only the changed columns are
+computed (for a split, by an ``assign_points`` pass against the two
+children). Each column equals the one a full ``squared_distances`` call
+would give, bit for bit, so the split's nearest-centroid pass over the
+updated matrix is the full reassignment's.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import math
 import numpy as np
 
 from .core import Clustering, Dataset, FeedbackReport
-from .kmeans import KMeansConfig, assign_points, lloyd, repair_empty
+from .kmeans import KMeansConfig, assign_points, lloyd, repair_empty, squared_distances
 
 MIN_K = 2  # fewest clusters any clustering may have; no merge goes below it
 
@@ -51,13 +60,35 @@ def bisect_cluster(
     return child.centroids, child.assignment
 
 
-def split_cluster(dataset: Dataset, clustering: Clustering, target: int, seed: int) -> Clustering:
+def _replace_columns(
+    dataset: Dataset,
+    clustering: Clustering,
+    distances: np.ndarray,
+    drop: list[int],
+    new_columns: np.ndarray,
+) -> np.ndarray:
+    """The clustering's distance matrix without the dropped clusters'
+    columns, followed by new_columns."""
+    if distances.shape != (dataset.n_points, clustering.k):
+        raise ValueError(
+            f"distances have shape {distances.shape}, expected ({dataset.n_points}, {clustering.k})"
+        )
+    return np.hstack([np.delete(distances, drop, axis=1), new_columns])
+
+
+def split_cluster(
+    dataset: Dataset, clustering: Clustering, distances: np.ndarray, target: int, seed: int
+) -> tuple[Clustering, np.ndarray]:
     """Replace the target cluster with two children, then re-derive every
     cluster as the set of points sharing the same closest centroid.
 
-    The single global assignment pass (no centroid update afterwards) may
-    move points between any clusters; clusters emptied by it are repaired.
-    The result has k+1 clusters.
+    distances is the clustering's (n, k) squared distance matrix. The
+    target's column is replaced by the two children's, computed by one
+    ``assign_points`` pass against the children alone, and the single global
+    assignment pass (no centroid update afterwards) is the row-wise argmin
+    of the result, ties to the lowest id; it may move points between any
+    clusters, and clusters emptied by it are repaired, with their columns
+    recomputed. Returns the clustering, with k+1 clusters, and its matrix.
     """
     if not 0 <= target < clustering.k:
         raise ValueError(f"split target {target} out of range for k={clustering.k}")
@@ -65,17 +96,26 @@ def split_cluster(dataset: Dataset, clustering: Clustering, target: int, seed: i
     kept = np.delete(clustering.centroids, target, axis=0)
     new_centroids = np.vstack([kept, child_centroids])
     new_k = clustering.k + 1
-    assignment = assign_points(dataset, new_centroids)
-    if (np.bincount(assignment, minlength=new_k) == 0).any():
-        return repair_empty(dataset, assignment, new_centroids)
-    return Clustering(assignment=assignment, centroids=new_centroids, k=new_k)
+    _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
+    distances = _replace_columns(dataset, clustering, distances, [target], child_columns)
+    assignment = distances.argmin(axis=1).astype(np.int64, copy=False)
+    empties = np.flatnonzero(np.bincount(assignment, minlength=new_k) == 0)
+    if empties.size:
+        repaired = repair_empty(dataset, assignment, new_centroids)
+        distances[:, empties] = squared_distances(dataset.points, repaired.centroids[empties])
+        return repaired, distances
+    return Clustering(assignment=assignment, centroids=new_centroids, k=new_k), distances
 
 
-def merge_pair(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clustering:
+def merge_pair(
+    dataset: Dataset, clustering: Clustering, distances: np.ndarray, i: int, j: int
+) -> tuple[Clustering, np.ndarray]:
     """Replace clusters i and j by their union, appended as the last id.
 
     The union's centroid is the arithmetic mean of its raw points. No
-    reassignment pass is run; k decreases by one.
+    reassignment pass is run; k decreases by one. distances is the
+    clustering's (n, k) squared distance matrix; the merged clustering's
+    matrix is returned with it.
     """
     if i == j:
         raise ValueError("cannot merge a cluster with itself")
@@ -91,11 +131,13 @@ def merge_pair(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clus
     remap = np.empty(clustering.k, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     remap[[i, j]] = len(kept)
-    return Clustering(
+    merged = Clustering(
         assignment=remap[clustering.assignment],
         centroids=new_centroids,
         k=clustering.k - 1,
     )
+    union_column = squared_distances(dataset.points, union_centroid[None, :])
+    return merged, _replace_columns(dataset, clustering, distances, [i, j], union_column)
 
 
 def _centroid_distances(clustering: Clustering) -> np.ndarray:

@@ -191,13 +191,39 @@ def build_oracle_profile(
     )
 
 
+# The keys a generator config JSON may hold: at the top level, in each
+# segment and in the optional "oracle" block ("C" is score_offset's other
+# name).
+_CONFIG_KEYS = ("n_points", "seed", "segments", "oracle")
+_SEGMENT_KEYS = (
+    "id", "mixture_weight", "feature_means", "feature_stddevs", "oracle_weights", "booking_lognormal",
+)
+_ORACLE_KEYS = ("score_offset", "C", "noise_sigma", "sample_size", "eval_pool_fraction")
+
+
+def _check_keys(path: str | Path, where: str, block, accepted: tuple[str, ...]) -> None:
+    if not isinstance(block, dict):
+        raise ValueError(f"generator config {path}: {where} must be a JSON object")
+    unknown = sorted(set(block) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"generator config {path}: unknown {where} key(s) {', '.join(unknown)} "
+            f"(accepted: {', '.join(accepted)})"
+        )
+
+
 def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
-    """Parse a generator config JSON.
+    """Parse a generator config JSON; a key it does not know is an error.
 
     Returns the config plus the optional "oracle" knob object (score offset,
     noise, sample size, pool fraction) to forward to build_oracle_profile.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    _check_keys(path, "top-level", payload, _CONFIG_KEYS)
+    for index, segment in enumerate(payload.get("segments", [])):
+        _check_keys(path, f"segment {index}", segment, _SEGMENT_KEYS)
+    oracle = payload.get("oracle", {})
+    _check_keys(path, "oracle", oracle, _ORACLE_KEYS)
     try:
         segments = tuple(
             SegmentSpec(
@@ -217,19 +243,9 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
         )
     except KeyError as missing:
         raise ValueError(f"generator config {path}: missing field {missing}") from None
-    oracle = payload.get("oracle", {})
     if "score_offset" in oracle and "C" in oracle:
         raise ValueError(f"generator config {path}: oracle sets both 'score_offset' and 'C'")
-    oracle_kwargs = {}
-    for src, dst in (
-        ("score_offset", "score_offset"),
-        ("C", "score_offset"),
-        ("noise_sigma", "noise_sigma"),
-        ("sample_size", "sample_size"),
-        ("eval_pool_fraction", "eval_pool_fraction"),
-    ):
-        if src in oracle:
-            oracle_kwargs[dst] = oracle[src]
+    oracle_kwargs = {"score_offset" if key == "C" else key: value for key, value in oracle.items()}
     return config, oracle_kwargs
 
 

@@ -261,6 +261,30 @@ def test_experiment_config_unknown_key_is_named(tmp_path, generated, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"repeats": 2.9}, "repeats must be an integer, got 2.9"),
+        ({"sme_iterations": True}, "sme_iterations must be an integer, got True"),
+        ({"repeats": "abc"}, "repeats must be an integer, got 'abc'"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"k_values": [2, 2.5]}, "k_values must be integers, got [2, 2.5]"),
+        ({"k_values": [True]}, "k_values must be integers, got [True]"),
+    ],
+)
+def test_experiment_config_value_that_is_not_an_integer_is_named(tmp_path, capsys, setting, message):
+    exp_config = tmp_path / "exp.json"
+    exp_config.write_text(json.dumps({"methods": ["sme:rss"], "k_values": [2], **setting}))
+    code = main(
+        [
+            "experiment", "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r"),
+            "--config", str(exp_config),
+        ]
+    )
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_experiment_bad_grid_setting_fails_before_loading_data(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     code = main(

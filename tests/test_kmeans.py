@@ -106,6 +106,9 @@ def test_assign_hand_computed_two_centroids():
     ds = make_dataset([[4.0, 1.0], [6.0, -1.0]])
     centroids = np.array([[0.0, 0.0], [10.0, 0.0]])
     assert assign_points(ds, centroids).tolist() == [0, 1]
+    assignment, distances = assign_points(ds, centroids, return_distances=True)
+    assert assignment.tolist() == [0, 1]
+    assert distances.tolist() == [[17.0, 37.0], [37.0, 17.0]]
 
 
 def test_assign_rejects_dimension_mismatch():
@@ -125,15 +128,18 @@ def test_assign_rejects_non_finite_centroids():
 
 
 def test_squared_distances_rows_do_not_depend_on_the_batch():
-    # The bounded Lloyd recomputes subsets of rows and must get the values a
+    # The bounded Lloyd recomputes subsets of rows, and split and merge
+    # compute only the new centroids' columns; both must get the values a
     # full pass would.
     rng = np.random.default_rng(8)
-    for n, k, d in ((500, 7, 8), (40, 1, 3), (30, 16, 5), (9, 2, 1)):
+    for n, k, d in ((500, 7, 8), (40, 1, 3), (30, 16, 5), (9, 2, 1), (200, 17, 8), (60, 5, 2)):
         points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
         centroids = rng.normal(size=(k, d))
         full = squared_distances(points, centroids)
         for rows in (np.arange(1), np.flatnonzero(rng.random(n) < 0.3), rng.integers(0, n, 3)):
             assert squared_distances(points[rows], centroids).tobytes() == full[rows].tobytes()
+        for cols in (np.arange(1), [k - 1], np.flatnonzero(rng.random(k) < 0.5), rng.integers(0, k, 2)):
+            assert squared_distances(points, centroids[cols]).tobytes() == full[:, cols].tobytes()
 
 
 # ---------------------------------------------------------------- update

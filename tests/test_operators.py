@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from feedback_kmeans import (
     Clustering,
+    assign_points,
     FeedbackReport,
     Sense,
     SMAction,
@@ -13,8 +14,10 @@ from feedback_kmeans import (
     is_splittable,
     merge_pair,
     nearest_cluster,
+    repair_empty,
     sm_decide,
     split_cluster,
+    squared_distances,
     update_centroids,
     validate_clustering,
     worst_cluster,
@@ -27,6 +30,11 @@ def clustering_from_assignment(dataset, assignment, k):
     centroids, empties = update_centroids(dataset, np.asarray(assignment), k)
     assert empties == []
     return Clustering(assignment=assignment, centroids=centroids, k=k)
+
+
+def distances_of(dataset, clustering):
+    """The clustering's (n, k) squared distance matrix, as the operators take it."""
+    return squared_distances(dataset.points, clustering.centroids)
 
 
 def clustering_with_sizes(sizes):
@@ -54,7 +62,7 @@ def test_split_increases_k_and_stays_valid():
     rng = np.random.default_rng(0)
     ds = make_dataset(rng.normal(size=(40, 3)))
     clustering = clustering_from_assignment(ds, rng.integers(0, 3, 40), 3)
-    out = split_cluster(ds, clustering, target=1, seed=7)
+    out, _ = split_cluster(ds, clustering, distances_of(ds, clustering), target=1, seed=7)
     assert out.k == clustering.k + 1
     assert validate_clustering(ds, out) == []
     # multiset of points untouched: same dataset, same total
@@ -65,7 +73,7 @@ def test_split_rejects_singleton():
     ds = make_dataset([[0.0], [5.0], [6.0]])
     clustering = clustering_from_assignment(ds, np.array([0, 1, 1]), 2)
     with pytest.raises(ValueError, match="singleton"):
-        split_cluster(ds, clustering, target=0, seed=0)
+        split_cluster(ds, clustering, distances_of(ds, clustering), target=0, seed=0)
 
 
 def test_split_rejects_duplicate_only_cluster():
@@ -73,7 +81,7 @@ def test_split_rejects_duplicate_only_cluster():
     clustering = clustering_from_assignment(ds, np.array([0, 0, 1]), 2)
     assert not is_splittable(ds, clustering, 0)
     with pytest.raises(ValueError, match="distinct"):
-        split_cluster(ds, clustering, target=0, seed=0)
+        split_cluster(ds, clustering, distances_of(ds, clustering), target=0, seed=0)
 
 
 def test_split_local_improvement_property():
@@ -112,7 +120,7 @@ def test_split_separates_heterogeneous_x_values():
 def test_merge_two_singletons():
     ds = make_dataset([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0]])
     clustering = clustering_from_assignment(ds, np.array([0, 1, 2]), 3)
-    merged = merge_pair(ds, clustering, 0, 1)
+    merged, _ = merge_pair(ds, clustering, distances_of(ds, clustering), 0, 1)
     assert merged.k == 2
     # union appended as the last id
     np.testing.assert_array_equal(merged.centroids[1], [1.0, 1.0])
@@ -125,7 +133,7 @@ def test_merge_centroid_equals_size_weighted_mean():
     ds = make_dataset(rng.normal(size=(30, 2)))
     assignment = np.concatenate([np.arange(3), rng.integers(0, 3, 27)])
     clustering = clustering_from_assignment(ds, assignment, 3)
-    merged = merge_pair(ds, clustering, 0, 2)
+    merged, _ = merge_pair(ds, clustering, distances_of(ds, clustering), 0, 2)
     sizes = clustering.sizes()
     weighted = (
         sizes[0] * clustering.centroids[0] + sizes[2] * clustering.centroids[2]
@@ -138,7 +146,7 @@ def test_merge_centroid_equals_size_weighted_mean():
 
 def test_merge_preserves_point_multiset():
     ds, clustering = clustering_with_sizes([3, 2, 4])
-    merged = merge_pair(ds, clustering, 0, 1)
+    merged, _ = merge_pair(ds, clustering, distances_of(ds, clustering), 0, 1)
     assert merged.sizes().sum() == ds.n_points
     assert sorted(merged.sizes().tolist()) == sorted([4, 5])
 
@@ -146,15 +154,15 @@ def test_merge_preserves_point_multiset():
 def test_merge_minimum_cluster_count():
     ds, clustering = clustering_with_sizes([2, 2])
     with pytest.raises(ValueError, match="minimum cluster count"):
-        merge_pair(ds, clustering, 0, 1)
+        merge_pair(ds, clustering, distances_of(ds, clustering), 0, 1)
 
 
 def test_merge_rejects_same_or_invalid_ids():
     ds, clustering = clustering_with_sizes([2, 2, 2])
     with pytest.raises(ValueError):
-        merge_pair(ds, clustering, 1, 1)
+        merge_pair(ds, clustering, distances_of(ds, clustering), 1, 1)
     with pytest.raises(ValueError):
-        merge_pair(ds, clustering, 0, 5)
+        merge_pair(ds, clustering, distances_of(ds, clustering), 0, 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,14 +178,91 @@ def test_split_then_merge_keep_clusterings_valid(seed):
     if not splittable:
         return
     target = splittable[int(rng.integers(0, len(splittable)))]
-    grown = split_cluster(ds, clustering, target, seed=seed)
+    grown, distances = split_cluster(ds, clustering, distances_of(ds, clustering), target, seed=seed)
     assert grown.k == k + 1
     assert validate_clustering(ds, grown) == []
     i, j = closest_centroid_pair(grown)
-    shrunk = merge_pair(ds, grown, i, j)
+    shrunk, _ = merge_pair(ds, grown, distances, i, j)
     assert shrunk.k == k
     assert validate_clustering(ds, shrunk) == []
     assert shrunk.sizes().sum() == grown.sizes().sum() == n
+
+
+def reference_split(dataset, clustering, target, seed):
+    """The split with a full reassignment pass over every centroid."""
+    child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
+    centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
+    return repair_empty(dataset, assign_points(dataset, centroids), centroids)
+
+
+def assert_same_clustering(actual, expected):
+    assert actual.k == expected.k
+    assert actual.assignment.tobytes() == expected.assignment.tobytes()
+    assert actual.centroids.tobytes() == expected.centroids.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=4, max_value=200),
+    d=st.integers(min_value=1, max_value=5),
+    duplicate_heavy=st.booleans(),
+    actions=st.lists(st.sampled_from(["split", "split", "merge"]), min_size=2, max_size=10),
+)
+def test_carried_distances_equal_a_full_recompute(seed, n, d, duplicate_heavy, actions):
+    rng = np.random.default_rng(seed)
+    if duplicate_heavy:  # a few distinct values, most points repeated
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    ds = make_dataset(points)
+    k = int(min(rng.integers(2, 6), len(np.unique(points, axis=0))))
+    if k < 2:
+        return
+    # Arbitrary groups' means sit near the overall mean, so splits often
+    # empty a kept cluster and go through the repair.
+    assignment = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    clustering = clustering_from_assignment(ds, assignment, k)
+    distances = distances_of(ds, clustering)
+    for step, action in enumerate(actions):
+        splittable = [c for c in range(clustering.k) if is_splittable(ds, clustering, c)]
+        if action == "split" and splittable:
+            target = splittable[int(rng.integers(0, len(splittable)))]
+            expected = reference_split(ds, clustering, target, seed + step)
+            clustering, distances = split_cluster(ds, clustering, distances, target, seed + step)
+            assert_same_clustering(clustering, expected)
+        elif action == "merge" and clustering.k > 2:
+            i, j = (int(c) for c in rng.choice(clustering.k, size=2, replace=False))
+            clustering, distances = merge_pair(ds, clustering, distances, i, j)
+        else:
+            continue
+        assert validate_clustering(ds, clustering) == []
+        assert distances.tobytes() == distances_of(ds, clustering).tobytes()
+
+
+def test_split_that_empties_a_kept_cluster_repairs_it_and_its_column():
+    # Cluster 0's mean (10.33) loses points 0 and 1 to child 8.5 and point 30
+    # to child 12.5, so the reassignment empties it.
+    ds = make_dataset([[0.0], [1.0], [30.0], [8.0], [9.0], [12.0], [13.0]])
+    clustering = clustering_from_assignment(ds, np.array([0, 0, 0, 1, 1, 1, 1]), 2)
+    child_centroids, _ = bisect_cluster(ds, clustering, target=1, seed=0)
+    centroids = np.vstack([clustering.centroids[:1], child_centroids])
+    assert 0 not in assign_points(ds, centroids)
+    out, distances = split_cluster(ds, clustering, distances_of(ds, clustering), target=1, seed=0)
+    assert_same_clustering(out, reference_split(ds, clustering, target=1, seed=0))
+    assert out.centroids.tobytes() != centroids.tobytes()  # the repair moved centroid 0
+    assert validate_clustering(ds, out) == []
+    assert distances.tobytes() == distances_of(ds, out).tobytes()
+
+
+def test_operators_reject_a_distance_matrix_of_another_shape():
+    ds, clustering = clustering_with_sizes([2, 3, 2])
+    distances = distances_of(ds, clustering)
+    for bad in (distances[:, :2], distances[:-1], distances.T):
+        with pytest.raises(ValueError, match="distances have shape"):
+            split_cluster(ds, clustering, bad, target=1, seed=0)
+        with pytest.raises(ValueError, match="distances have shape"):
+            merge_pair(ds, clustering, bad, 0, 1)
 
 
 # ---------------------------------------------------------------- closest pair

@@ -236,3 +236,32 @@ def test_config_with_both_score_offset_names_is_rejected(tmp_path):
     path = write_generator_config(tmp_path / "config.json", {"score_offset": 5, "C": 20})
     with pytest.raises(ValueError, match="'score_offset' and 'C'"):
         load_generator_config(path)
+
+
+def config_payload(tmp_path):
+    path = write_generator_config(tmp_path / "config.json", {"noise_sigma": 0.1})
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("where, key", [("top-level", "n_point"), ("segment 0", "weights"), ("oracle", "noise")])
+def test_config_with_an_unknown_key_is_rejected_by_name(tmp_path, where, key):
+    path, payload = config_payload(tmp_path)
+    block = {"top-level": payload, "segment 0": payload["segments"][0], "oracle": payload["oracle"]}[where]
+    block[key] = 0.3
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"unknown {where} key\(s\) {key} \(accepted: "):
+        load_generator_config(path)
+
+
+@pytest.mark.parametrize("where", ["top-level", "segment 0", "oracle"])
+def test_config_blocks_must_be_objects(tmp_path, where):
+    path, payload = config_payload(tmp_path)
+    if where == "top-level":
+        payload = [payload]
+    elif where == "segment 0":
+        payload["segments"] = [[1, 2]]
+    else:
+        payload["oracle"] = [0.3]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"{where} must be a JSON object"):
+        load_generator_config(path)
