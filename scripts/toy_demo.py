@@ -62,10 +62,10 @@ def main() -> None:
     trace = run_engine(dataset, 2, config)
 
     print("feedback: per-cluster x variance (lower is better)\n")
-    for step in trace.steps:
+    for index, (step, is_best) in enumerate(zip(trace.steps, trace.best_flags)):
         actions = "+".join(a.label() for a in step.actions)
-        flag = "  <- new best" if step.is_best else ""
-        print(f"step {step.index} [{actions}] k={step.k} aggregate={step.feedback.aggregate:.3f}{flag}")
+        flag = "  <- new best" if is_best else ""
+        print(f"step {index} [{actions}] k={step.k} aggregate={step.feedback.aggregate:.3f}{flag}")
         print(f"    {describe(dataset, step.clustering)}")
     best, evaluation = best_clustering(trace)
     print(f"\nbest clustering: step {trace.best_step_index}, aggregate {evaluation:.3f}, k={best.k}")

@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engines, harness, ingest, synth
-from .core import Sense
+from .core import Sense, as_integer
 from .feedback import load_oracle_profile, provider_from_name, save_oracle_profile
 from .rng import derive_seed
 
@@ -139,9 +139,7 @@ def _experiment_value(key: str, value):
             return tuple(int(tok) for tok in raw.replace(",", " ").split())
         except ValueError:
             raise ValueError(f"k_values must be integers, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    return as_integer(key, value)
 
 
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -250,25 +248,10 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
     for rec in records[1:]:
         if "init" in rec["action"]:
             violations.append(f"step {rec['step']}: init action after step 0")
+    # is_best marks step 0 and each strict improvement, in either orientation.
     aggregates = [rec["aggregate"] for rec in records]
-    best_steps = [rec["step"] for rec in records if rec["is_best"]]
-    if not best_steps or 0 not in best_steps:
-        violations.append("step 0 must be marked as the initial best")
-    # is_best marks strict improvements; each flagged step must beat every
-    # earlier aggregate in one orientation or the other.
-    for sense in (Sense.HIGHER_IS_BETTER, Sense.LOWER_IS_BETTER):
-        ok = True
-        best = aggregates[0]
-        for rec in records[1:]:
-            improved = sense.better(rec["aggregate"], best)
-            if improved:
-                best = rec["aggregate"]
-            if improved != rec["is_best"]:
-                ok = False
-                break
-        if ok:
-            break
-    else:
+    flags = [rec["is_best"] for rec in records]
+    if all(flags != sense.best_flags(aggregates) for sense in Sense):
         violations.append("is_best flags are inconsistent with every evaluation orientation")
     if method == "sme":
         ks = {rec["k"] for rec in records}

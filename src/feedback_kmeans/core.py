@@ -37,6 +37,23 @@ class Sense(enum.Enum):
         sign = -1.0 if self is Sense.LOWER_IS_BETTER else 1.0
         return sorted(range(len(values)), key=lambda i: (sign * values[i], i))
 
+    def best_flags(self, values) -> list[bool]:
+        """True for the first value and for each value strictly better than
+        every value before it: the steps at which a run's best changes."""
+        flags, best = [], None
+        for value in values:
+            flags.append(best is None or self.better(value, best))
+            if flags[-1]:
+                best = value
+        return flags
+
+
+def as_integer(name: str, value) -> int:
+    """value as an int; a bool, a fraction or a non-number is rejected by name."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 # The two helpers below freeze a copy when the input is itself a writeable
 # array, so building a value never makes the caller's array read-only; an
@@ -166,22 +183,24 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class Clustering:
-    """An assignment of every point to one of k dense cluster ids.
+    """An assignment of every point to one of k dense cluster ids, one per centroid.
 
     Construction only coerces dtypes; structural invariants (surjectivity,
-    dense ids, matching centroid count) are reported by
+    dense ids, matching feature dimension) are reported by
     :func:`validate_clustering` so that malformed values can be inspected.
     """
 
     assignment: np.ndarray  # (n_points,) int64, values in {0..k-1}
     centroids: np.ndarray  # (k, n_features) float64
-    k: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", _frozen_i64(self.assignment, "assignment"))
         centroids = _frozen_f64(np.atleast_2d(self.centroids), "centroids", ndim=2)
         object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(self, "k", int(self.k))
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
 
     def sizes(self) -> np.ndarray:
         """Cluster sizes indexed by cluster id (0 for empty ids)."""
@@ -247,14 +266,13 @@ class TraceStep:
 
     The initial step carries the single "init" action; an iteration of the
     paired split+merge loop carries both its actions because it is evaluated
-    only once, after the pair.
+    only once, after the pair. A step's number is its position in the
+    trace; whether it is a new best is RunTrace.best_flags.
     """
 
-    index: int
     actions: tuple[Action, ...]
     clustering: Clustering
     feedback: FeedbackReport
-    is_best: bool
 
     @property
     def k(self) -> int:
@@ -265,14 +283,12 @@ class TraceStep:
 class RunTrace:
     """Ordered record of an engine run.
 
-    best_evaluation is the optimum (per sense) over all recorded aggregate
-    evaluations, reached first at best_step_index. stalled marks runs that
-    terminated early because no legal action remained.
+    best_flags, best_step_index and best_evaluation derive from the steps'
+    evaluations: the best step is the first optimum per sense. stalled marks
+    runs that terminated early because no legal action remained.
     """
 
     steps: tuple[TraceStep, ...]
-    best_step_index: int
-    best_evaluation: float
     seed: int
     stalled: bool = False
 
@@ -289,6 +305,19 @@ class RunTrace:
     def evaluations(self) -> list[float]:
         return [s.feedback.aggregate for s in self.steps]
 
+    @functools.cached_property
+    def best_flags(self) -> tuple[bool, ...]:
+        """Per step, Sense.best_flags of the aggregate evaluations."""
+        return tuple(self.sense.best_flags(self.evaluations()))
+
+    @property
+    def best_step_index(self) -> int:
+        return max(i for i, is_best in enumerate(self.best_flags) if is_best)
+
+    @property
+    def best_evaluation(self) -> float:
+        return self.steps[self.best_step_index].feedback.aggregate
+
     def action_count(self) -> int:
         """Number of elementary split/merge actions recorded."""
         return sum(1 for s in self.steps for a in s.actions if a.kind != "init")
@@ -298,24 +327,17 @@ def validate_clustering(dataset: Dataset, clustering: Clustering) -> list[str]:
     """Check a clustering against a dataset; violations are data, not errors.
 
     Returns an empty list iff the assignment covers every point, every id in
-    {0..k-1} is used (dense, surjective), and centroids match k and the
-    feature dimension.
+    {0..k-1} is used (dense, surjective), and centroids match the feature
+    dimension.
     """
     violations: list[str] = []
     n = dataset.n_points
     assignment = clustering.assignment
-    if clustering.k < 1:
-        violations.append(f"k must be positive, got {clustering.k}")
-        return violations
     if assignment.shape[0] != n:
         violations.append(
             f"assignment length mismatch: {assignment.shape[0]} entries for {n} points"
         )
         return violations
-    if clustering.centroids.shape[0] != clustering.k:
-        violations.append(
-            f"centroid count mismatch: {clustering.centroids.shape[0]} centroids for k={clustering.k}"
-        )
     if clustering.centroids.shape[1] != dataset.n_features:
         violations.append(
             f"centroid dimension mismatch: {clustering.centroids.shape[1]} != {dataset.n_features}"

@@ -12,9 +12,9 @@ S/M: every iteration applies exactly one action, split or merge, chosen
 from the worst cluster's size rank, merges with the nearest centroid, and
 evaluates after each action; the cluster count may drift.
 
-Both stop early once an evaluation reaches the configured target, and both
-track the best evaluation seen (strictly better per sense) but always
-continue from the current clustering, never rolling back.
+Both stop early once an evaluation reaches the configured target and always
+continue from the current clustering, never rolling back; the trace derives
+the best evaluation seen (strictly better per sense).
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     current = lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "init")))
     distances = squared_distances(dataset.points, current.centroids)
     report = provider.evaluate(dataset, current, provider.evaluation_rng(0))
-    steps = [TraceStep(index=0, actions=(Action.init(),), clustering=current, feedback=report, is_best=True)]
-    best_index, best_evaluation, stalled = 0, report.aggregate, False
+    steps = [TraceStep(actions=(Action.init(),), clustering=current, feedback=report)]
+    stalled = False
     for iteration in range(1, config.iterations + 1):
         if target is not None and provider.sense.reached(report.aggregate, target):
             break
@@ -170,19 +170,8 @@ def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
             break
         actions, current, distances = outcome
         report = provider.evaluate(dataset, current, provider.evaluation_rng(iteration))
-        is_best = provider.sense.better(report.aggregate, best_evaluation)
-        if is_best:
-            best_index, best_evaluation = iteration, report.aggregate
-        steps.append(
-            TraceStep(index=iteration, actions=actions, clustering=current, feedback=report, is_best=is_best)
-        )
-    return RunTrace(
-        steps=tuple(steps),
-        best_step_index=best_index,
-        best_evaluation=best_evaluation,
-        seed=config.seed,
-        stalled=stalled,
-    )
+        steps.append(TraceStep(actions=actions, clustering=current, feedback=report))
+    return RunTrace(steps=tuple(steps), seed=config.seed, stalled=stalled)
 
 
 def best_clustering(trace: RunTrace) -> tuple[Clustering, float]:
@@ -194,14 +183,14 @@ def trace_records(trace: RunTrace) -> list[dict]:
     """Flat export records, one per step."""
     return [
         {
-            "step": step.index,
+            "step": index,
             "action": "+".join(a.label() for a in step.actions),
             "k": step.k,
             "per_cluster_feedback": [float(v) for v in step.feedback.per_cluster],
             "aggregate": float(step.feedback.aggregate),
-            "is_best": bool(step.is_best),
+            "is_best": is_best,
         }
-        for step in trace.steps
+        for index, (step, is_best) in enumerate(zip(trace.steps, trace.best_flags))
     ]
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, validate_clustering
+from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, validate_clustering
 from .rng import substream
 
 BASELINE_EPSILON = 1e-12
@@ -340,15 +340,20 @@ def save_oracle_profile(profile: OracleProfile, path: str | Path) -> None:
 def load_oracle_profile(path: str | Path, rng_seed: int = 0) -> OracleProfile:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        if not isinstance(payload, dict):
+            raise ValueError("top level must be a JSON object")
+        if not isinstance(payload["segments"], dict):
+            raise ValueError("field 'segments' must be a JSON object of segment id -> weights")
         segments = {int(seg): np.asarray(w, dtype=np.float64) for seg, w in payload["segments"].items()}
         return OracleProfile(
             segment_weights=segments,
-            m=int(payload["m"]),
+            m=as_integer("m", payload["m"]),
             score_offset=float(payload["C"]),
             noise_sigma=float(payload["noise_sigma"]),
-            sample_size=int(payload["sample_size"]),
+            sample_size=as_integer("sample_size", payload["sample_size"]),
             eval_pool_fraction=float(payload["eval_pool_fraction"]),
             rng_seed=int(rng_seed),
         )
-    except KeyError as missing:
-        raise ValueError(f"oracle profile {path}: missing field {missing}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"oracle profile {path}: {detail}") from None

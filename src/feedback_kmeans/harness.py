@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from statistics import mean
 
-from .core import Clustering, Dataset, Sense
+from .core import Clustering, Dataset, Sense, as_integer
 from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
 from .feedback import FeedbackProvider, OracleProfile, provider_from_name, relative_change
 from .kmeans import KMeansConfig, lloyd
@@ -55,7 +55,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        object.__setattr__(self, "k_values", tuple(as_integer("k_values", k) for k in self.k_values))
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if any(k < MIN_K for k in self.k_values):

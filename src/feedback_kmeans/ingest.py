@@ -57,8 +57,9 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
     """Load a dataset CSV with the 8-feature schema.
 
     Each of the OPTIONAL_COLUMNS loads when the file has it; unrecognized
-    columns are ignored with a warning. Non-numeric and non-finite (nan,
-    inf) feature cells fail the load with their file line numbers.
+    columns are ignored with a warning. Repeated column names, non-numeric
+    and non-finite (nan, inf) feature cells fail the load, cells with their
+    file line numbers.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -68,6 +69,9 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated column(s): {', '.join(repeated)}")
         missing = [name for name in FEATURE_NAMES if name not in header]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")

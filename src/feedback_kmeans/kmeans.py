@@ -133,7 +133,7 @@ def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
         )
     empties = np.flatnonzero(np.bincount(assignment, minlength=k) == 0)
     if not empties.size:
-        return Clustering(assignment=assignment, centroids=centroids, k=k)
+        return Clustering(assignment=assignment, centroids=centroids)
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
     for empty in empties:
@@ -147,7 +147,7 @@ def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
         donor_point = int(np.argmax(dist))
         centroids[empty] = dataset.points[donor_point]
         assignment[donor_point] = empty
-    return Clustering(assignment=assignment, centroids=centroids, k=k)
+    return Clustering(assignment=assignment, centroids=centroids)
 
 
 def _nearest_with_bounds(
@@ -218,7 +218,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
             lower.fill(-np.inf)
         if not repaired and moved2.max() <= TOLERANCE:
             break
-    return Clustering(assignment=assignment, centroids=centroids, k=config.k), history
+    return Clustering(assignment=assignment, centroids=centroids), history
 
 
 def lloyd(dataset: Dataset, config: KMeansConfig) -> Clustering:

@@ -95,16 +95,15 @@ def split_cluster(
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
     kept = np.delete(clustering.centroids, target, axis=0)
     new_centroids = np.vstack([kept, child_centroids])
-    new_k = clustering.k + 1
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
     distances = _replace_columns(dataset, clustering, distances, [target], child_columns)
     assignment = distances.argmin(axis=1).astype(np.int64, copy=False)
-    empties = np.flatnonzero(np.bincount(assignment, minlength=new_k) == 0)
+    empties = np.flatnonzero(np.bincount(assignment, minlength=len(new_centroids)) == 0)
     if empties.size:
         repaired = repair_empty(dataset, assignment, new_centroids)
         distances[:, empties] = squared_distances(dataset.points, repaired.centroids[empties])
         return repaired, distances
-    return Clustering(assignment=assignment, centroids=new_centroids, k=new_k), distances
+    return Clustering(assignment=assignment, centroids=new_centroids), distances
 
 
 def merge_pair(
@@ -131,11 +130,7 @@ def merge_pair(
     remap = np.empty(clustering.k, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     remap[[i, j]] = len(kept)
-    merged = Clustering(
-        assignment=remap[clustering.assignment],
-        centroids=new_centroids,
-        k=clustering.k - 1,
-    )
+    merged = Clustering(assignment=remap[clustering.assignment], centroids=new_centroids)
     union_column = squared_distances(dataset.points, union_centroid[None, :])
     return merged, _replace_columns(dataset, clustering, distances, [i, j], union_column)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, as_integer
 from .feedback import OracleProfile
 
 FEATURE_NAMES = (
@@ -227,22 +227,23 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
     try:
         segments = tuple(
             SegmentSpec(
-                id=int(s["id"]),
+                id=as_integer(f"segment {index} id", s["id"]),
                 mixture_weight=float(s["mixture_weight"]),
                 feature_means=s["feature_means"],
                 feature_stddevs=s["feature_stddevs"],
                 oracle_weights=s["oracle_weights"],
                 booking_lognormal=tuple(s["booking_lognormal"]),
             )
-            for s in payload["segments"]
+            for index, s in enumerate(payload["segments"])
         )
         config = GeneratorConfig(
-            n_points=int(payload["n_points"]),
+            n_points=as_integer("n_points", payload["n_points"]),
             segments=segments,
-            seed=int(payload["seed"]),
+            seed=as_integer("seed", payload["seed"]),
         )
-    except KeyError as missing:
-        raise ValueError(f"generator config {path}: missing field {missing}") from None
+    except (KeyError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"generator config {path}: {detail}") from None
     if "score_offset" in oracle and "C" in oracle:
         raise ValueError(f"generator config {path}: oracle sets both 'score_offset' and 'C'")
     oracle_kwargs = {"score_offset" if key == "C" else key: value for key, value in oracle.items()}

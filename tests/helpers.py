@@ -79,7 +79,7 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
             assignment, centroids = clustering.assignment, clustering.centroids
         if not repaired and shift <= TOLERANCE:
             break
-    return Clustering(assignment=assignment, centroids=centroids, k=config.k), iterations
+    return Clustering(assignment=assignment, centroids=centroids), iterations
 
 
 def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:

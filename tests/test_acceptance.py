@@ -57,7 +57,7 @@ def _random_valid_clustering(rng, n, k, dim):
     ds = make_dataset(points)
     assignment = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
     centroids = points[rng.choice(n, size=k, replace=False)]
-    return ds, Clustering(assignment=assignment, centroids=centroids, k=k)
+    return ds, Clustering(assignment=assignment, centroids=centroids)
 
 
 def test_c01_rss_aggregate_matches_flat_sum():
@@ -166,7 +166,7 @@ def test_c05_split_local_improvement():
         centroids, empties = update_centroids(ds, assignment, k)
         if empties:
             continue
-        clustering = Clustering(assignment=assignment, centroids=centroids, k=k)
+        clustering = Clustering(assignment=assignment, centroids=centroids)
         target = int(rng.integers(0, k))
         members = clustering.members(target)
         if members.size < 2:

@@ -48,7 +48,7 @@ def test_custom_evaluate_looks_up_the_oracle_at_call_time(monkeypatch):
         bookings=np.arange(6, 0, -1),
         hidden_segment=np.zeros(6, dtype=np.int64),
     )
-    clustering = Clustering(assignment=[0, 0, 1, 1, 2, 2], centroids=[[0.05], [5.05], [9.05]], k=3)
+    clustering = Clustering(assignment=[0, 0, 1, 1, 2, 2], centroids=[[0.05], [5.05], [9.05]])
     provider = CustomizabilityFeedback(OracleProfile(segment_weights={0: np.array([1.0, 0.0])}))
     provider.evaluate(ds, clustering, provider.evaluation_rng(0))
     assert len(calls) == 3

@@ -285,6 +285,18 @@ def test_experiment_config_value_that_is_not_an_integer_is_named(tmp_path, capsy
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [[], {"m": 2, "segments": [[1.0, 0.0]]}])
+def test_run_with_a_malformed_oracle_file_exits_1(tmp_path, generated, capsys, payload):
+    dataset, _ = generated
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(
+        ["run", "--dataset", str(dataset), "--method", "sm", "--k", "2", "--oracle", str(bad)]
+    )
+    assert code == 1
+    assert f"error: oracle profile {bad}: " in capsys.readouterr().err
+
+
 def test_experiment_bad_grid_setting_fails_before_loading_data(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     code = main(
@@ -396,6 +408,23 @@ def test_validate_records_unit_checks():
     assert validate_trace_records([], method=None) == ["trace is empty"]
     broken = [dict(records[0], action="explode()")]
     assert any("malformed action" in v for v in validate_trace_records(broken))
+    # is_best must equal Sense.best_flags of the aggregates under one sense
+    inconsistent = ["is_best flags are inconsistent with every evaluation orientation"]
+    for aggregates, flags, expected in [
+        ([1.5, 1.0, 2.0], [True, True, False], []),  # lower is better
+        ([1.5, 1.0, 2.0], [True, False, True], []),  # higher is better
+        ([1.5, 1.0, 0.5], [True, True, False], inconsistent),  # a flipped flag
+        ([1.5, 1.0], [False, True], inconsistent),  # step 0 unflagged
+        ([1.5], [False], inconsistent),
+        ([1.5, 1.0, 2.0], [True, True, True], inconsistent),  # fits neither sense
+        ([1.5, 1.5, 1.5], [True, False, False], []),  # a flat trace
+        ([1.5, 1.5, 1.5], [True, True, False], inconsistent),  # a tie is no improvement
+    ]:
+        flagged = [
+            dict(records[min(step, 1)], step=step, aggregate=value, is_best=flag)
+            for step, (value, flag) in enumerate(zip(aggregates, flags))
+        ]
+        assert validate_trace_records(flagged, method="sme") == expected, (aggregates, flags)
 
 
 @pytest.mark.parametrize(

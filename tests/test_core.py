@@ -17,20 +17,20 @@ from helpers import make_dataset
 
 def test_minimal_valid_clustering():
     ds = make_dataset([[0, 0], [1, 0], [0, 1], [1, 1]])
-    clustering = Clustering(assignment=[0, 0, 0, 0], centroids=[[0.5, 0.5]], k=1)
+    clustering = Clustering(assignment=[0, 0, 0, 0], centroids=[[0.5, 0.5]])
     assert validate_clustering(ds, clustering) == []
 
 
 def test_empty_cluster_reported():
     ds = make_dataset([[0, 0], [1, 0], [0, 1], [1, 1]])
-    clustering = Clustering(assignment=[0, 0, 1, 1], centroids=np.zeros((3, 2)), k=3)
+    clustering = Clustering(assignment=[0, 0, 1, 1], centroids=np.zeros((3, 2)))
     violations = validate_clustering(ds, clustering)
     assert violations == ["cluster 2 empty"]
 
 
 def test_assignment_length_mismatch():
     ds = make_dataset([[0, 0], [1, 0], [0, 1], [1, 1]])
-    clustering = Clustering(assignment=[0, 0, 1], centroids=np.zeros((2, 2)), k=2)
+    clustering = Clustering(assignment=[0, 0, 1], centroids=np.zeros((2, 2)))
     violations = validate_clustering(ds, clustering)
     assert len(violations) == 1
     assert "assignment length mismatch" in violations[0]
@@ -38,15 +38,17 @@ def test_assignment_length_mismatch():
 
 def test_centroid_count_and_dimension_mismatches():
     ds = make_dataset([[0, 0], [1, 1]])
-    clustering = Clustering(assignment=[0, 1], centroids=np.zeros((3, 2)), k=2)
-    assert any("centroid count mismatch" in v for v in validate_clustering(ds, clustering))
-    clustering = Clustering(assignment=[0, 1], centroids=np.zeros((2, 5)), k=2)
+    # k is the centroid count, so an extra centroid is an empty cluster
+    clustering = Clustering(assignment=[0, 1], centroids=np.zeros((3, 2)))
+    assert clustering.k == 3
+    assert validate_clustering(ds, clustering) == ["cluster 2 empty"]
+    clustering = Clustering(assignment=[0, 1], centroids=np.zeros((2, 5)))
     assert any("centroid dimension mismatch" in v for v in validate_clustering(ds, clustering))
 
 
 def test_assignment_out_of_range():
     ds = make_dataset([[0, 0], [1, 1]])
-    clustering = Clustering(assignment=[0, 7], centroids=np.zeros((2, 2)), k=2)
+    clustering = Clustering(assignment=[0, 7], centroids=np.zeros((2, 2)))
     assert validate_clustering(ds, clustering) == ["assignment value out of range"]
 
 
@@ -83,8 +85,8 @@ def test_dataset_points_are_read_only():
 @pytest.mark.parametrize(
     "caller, stored",
     [
-        (np.array([0, 1]), lambda a: Clustering(assignment=a, centroids=[[0.0], [1.0]], k=2).assignment),
-        (np.array([[0.0], [1.0]]), lambda c: Clustering(assignment=[0, 1], centroids=c, k=2).centroids),
+        (np.array([0, 1]), lambda a: Clustering(assignment=a, centroids=[[0.0], [1.0]]).assignment),
+        (np.array([[0.0], [1.0]]), lambda c: Clustering(assignment=[0, 1], centroids=c).centroids),
         (np.array([[0.0], [1.0]]), lambda p: Dataset(points=p, feature_names=("a",)).points),
         (np.array([3, 4]), lambda b: make_dataset([[0.0], [1.0]], bookings=b).bookings),
         (np.array([0, 1]), lambda s: make_dataset([[0.0], [1.0]], hidden_segment=s).hidden_segment),
@@ -132,6 +134,19 @@ def test_sense_reached_is_inclusive():
     assert not Sense.LOWER_IS_BETTER.reached(0.6, 0.5)
 
 
+def test_sense_best_flags_mark_the_first_value_and_strict_improvements():
+    values = (2.0, 3.0, 1.0, 1.0, 3.0, 0.5)
+    assert Sense.LOWER_IS_BETTER.best_flags(values) == [True, False, True, False, False, True]
+    assert Sense.HIGHER_IS_BETTER.best_flags(values) == [True, True, False, False, False, False]
+    assert Sense.LOWER_IS_BETTER.best_flags([]) == []
+
+
+@given(values=st.lists(st.integers(min_value=-3, max_value=3), max_size=12), sense=st.sampled_from(Sense))
+def test_sense_best_flags_match_their_definition(values, sense):
+    expected = [all(sense.better(v, earlier) for earlier in values[:i]) for i, v in enumerate(values)]
+    assert sense.best_flags(values) == expected
+
+
 @given(
     n=st.integers(min_value=1, max_value=40),
     k=st.integers(min_value=1, max_value=6),
@@ -144,7 +159,7 @@ def test_accepted_clusterings_are_surjective_with_sizes_summing(n, k, seed):
     assignment = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     points = rng.normal(size=(n, 3))
     ds = Dataset(points=points, feature_names=("a", "b", "c"))
-    clustering = Clustering(assignment=assignment, centroids=rng.normal(size=(k, 3)), k=k)
+    clustering = Clustering(assignment=assignment, centroids=rng.normal(size=(k, 3)))
     assert validate_clustering(ds, clustering) == []
     sizes = clustering.sizes()
     assert sizes.sum() == n

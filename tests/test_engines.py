@@ -313,42 +313,26 @@ def test_three_member_plug_in_runs_through_the_engine(two_blobs, plug_in, method
     config = EngineConfig(method=method, feedback=provider, seed=3, iterations=4)
     trace = run_engine(two_blobs, 3, config)
     assert len(trace.steps) == 5
-    for step in trace.steps:
+    for index, step in enumerate(trace.steps):
         assert validate_clustering(two_blobs, step.clustering) == []
         # each step is evaluated under the provider's own stream for it
-        rng = provider.evaluation_rng(step.index)
+        rng = provider.evaluation_rng(index)
         assert step.feedback == provider.evaluate(two_blobs, step.clustering, rng)
 
 
 # ---------------------------------------------------------------- best_clustering
 
 def _manual_trace(aggregates, sense):
-    ds = make_dataset([[0.0], [1.0]])
-    clustering = Clustering(assignment=[0, 1], centroids=[[0.0], [1.0]], k=2)
-    steps = []
-    best_idx = 0
-    best = aggregates[0]
-    for idx, value in enumerate(aggregates):
-        is_best = idx == 0 or sense.better(value, best)
-        if is_best and idx > 0:
-            best = value
-            best_idx = idx
-        actions = (Action.init(),) if idx == 0 else (Action.split(0), Action.merge(0, 1))
-        steps.append(
-            TraceStep(
-                index=idx,
-                actions=actions,
-                clustering=clustering,
-                feedback=FeedbackReport(per_cluster=(value, value), aggregate=value, sense=sense),
-                is_best=is_best,
-            )
+    clustering = Clustering(assignment=[0, 1], centroids=[[0.0], [1.0]])
+    steps = [
+        TraceStep(
+            actions=(Action.init(),) if idx == 0 else (Action.split(0), Action.merge(0, 1)),
+            clustering=clustering,
+            feedback=FeedbackReport(per_cluster=(value, value), aggregate=value, sense=sense),
         )
-    return RunTrace(
-        steps=tuple(steps),
-        best_step_index=best_idx,
-        best_evaluation=aggregates[best_idx],
-        seed=0,
-    )
+        for idx, value in enumerate(aggregates)
+    ]
+    return RunTrace(steps=tuple(steps), seed=0)
 
 
 def test_best_clustering_single_step():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ def test_pure_cluster_beats_mixed_cluster():
 
 def test_evaluate_single_cluster_aggregate_is_value():
     ds = make_dataset([[0.0, 0.0], [2.0, 0.0]])
-    clustering = Clustering(assignment=[0, 0], centroids=[[1.0, 0.0]], k=1)
+    clustering = Clustering(assignment=[0, 0], centroids=[[1.0, 0.0]])
     report = RssFeedback().evaluate(ds, clustering)
     assert report.aggregate == report.per_cluster[0] == 1.0
     assert report.sense is Sense.LOWER_IS_BETTER
@@ -339,7 +340,7 @@ def test_evaluate_rss_matches_flat_global_sum():
     ds = make_dataset(rng.normal(size=(200, 5)))
     assignment = np.concatenate([np.arange(4), rng.integers(0, 4, 196)])
     centroids, _ = update_centroids(ds, assignment, 4)
-    clustering = Clustering(assignment=assignment, centroids=centroids, k=4)
+    clustering = Clustering(assignment=assignment, centroids=centroids)
     report = RssFeedback().evaluate(ds, clustering)
     diff = ds.points - centroids[assignment]
     flat = float(np.sum(diff * diff) / ds.n_points)
@@ -357,7 +358,7 @@ def test_evaluate_custom_on_exact_segment_recovery():
     ds = labeled_dataset(points, [0] * n + [1] * n, bookings=rng.integers(0, 50, 2 * n))
     assignment = np.array([0] * n + [1] * n)
     centroids, _ = update_centroids(ds, assignment, 2)
-    clustering = Clustering(assignment=assignment, centroids=centroids, k=2)
+    clustering = Clustering(assignment=assignment, centroids=centroids)
     provider = CustomizabilityFeedback(profile.with_rng_seed(3))
     report = provider.evaluate(ds, clustering, provider.evaluation_rng(0))
     for cid, seg_weights in weights.items():
@@ -381,7 +382,7 @@ def test_report_aggregate_recomputes_from_per_cluster_values(planted_small):
 
 def test_evaluate_rejects_invalid_clustering():
     ds = make_dataset([[0.0, 0.0], [1.0, 1.0]])
-    bad = Clustering(assignment=[0, 0], centroids=np.zeros((2, 2)), k=2)
+    bad = Clustering(assignment=[0, 0], centroids=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="invalid clustering"):
         RssFeedback().evaluate(ds, bad)
 
@@ -427,6 +428,25 @@ def test_profile_json_round_trip(tmp_path):
     # schema is exactly the documented one
     payload = json.loads(path.read_text())
     assert set(payload) == {"m", "segments", "C", "noise_sigma", "sample_size", "eval_pool_fraction"}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda payload: [payload], "top level must be a JSON object"),
+        (lambda payload: {**payload, "segments": [[1.0, 0.5]]}, "field 'segments' must be a JSON object"),
+        (lambda payload: {**payload, "m": 2.9}, "m must be an integer, got 2.9"),
+        (lambda payload: {**payload, "C": None}, "float"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "noise_sigma"}, "missing field 'noise_sigma'"),
+    ],
+    ids=["top-level-list", "segments-list", "fractional-m", "null-C", "missing-field"],
+)
+def test_malformed_profile_file_is_a_named_error(tmp_path, change, message):
+    path = tmp_path / "oracle.json"
+    save_oracle_profile(profile_two_segments(), path)
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=rf"^oracle profile {re.escape(str(path))}: .*{re.escape(message)}"):
+        load_oracle_profile(path)
 
 
 def test_provider_from_name():

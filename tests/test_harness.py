@@ -297,6 +297,17 @@ def test_mean_by_groups_nests_and_skips_missing_values():
     assert report.mean_by("custom_initial", "k") == {2: 0.5}
 
 
+@pytest.mark.parametrize("k_values", [(2.9, 3), (True, 3), (2, "3")])
+def test_config_k_value_that_is_not_an_integer_is_named(k_values):
+    with pytest.raises(ValueError, match="k_values must be an integer, got "):
+        ExperimentConfig(k_values=k_values)
+
+
+def test_config_k_values_accept_numpy_integers():
+    config = ExperimentConfig(k_values=np.arange(2, 4))
+    assert config.k_values == (2, 3) and all(type(k) is int for k in config.k_values)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="k"):
         ExperimentConfig(k_values=())

@@ -58,6 +58,20 @@ def test_unknown_column_warns(tmp_path, sample_dataset):
     np.testing.assert_array_equal(loaded.points, sample_dataset.points)
 
 
+@pytest.mark.parametrize("column", ["distance", "bookings", "mystery"])
+def test_repeated_column_is_named(tmp_path, sample_dataset, column):
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    lines = path.read_text().splitlines()
+    if column == "mystery":
+        lines = [lines[0] + ",mystery,mystery"] + [line + ",x,y" for line in lines[1:]]
+    else:
+        lines = [lines[0] + f",{column}"] + [line + ",0" for line in lines[1:]]
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=rf"repeated column\(s\): {column}$"):
+        read_csv(path)
+
+
 def test_non_numeric_cell_reports_line_number(tmp_path, sample_dataset):
     path = tmp_path / "dataset.csv"
     write_csv(sample_dataset, path)

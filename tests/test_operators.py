@@ -29,7 +29,7 @@ def clustering_from_assignment(dataset, assignment, k):
     """Clustering whose centroids are the exact means of their members."""
     centroids, empties = update_centroids(dataset, np.asarray(assignment), k)
     assert empties == []
-    return Clustering(assignment=assignment, centroids=centroids, k=k)
+    return Clustering(assignment=assignment, centroids=centroids)
 
 
 def distances_of(dataset, clustering):
@@ -283,7 +283,7 @@ def _brute_force_pair(centroids):
 def _clustering_with_centroids(centroids):
     centroids = np.asarray(centroids, dtype=float)
     k = len(centroids)
-    return Clustering(assignment=np.arange(k), centroids=centroids, k=k)
+    return Clustering(assignment=np.arange(k), centroids=centroids)
 
 
 def test_closest_pair_simple():

@@ -1,4 +1,4 @@
-"""Smoke tests: the example scripts run to completion on the current API."""
+"""The example scripts run to completion on the current API; the toy demo's output is pinned."""
 
 import os
 import subprocess
@@ -13,10 +13,31 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PACKAGE_ROOT = str(Path(feedback_kmeans.__file__).resolve().parent.parent)
 
 
-@pytest.mark.parametrize(
-    "script, args", [("toy_demo.py", []), ("desk_experiment.py", ["400", "7"])]
-)
-def test_script_exits_cleanly(script, args):
+# The toy demo's whole output: its trace, best flags and best clustering.
+TOY_DEMO_STDOUT = """\
+feedback: per-cluster x variance (lower is better)
+
+step 0 [init] k=2 aggregate=25.000  <- new best
+    cluster 0: x values [0.0, 10.0]; cluster 1: x values [0.0, 10.0]
+step 1 [split(0)] k=3 aggregate=12.500  <- new best
+    cluster 0: x values [0.0, 10.0]; cluster 1: x values [0.0]; cluster 2: x values [10.0]
+step 2 [split(0)] k=4 aggregate=0.000  <- new best
+    cluster 0: x values [0.0]; cluster 1: x values [10.0]; cluster 2: x values [10.0]; cluster 3: x values [0.0]
+step 3 [split(0)] k=5 aggregate=0.000
+    cluster 0: x values [10.0]; cluster 1: x values [10.0]; cluster 2: x values [0.0]; cluster 3: x values [0.0]; cluster 4: x values [0.0]
+step 4 [split(0)] k=6 aggregate=0.000
+    cluster 0: x values [10.0]; cluster 1: x values [0.0]; cluster 2: x values [0.0]; cluster 3: x values [0.0]; cluster 4: x values [10.0]; cluster 5: x values [10.0]
+step 5 [split(0)] k=7 aggregate=0.000
+    cluster 0: x values [0.0]; cluster 1: x values [0.0]; cluster 2: x values [0.0]; cluster 3: x values [10.0]; cluster 4: x values [10.0]; cluster 5: x values [10.0]; cluster 6: x values [10.0]
+step 6 [split(0)] k=8 aggregate=0.000
+    cluster 0: x values [0.0]; cluster 1: x values [0.0]; cluster 2: x values [10.0]; cluster 3: x values [10.0]; cluster 4: x values [10.0]; cluster 5: x values [10.0]; cluster 6: x values [0.0]; cluster 7: x values [0.0]
+
+best clustering: step 2, aggregate 0.000, k=4
+every cluster is x-homogeneous: True
+"""
+
+
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -27,3 +48,15 @@ def test_script_exits_cleanly(script, args):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args", [("toy_demo.py", []), ("desk_experiment.py", ["400", "7"])]
+)
+def test_script_exits_cleanly(script, args):
+    run_script(script, *args)
+
+
+def test_toy_demo_output_is_pinned():
+    assert run_script("toy_demo.py") == TOY_DEMO_STDOUT

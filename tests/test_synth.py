@@ -265,3 +265,24 @@ def test_config_blocks_must_be_objects(tmp_path, where):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"{where} must be a JSON object"):
         load_generator_config(path)
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("top-level", "n_points", 2.9),
+        ("top-level", "n_points", "abc"),
+        ("top-level", "seed", True),
+        ("top-level", "seed", 1.0),
+        ("segment 0", "id", 0.5),
+        ("segment 0", "id", False),
+    ],
+)
+def test_config_integer_that_is_not_an_integer_is_named(tmp_path, where, key, value):
+    path, payload = config_payload(tmp_path)
+    block = payload if where == "top-level" else payload["segments"][0]
+    block[key] = value
+    path.write_text(json.dumps(payload))
+    name = key if where == "top-level" else f"{where} {key}"
+    with pytest.raises(ValueError, match=rf"config\.json: {name} must be an integer, got {value!r}$"):
+        load_generator_config(path)
