@@ -26,12 +26,9 @@ from .feedback import (
     aggregate_weighted,
     customizability_cluster,
     evaluate_per_cluster,
-    fit_weights,
     load_oracle_profile,
-    popularity,
     provider_from_name,
     relative_change,
-    rss_cluster,
     save_oracle_profile,
 )
 from .harness import (

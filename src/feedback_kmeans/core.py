@@ -166,6 +166,16 @@ class Dataset:
         ids.setflags(write=False)
         return ids
 
+    @functools.cached_property
+    def booking_rank(self) -> np.ndarray:
+        """Point indices by descending bookings, ties by lowest index,
+        computed on first use and then cached like row_ids."""
+        if self.bookings is None:
+            raise ValueError("dataset has no bookings to rank")
+        rank = np.argsort(-self.bookings, kind="stable")
+        rank.setflags(write=False)
+        return rank
+
     def subset(self, members: np.ndarray) -> "Dataset":
         """The points at the given indices, without side data.
 

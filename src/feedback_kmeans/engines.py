@@ -33,6 +33,7 @@ from .core import (
     FeedbackReport,
     RunTrace,
     TraceStep,
+    as_integer,
 )
 from .feedback import FeedbackProvider
 from .kmeans import KMeansConfig, lloyd, squared_distances
@@ -75,8 +76,8 @@ class EngineConfig:
     target_evaluation: float | None = None
 
     def __post_init__(self) -> None:
-        if self.iterations is None:
-            object.__setattr__(self, "iterations", DEFAULT_ITERATIONS[self.method])
+        iterations = DEFAULT_ITERATIONS[self.method] if self.iterations is None else self.iterations
+        object.__setattr__(self, "iterations", as_integer("iterations", iterations))
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 

@@ -20,6 +20,7 @@ hand.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -33,15 +34,6 @@ from .rng import substream
 
 BASELINE_EPSILON = 1e-12
 POP_BASELINE_EPSILON = 1e-9
-
-
-def rss_cluster(points: np.ndarray, centroid: np.ndarray) -> float:
-    """Mean squared distance of a cluster's points to its centroid."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[0] == 0:
-        raise ValueError("rss_cluster requires a non-empty cluster")
-    diff = points - np.asarray(centroid, dtype=np.float64)
-    return float(np.mean(np.einsum("nd,nd->n", diff, diff)))
 
 
 def aggregate_weighted(per_cluster, sizes) -> float:
@@ -148,38 +140,6 @@ def _segment_weight_rows(dataset: Dataset, indices: np.ndarray, profile: OracleP
     return profile._segment_table[pos]
 
 
-def fit_weights(dataset: Dataset, sample_indices, profile: OracleProfile) -> np.ndarray:
-    """Simulated weight-fitting routine: the exact maximizer of the mean
-    noiseless score over the sample, which for the squared-distance score is
-    the arithmetic mean of the sample's true segment weight vectors."""
-    sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    if sample_indices.size == 0:
-        raise ValueError("fit sample is empty")
-    return _segment_weight_rows(dataset, sample_indices, profile).mean(axis=0)
-
-
-def popularity(
-    dataset: Dataset,
-    eval_indices,
-    weights: np.ndarray,
-    profile: OracleProfile,
-    rng: np.random.Generator,
-) -> float:
-    """Mean score of the evaluation points under the given weights.
-
-    score(x, w) = C - ||w - w*_seg(x)||^2 + eps, eps ~ N(0, noise_sigma^2)
-    drawn per point from the supplied stream.
-    """
-    eval_indices = np.asarray(eval_indices, dtype=np.int64)
-    if eval_indices.size == 0:
-        raise ValueError("evaluation sample is empty")
-    true_w = _segment_weight_rows(dataset, eval_indices, profile)
-    diff = np.asarray(weights, dtype=np.float64) - true_w
-    scores = profile.score_offset - np.einsum("nd,nd->n", diff, diff)
-    noise = rng.normal(0.0, profile.noise_sigma, size=eval_indices.size)
-    return float(np.mean(scores + noise))
-
-
 def customizability_cluster(
     dataset: Dataset,
     member_indices,
@@ -192,14 +152,15 @@ def customizability_cluster(
     fresh evaluation set from the remaining top-booked pool, and report the
     relative change of the fitted-weight popularity against the zero-weight
     baseline. The evaluation draw makes the value non-deterministic.
+
+    member_indices may be ascending or already ranked as
+    Dataset.booking_rank ranks them; the stable sort ranks both alike.
     """
     member_indices = np.asarray(member_indices, dtype=np.int64)
     n = member_indices.size
     if n < 2:
         raise ValueError("customizability needs a cluster of at least 2 points")
     bookings = _labels(dataset)[0][member_indices]
-    # Descending bookings; the stable sort breaks ties by lowest point index
-    # because member_indices is ascending.
     ranked = member_indices[np.argsort(-bookings, kind="stable")]
     fit_count = profile.sample_size if n >= 2 * profile.sample_size else n // 2
     fit_set = ranked[:fit_count]
@@ -211,9 +172,18 @@ def customizability_cluster(
         eval_set = pool
     else:
         eval_set = np.sort(rng.choice(pool, size=profile.sample_size, replace=False))
-    fitted = fit_weights(dataset, fit_set, profile)
-    pop_w = popularity(dataset, eval_set, fitted, profile, rng)
-    pop_0 = popularity(dataset, eval_set, np.zeros(profile.m), profile, rng)
+    # One lookup for both sets: a missing segment is named for the first
+    # sampled point that has it, fit points before evaluation points.
+    true_w = _segment_weight_rows(dataset, np.concatenate([fit_set, eval_set]), profile)
+    fitted = true_w[:fit_count].mean(axis=0)
+    true_eval = true_w[fit_count:]
+    # One draw: the first half is the fitted popularity's noise, the second
+    # half the baseline's.
+    draws = eval_set.size
+    noise = rng.normal(0.0, profile.noise_sigma, size=2 * draws)
+    diff = fitted - true_eval
+    pop_w = float(np.mean(profile.score_offset - np.einsum("nd,nd->n", diff, diff) + noise[:draws]))
+    pop_0 = float(np.mean(profile.score_offset - np.einsum("nd,nd->n", true_eval, true_eval) + noise[draws:]))
     if abs(pop_0) < POP_BASELINE_EPSILON:
         raise ValueError("degenerate price baseline")
     return relative_change(pop_0, pop_w)
@@ -238,22 +208,32 @@ def evaluate_per_cluster(
     clustering: Clustering,
     sense: Sense,
     value_of: Callable[[int, np.ndarray], float],
+    order: np.ndarray | None = None,
 ) -> FeedbackReport:
     """Feedback report of value_of(cluster_id, members) over the clusters.
 
     Validates the clustering, calls value_of once per cluster in id order
-    with the cluster's point indices (ascending), and aggregates the values
-    weighted by cluster size. Providers implement evaluate with it.
+    with the cluster's point indices, and aggregates the values weighted by
+    cluster size. Providers implement evaluate with it.
+
+    The members come in the sequence of order, a permutation of the point
+    indices, or ascending when order is None. One stable sort of the
+    assignment groups every cluster's members at once.
     """
     violations = validate_clustering(dataset, clustering)
     if violations:
         raise ValueError("invalid clustering: " + "; ".join(violations))
-    values = []
-    sizes = []
-    for cid in range(clustering.k):
-        members = clustering.members(cid)
-        values.append(value_of(cid, members))
-        sizes.append(members.size)
+    # numpy's stable sort of 8- and 16-bit integers is a radix sort.
+    k = clustering.k
+    key_type = np.uint8 if k <= 256 else np.uint16 if k <= 65536 else np.int64
+    keys = clustering.assignment if order is None else clustering.assignment[order]
+    grouped = np.argsort(keys.astype(key_type), kind="stable")
+    if order is not None:
+        grouped = order[grouped]
+    sizes = clustering.sizes()
+    stops = np.cumsum(sizes).tolist()
+    starts = [0] + stops[:-1]
+    values = [value_of(cid, grouped[a:b]) for cid, (a, b) in enumerate(zip(starts, stops))]
     return FeedbackReport(
         per_cluster=tuple(values),
         aggregate=aggregate_weighted(values, sizes),
@@ -262,18 +242,26 @@ def evaluate_per_cluster(
 
 
 class RssFeedback:
-    """Deterministic geometric feedback (lower is better)."""
+    """Deterministic geometric feedback (lower is better): a cluster's value
+    is the mean squared distance of its points to its centroid."""
 
     sense = Sense.LOWER_IS_BETTER
 
     def evaluate(
         self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator | None = None
     ) -> FeedbackReport:
+        @functools.cache
+        def own_distances() -> np.ndarray:
+            # Every point's squared distance to its own centroid, computed on
+            # the first cluster, once evaluate_per_cluster has validated.
+            diff = dataset.points - clustering.centroids[clustering.assignment]
+            return np.einsum("nd,nd->n", diff, diff)
+
         return evaluate_per_cluster(
             dataset,
             clustering,
             self.sense,
-            lambda cid, members: rss_cluster(dataset.points[members], clustering.centroids[cid]),
+            lambda cid, members: float(np.mean(own_distances()[members])),
         )
 
     def evaluation_rng(self, step: int) -> None:
@@ -286,7 +274,8 @@ class CustomizabilityFeedback:
     Each cluster draws its randomness from its own child of the supplied
     generator, spawned in cluster-id order (the children of
     ``rng.spawn(k)``), so a cluster's value does not depend on the values
-    drawn for the others.
+    drawn for the others. Members reach the oracle already ranked by
+    bookings.
     """
 
     sense = Sense.HIGHER_IS_BETTER
@@ -297,13 +286,16 @@ class CustomizabilityFeedback:
     def evaluate(
         self, dataset: Dataset, clustering: Clustering, rng: np.random.Generator
     ) -> FeedbackReport:
+        streams = rng.spawn(clustering.k)
+        # Unlabeled data keeps the default order, so that the oracle names
+        # the missing labels after the clustering is validated.
+        order = None if dataset.bookings is None else dataset.booking_rank
         return evaluate_per_cluster(
             dataset,
             clustering,
             self.sense,
-            lambda cid, members: customizability_cluster(
-                dataset, members, self.profile, rng.spawn(1)[0]
-            ),
+            lambda cid, members: customizability_cluster(dataset, members, self.profile, streams[cid]),
+            order,
         )
 
     def evaluation_rng(self, step: int) -> np.random.Generator:

@@ -55,6 +55,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("sme_iterations", "sm_iterations", "repeats_per_cell", "fluctuation_calls", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         object.__setattr__(self, "k_values", tuple(as_integer("k_values", k) for k in self.k_values))
         if not self.k_values:
             raise ValueError("k_values must be non-empty")

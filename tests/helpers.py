@@ -1,6 +1,21 @@
+import math
+
 import numpy as np
 
-from feedback_kmeans import Clustering, Dataset, KMeansConfig, Sense, evaluate_per_cluster, lloyd
+from feedback_kmeans import (
+    Clustering,
+    Dataset,
+    FeedbackReport,
+    KMeansConfig,
+    RssFeedback,
+    Sense,
+    aggregate_weighted,
+    evaluate_per_cluster,
+    lloyd,
+    relative_change,
+    validate_clustering,
+)
+from feedback_kmeans.feedback import POP_BASELINE_EPSILON
 from feedback_kmeans.kmeans import (
     TOLERANCE,
     assign_points,
@@ -93,3 +108,99 @@ def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:
         capped = lloyd(dataset, KMeansConfig(k=config.k, seed=config.seed, max_iterations=t))
         sequence.append(weighted_rss(dataset, capped.assignment, capped.centroids))
     return sequence
+
+
+# ---------------------------------------------------------------- feedback reference
+# The per-cluster reference that both built-in providers must equal exactly:
+# one flatnonzero scan per cluster, a dict lookup per sampled point, and
+# separate fit, popularity and noise steps.
+
+
+def rss_cluster(points: np.ndarray, centroid: np.ndarray) -> float:
+    """Mean squared distance of a cluster's points to its centroid."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[0] == 0:
+        raise ValueError("rss_cluster requires a non-empty cluster")
+    diff = points - np.asarray(centroid, dtype=np.float64)
+    return float(np.mean(np.einsum("nd,nd->n", diff, diff)))
+
+
+def segment_weight_rows(dataset: Dataset, indices, profile) -> np.ndarray:
+    """True weight vectors of the given points, in order; the first point
+    whose segment the profile lacks is named."""
+    if dataset.bookings is None or dataset.hidden_segment is None:
+        raise ValueError("oracle requires generator-labeled data")
+    rows = []
+    for seg in dataset.hidden_segment[np.asarray(indices, dtype=np.int64)].tolist():
+        if seg not in profile.segment_weights:
+            raise ValueError(f"segment {seg} missing from oracle profile")
+        rows.append(profile.segment_weights[seg])
+    return np.array(rows, dtype=np.float64).reshape(len(rows), profile.m)
+
+
+def fit_weights(dataset: Dataset, sample_indices, profile) -> np.ndarray:
+    """The exact maximizer of the mean noiseless score over the sample: the
+    arithmetic mean of the sample's true segment weight vectors."""
+    sample_indices = np.asarray(sample_indices, dtype=np.int64)
+    if sample_indices.size == 0:
+        raise ValueError("fit sample is empty")
+    return segment_weight_rows(dataset, sample_indices, profile).mean(axis=0)
+
+
+def popularity(dataset: Dataset, eval_indices, weights, profile, rng) -> float:
+    """Mean of C - ||w - w*_seg(x)||^2 + eps over the evaluation points,
+    eps ~ N(0, noise_sigma^2) drawn per point from rng."""
+    eval_indices = np.asarray(eval_indices, dtype=np.int64)
+    if eval_indices.size == 0:
+        raise ValueError("evaluation sample is empty")
+    true_w = segment_weight_rows(dataset, eval_indices, profile)
+    diff = np.asarray(weights, dtype=np.float64) - true_w
+    scores = profile.score_offset - np.einsum("nd,nd->n", diff, diff)
+    noise = rng.normal(0.0, profile.noise_sigma, size=eval_indices.size)
+    return float(np.mean(scores + noise))
+
+
+def customizability_reference(dataset: Dataset, members, profile, rng) -> float:
+    """One cluster's customizability from ascending members: rank by
+    bookings, fit, sample, then draw the fitted and the baseline noise."""
+    members = np.asarray(members, dtype=np.int64)
+    n = members.size
+    if n < 2:
+        raise ValueError("customizability needs a cluster of at least 2 points")
+    if dataset.bookings is None or dataset.hidden_segment is None:
+        raise ValueError("oracle requires generator-labeled data")
+    ranked = members[np.argsort(-dataset.bookings[members], kind="stable")]
+    fit_count = profile.sample_size if n >= 2 * profile.sample_size else n // 2
+    pool = ranked[fit_count : int(math.ceil(profile.eval_pool_fraction * n))]
+    if pool.size == 0:
+        pool = ranked[fit_count:]
+    if pool.size <= profile.sample_size:
+        eval_set = pool
+    else:
+        eval_set = np.sort(rng.choice(pool, size=profile.sample_size, replace=False))
+    fitted = fit_weights(dataset, ranked[:fit_count], profile)
+    pop_w = popularity(dataset, eval_set, fitted, profile, rng)
+    pop_0 = popularity(dataset, eval_set, np.zeros(profile.m), profile, rng)
+    if abs(pop_0) < POP_BASELINE_EPSILON:
+        raise ValueError("degenerate price baseline")
+    return relative_change(pop_0, pop_w)
+
+
+def reference_evaluate(provider, dataset: Dataset, clustering: Clustering, rng) -> FeedbackReport:
+    """A built-in provider's report computed cluster by cluster: members by
+    one scan each, and for the oracle one rng.spawn(1) child per cluster in
+    id order."""
+    violations = validate_clustering(dataset, clustering)
+    if violations:
+        raise ValueError("invalid clustering: " + "; ".join(violations))
+    values, sizes = [], []
+    for cid in range(clustering.k):
+        members = np.flatnonzero(clustering.assignment == cid)
+        if isinstance(provider, RssFeedback):
+            values.append(rss_cluster(dataset.points[members], clustering.centroids[cid]))
+        else:
+            values.append(customizability_reference(dataset, members, provider.profile, rng.spawn(1)[0]))
+        sizes.append(members.size)
+    return FeedbackReport(
+        per_cluster=tuple(values), aggregate=aggregate_weighted(values, sizes), sense=provider.sense
+    )

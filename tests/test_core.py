@@ -107,6 +107,15 @@ def test_duplicate_points_are_allowed():
     assert ds.n_points == 2
 
 
+def test_booking_rank_orders_by_descending_bookings_ties_to_lowest_index():
+    ds = make_dataset(np.zeros((6, 1)), bookings=[3, 7, 3, 0, 7, 3])
+    assert ds.booking_rank.tolist() == [1, 4, 0, 2, 5, 3]
+    assert ds.booking_rank is ds.booking_rank  # computed once
+    assert not ds.booking_rank.flags.writeable
+    with pytest.raises(ValueError, match="no bookings"):
+        make_dataset(np.zeros((2, 1))).booking_rank
+
+
 def test_feedback_report_requires_values():
     with pytest.raises(ValueError):
         FeedbackReport(per_cluster=(), aggregate=0.0, sense=Sense.LOWER_IS_BETTER)

@@ -19,7 +19,7 @@ from feedback_kmeans import (
     validate_clustering,
     write_trace,
 )
-from feedback_kmeans.engines import read_trace_records, trace_records
+from feedback_kmeans.engines import DEFAULT_ITERATIONS, read_trace_records, trace_records
 from helpers import CONTRACT_MEMBERS, NoisyPlugIn, make_dataset, own_members
 
 
@@ -227,6 +227,19 @@ def test_rss_runs_complete_or_stall_with_valid_clusterings(seed, n, d, grid, k_d
 def test_engine_rejects_k_below_minimum(two_blobs):
     with pytest.raises(ValueError, match="minimum cluster count"):
         run_engine(two_blobs, 1, rss_config(Method.SME))
+
+
+@pytest.mark.parametrize("iterations", [2.5, True, "4"])
+def test_engine_config_iterations_that_are_not_an_integer_are_named(iterations):
+    with pytest.raises(ValueError, match=r"^iterations must be an integer, got "):
+        rss_config(Method.SME, iterations=iterations)
+
+
+def test_engine_config_iterations_default_and_validation():
+    assert rss_config(Method.SM).iterations == DEFAULT_ITERATIONS[Method.SM]
+    assert type(rss_config(Method.SME, iterations=np.int64(3)).iterations) is int
+    with pytest.raises(ValueError, match="iterations must be at least 1"):
+        rss_config(Method.SME, iterations=0)
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedback_kmeans import (
@@ -15,17 +15,15 @@ from feedback_kmeans import (
     Sense,
     aggregate_weighted,
     customizability_cluster,
-    fit_weights,
+    evaluate_per_cluster,
     load_oracle_profile,
-    popularity,
     provider_from_name,
     relative_change,
-    rss_cluster,
     save_oracle_profile,
     update_centroids,
 )
 from feedback_kmeans.rng import substream
-from helpers import make_dataset
+from helpers import fit_weights, make_dataset, popularity, reference_evaluate, rss_cluster
 
 
 def labeled_dataset(points, segments, bookings=None):
@@ -385,6 +383,175 @@ def test_evaluate_rejects_invalid_clustering():
     bad = Clustering(assignment=[0, 0], centroids=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="invalid clustering"):
         RssFeedback().evaluate(ds, bad)
+
+
+# ---------------------------------------------------------------- one grouping against the reference
+
+def outcome(evaluate):
+    """The report, or the message of the ValueError raised instead."""
+    try:
+        return evaluate()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_matches_reference(dataset, clustering, profile, step=0):
+    """Both providers' outcomes equal the reference's; returns the
+    customizability provider's."""
+    for provider in (RssFeedback(), CustomizabilityFeedback(profile)):
+        got = outcome(lambda: provider.evaluate(dataset, clustering, provider.evaluation_rng(step)))
+        expected = outcome(
+            lambda: reference_evaluate(provider, dataset, clustering, provider.evaluation_rng(step))
+        )
+        assert got == expected
+    return got
+
+
+def covering_assignment(rng, n, k):
+    """A shuffled assignment in which every cluster has at least 2 points."""
+    return rng.permutation(np.concatenate([np.repeat(np.arange(k), 2), rng.integers(0, k, n - 2 * k)]))
+
+
+@st.composite
+def oracle_cases(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(min_value=4, max_value=60))
+    k = draw(st.integers(min_value=1, max_value=min(6, n // 2)))
+    # Few distinct rows and booking counts: duplicate points and tied
+    # bookings everywhere. Segment 2 is rare, and some profiles lack it.
+    points = rng.integers(0, draw(st.integers(1, 3)), size=(n, 2)).astype(float)
+    dataset = labeled_dataset(
+        points,
+        rng.choice(3, size=n, p=[0.45, 0.45, 0.1]),
+        bookings=rng.integers(0, draw(st.integers(1, 4)), size=n),
+    )
+    clustering = Clustering(assignment=covering_assignment(rng, n, k), centroids=rng.normal(size=(k, 2)))
+    profile = OracleProfile(
+        segment_weights={seg: rng.uniform(-1.0, 1.0, 2) for seg in range(draw(st.integers(2, 3)))},
+        noise_sigma=draw(st.sampled_from([0.0, 0.05])),
+        sample_size=draw(st.integers(min_value=1, max_value=8)),
+        eval_pool_fraction=draw(st.sampled_from([0.1, 0.2, 0.5, 1.0])),
+        rng_seed=seed,
+    )
+    return dataset, clustering, profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_cases(), step=st.integers(min_value=0, max_value=3))
+def test_evaluate_equals_the_per_cluster_reference(case, step):
+    # clusters of 2..60 points against sample sizes 1..8: many are smaller
+    # than 2 * sample_size, and some sample a segment the profile lacks
+    assert_matches_reference(*case, step=step)
+
+
+def test_evaluate_equals_the_reference_beyond_256_clusters():
+    # cluster ids above 255 take the 16-bit grouping key
+    rng = np.random.default_rng(16)
+    n, k = 1500, 300
+    dataset = labeled_dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n), bookings=rng.integers(0, 5, n))
+    assignment = covering_assignment(rng, n, k)
+    centroids, _ = update_centroids(dataset, assignment, k)
+    clustering = Clustering(assignment=assignment, centroids=centroids)
+    report = assert_matches_reference(dataset, clustering, profile_two_segments(noise=0.05, sample_size=2))
+    assert len(report.per_cluster) == k
+
+
+def test_grouping_beyond_65536_clusters_keeps_ascending_members():
+    # ids above 65,535 are sorted as int64
+    rng = np.random.default_rng(17)
+    k = (1 << 16) + 1
+    assignment = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, 500)]))
+    dataset = make_dataset(np.zeros((assignment.size, 1)))
+    clustering = Clustering(assignment=assignment, centroids=np.zeros((k, 1)))
+    groups = []
+    evaluate_per_cluster(
+        dataset, clustering, Sense.HIGHER_IS_BETTER, lambda cid, members: groups.append(members) or 1.0
+    )
+    flat = np.concatenate(groups)
+    ids = np.repeat(np.arange(k), [g.size for g in groups])
+    assert np.array_equal(assignment[flat], ids)
+    assert (np.diff(flat)[np.diff(ids) == 0] > 0).all()
+
+
+def test_members_come_in_the_given_point_order():
+    ds = make_dataset(np.zeros((6, 1)))
+    clustering = Clustering(assignment=[1, 0, 1, 0, 1, 0], centroids=[[0.0], [0.0]])
+    seen = {}
+
+    def record(cid, members):
+        seen[cid] = members.tolist()
+        return 0.0
+
+    evaluate_per_cluster(ds, clustering, Sense.LOWER_IS_BETTER, record)
+    assert seen == {0: [1, 3, 5], 1: [0, 2, 4]}
+    evaluate_per_cluster(ds, clustering, Sense.LOWER_IS_BETTER, record, np.array([4, 5, 0, 3, 1, 2]))
+    assert seen == {0: [5, 3, 1], 1: [4, 0, 2]}
+
+
+def test_oracle_ranks_ascending_and_ranked_members_alike():
+    rng = np.random.default_rng(18)
+    ds = segment_blocks({0: 150, 1: 150}, seed=18)
+    ds = labeled_dataset(ds.points, ds.hidden_segment, bookings=rng.integers(0, 6, 300))  # heavy ties
+    profile = profile_two_segments(noise=0.05, sample_size=20, eval_pool_fraction=0.5)
+    members = np.flatnonzero(rng.random(300) < 0.7)
+    ranked = ds.booking_rank[np.isin(ds.booking_rank, members)]
+    assert not np.array_equal(ranked, members)
+    assert customizability_cluster(ds, members, profile, substream(19)) == customizability_cluster(
+        ds, ranked, profile, substream(19)
+    )
+
+
+def test_missing_segment_raises_only_when_sampled():
+    # cluster 0's fit set is its top half by bookings, and with sample_size 2
+    # its evaluation set is the rest: every point is sampled. Cluster 1 has
+    # 10 points, fits on the top 2, and samples 2 of its next 3.
+    profile = OracleProfile(segment_weights={0: [1.0, 0.0]}, noise_sigma=0.05, sample_size=2, eval_pool_fraction=0.5)
+    segments = [0] * 4 + [0] * 9 + [5]
+    bookings = [9, 8, 7, 6] + list(range(50, 41, -1)) + [0]
+    ds = labeled_dataset(np.zeros((14, 1)), segments, bookings=bookings)
+    clustering = Clustering(assignment=[0] * 4 + [1] * 10, centroids=[[0.0], [0.0]])
+    # segment 5 sits on cluster 1's least-booked point, which is never drawn
+    report = assert_matches_reference(ds, clustering, profile)
+    assert len(report.per_cluster) == 2
+    # once that point is among the most-booked, it is fitted on and named
+    bookings[-1] = 99
+    ds = labeled_dataset(np.zeros((14, 1)), segments, bookings=bookings)
+    message = assert_matches_reference(ds, clustering, profile)
+    assert message == "ValueError: segment 5 missing from oracle profile"
+
+
+def test_missing_segment_in_the_fit_set_is_named_before_the_evaluation_set():
+    profile = OracleProfile(segment_weights={0: [1.0, 0.0]}, noise_sigma=0.0, sample_size=2)
+    # 4 points: fit on the top 2 (segments 0 and 8), evaluate on the other 2
+    # (segments 7 and 0); the fit set's 8 is named although 7 < 8
+    ds = labeled_dataset(np.zeros((4, 1)), [0, 8, 7, 0], bookings=[4, 3, 2, 1])
+    clustering = Clustering(assignment=[0, 0, 0, 0], centroids=[[0.0]])
+    assert assert_matches_reference(ds, clustering, profile) == "ValueError: segment 8 missing from oracle profile"
+    ds = labeled_dataset(np.zeros((4, 1)), [0, 0, 7, 0], bookings=[4, 3, 2, 1])
+    assert assert_matches_reference(ds, clustering, profile) == "ValueError: segment 7 missing from oracle profile"
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ([0, 0, 1, 1, 1, 2], "degenerate price baseline"),
+        ([0, 0, 1, 2, 2, 2], "customizability needs a cluster of at least 2 points"),
+    ],
+    ids=["degenerate-first", "singleton-first"],
+)
+def test_first_failing_cluster_in_id_order_names_the_error(assignment, message):
+    # segment 1's ||w*||^2 equals C, so a cluster of it has a zero baseline
+    profile = OracleProfile(
+        segment_weights={0: [1.0, 0.0], 1: [2.0, 0.0]}, score_offset=4.0, noise_sigma=0.0, sample_size=2
+    )
+    segments = [0, 0] + [1] * 3 + [0] if assignment[2] == 1 else [0, 0, 0] + [1] * 3
+    ds = labeled_dataset(np.zeros((6, 1)), segments)
+    clustering = Clustering(assignment=assignment, centroids=np.zeros((3, 1)))
+    provider = CustomizabilityFeedback(profile)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        provider.evaluate(ds, clustering, provider.evaluation_rng(0))
+    assert assert_matches_reference(ds, clustering, profile) == f"ValueError: {message}"
 
 
 # ---------------------------------------------------------------- profile & providers

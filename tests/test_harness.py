@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -303,9 +305,25 @@ def test_config_k_value_that_is_not_an_integer_is_named(k_values):
         ExperimentConfig(k_values=k_values)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("repeats_per_cell", 1.5),
+        ("sme_iterations", 2.5),
+        ("sm_iterations", "3"),
+        ("fluctuation_calls", True),
+        ("seed", None),
+    ],
+)
+def test_config_integer_field_that_is_not_an_integer_is_named(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_k_values_accept_numpy_integers():
-    config = ExperimentConfig(k_values=np.arange(2, 4))
+    config = ExperimentConfig(k_values=np.arange(2, 4), repeats_per_cell=np.int64(2), seed=np.int32(5))
     assert config.k_values == (2, 3) and all(type(k) is int for k in config.k_values)
+    assert type(config.repeats_per_cell) is int and type(config.seed) is int
 
 
 def test_config_validation():
