@@ -98,20 +98,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _parse_methods(raw: str) -> tuple[harness.ExperimentMethod, ...]:
-    methods = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            methods.append(harness.ExperimentMethod(token))
-        except ValueError:
-            valid = ", ".join(m.value for m in harness.ExperimentMethod)
-            raise ValueError(f"unknown method {token!r} (expected one of: {valid})") from None
-    if not methods:
-        raise ValueError("no methods selected")
-    return tuple(methods)
+def _parse_methods(raw: str) -> tuple[str, ...]:
+    """Method names from a comma-separated list; ExperimentConfig checks them."""
+    return tuple(token.strip() for token in raw.split(",") if token.strip())
 
 
 # Experiment config JSON keys, which are also the flag names, mapped to the

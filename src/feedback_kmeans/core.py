@@ -57,7 +57,8 @@ def as_integer(name: str, value) -> int:
 
 # The two helpers below freeze a copy when the input is itself a writeable
 # array, so building a value never makes the caller's array read-only; an
-# input that is already read-only is shared.
+# input that is already read-only is shared, as the package's own producers
+# (Clustering.adopt, Dataset.subset) hand over the arrays they build.
 def _frozen_f64(values, name: str, ndim: int) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr is values and arr.flags.writeable:
@@ -183,7 +184,9 @@ class Dataset:
         again; they still compare and order like its rows, but need not be
         dense.
         """
-        sub = Dataset(points=self.points[members], feature_names=self.feature_names)
+        points = self.points[members]
+        points.setflags(write=False)  # built here, so the subset shares it
+        sub = Dataset(points=points, feature_names=self.feature_names)
         ids = self.row_ids[members]
         ids.setflags(write=False)
         # cached_property reads the instance dict first.
@@ -207,6 +210,14 @@ class Clustering:
         object.__setattr__(self, "assignment", _frozen_i64(self.assignment, "assignment"))
         centroids = _frozen_f64(np.atleast_2d(self.centroids), "centroids", ndim=2)
         object.__setattr__(self, "centroids", centroids)
+
+    @classmethod
+    def adopt(cls, assignment: np.ndarray, centroids: np.ndarray) -> "Clustering":
+        """A clustering built from arrays that nobody else holds: they are
+        marked read-only, so construction shares them instead of copying."""
+        assignment.setflags(write=False)
+        centroids.setflags(write=False)
+        return cls(assignment=assignment, centroids=centroids)
 
     @property
     def k(self) -> int:

@@ -43,6 +43,15 @@ class ExperimentMethod(Enum):
 ALL_METHODS = tuple(ExperimentMethod)
 
 
+def _method(value) -> ExperimentMethod:
+    """An ExperimentMethod from a member or its name, e.g. "sme:rss"."""
+    try:
+        return ExperimentMethod(value)
+    except ValueError:
+        names = ", ".join(m.value for m in ExperimentMethod)
+        raise ValueError(f"unknown method {value!r}; expected one of {names}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     methods: tuple[ExperimentMethod, ...] = ALL_METHODS
@@ -54,10 +63,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", tuple(_method(m) for m in self.methods))
         for name in ("sme_iterations", "sm_iterations", "repeats_per_cell", "fluctuation_calls", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         object.__setattr__(self, "k_values", tuple(as_integer("k_values", k) for k in self.k_values))
+        if not self.methods:
+            raise ValueError("methods must be non-empty")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if any(k < MIN_K for k in self.k_values):
@@ -115,6 +126,8 @@ class ExperimentReport:
         method -> k -> mean). Records whose field is None are skipped, and
         groups left without values are omitted; groups keep their first-seen
         record order."""
+        if not keys:
+            raise ValueError("mean_by needs at least one record field to group by")
         groups: dict = {}
         for record in self.records:
             value = getattr(record, field)

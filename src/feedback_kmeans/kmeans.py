@@ -4,6 +4,13 @@ Provides the individual steps (init / assign / update / empty-cluster
 repair) as standalone operations. The split operator reuses the assignment
 pass, against its two new centroids only, and the repair outside a full
 Lloyd loop; the merge operator reuses the distance kernel.
+
+A Lloyd pass costs mostly numpy's fixed overhead per call, so both
+kernels keep inner loops long without changing a bit of the result:
+``squared_distances`` subtracts the centroids from contiguous copied
+point rows (k*d values per inner loop, not d), and Lloyd sums clusters
+from feature-major columns made once per run, in point order as
+``update_centroids`` does, with one size count per pass.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustering, Dataset
+from .core import Clustering, Dataset, as_integer
 
 # Lloyd stops once centroid movement, the maximum over centroids of the
 # squared displacement between consecutive iterations, is at most this.
@@ -28,6 +35,10 @@ class KMeansConfig:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("k", "seed", "max_iterations"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.max_iterations < 1:
@@ -35,12 +46,23 @@ class KMeansConfig:
 
 
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of squared Euclidean distances.
+    """(n, k) matrix of squared Euclidean distances between float64 rows.
 
     Computed from explicit differences (not the expanded-norm identity) so
     that exactly equal distances compare equal and ties stay deterministic.
+    The (n, k, d) difference tensor starts as each point row copied k
+    times, contiguous, and the centroids are subtracted from it in place:
+    that subtraction runs k*d values per point in one inner loop, where the
+    broadcast ``points[:, None, :] - centroids`` runs only d. Each entry is
+    the same single subtraction either way and the einsum reduction is the
+    same, so the result is bit-identical to the broadcast form. The rows
+    are copied into a fresh buffer rather than by ``np.repeat``, which
+    first copies a read-only input whole, as every dataset's points are.
     """
-    diff = points[:, None, :] - centroids[None, :, :]
+    n, d = points.shape
+    diff = np.empty((n, centroids.shape[0], d))
+    diff[...] = points[:, None, :]
+    diff -= centroids
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
@@ -107,13 +129,23 @@ def update_centroids(
         raise ValueError("assignment refers to a cluster id >= k")
     assignment = assignment.astype(np.intp, copy=False)  # bincount takes no uint64
     counts = np.bincount(assignment, minlength=k)
+    return _cluster_means(dataset.points.T, assignment, counts), np.flatnonzero(counts == 0).tolist()
+
+
+def _cluster_means(columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(k, d) cluster means from the (d, n) feature columns, k = len(counts).
+
+    counts is ``bincount(assignment, minlength=k)``; each column's cluster
+    sums accumulate in point order. bincount copies a strided column before
+    summing, so a caller that needs many updates passes contiguous columns.
+    Empty clusters' means are NaN.
+    """
+    k = counts.size
     sums = np.stack(
-        [np.bincount(assignment, weights=column, minlength=k) for column in dataset.points.T],
-        axis=1,
+        [np.bincount(assignment, weights=column, minlength=k) for column in columns], axis=1
     )
     with np.errstate(invalid="ignore"):
-        centroids = sums / counts[:, None]
-    return centroids, np.flatnonzero(counts == 0).tolist()
+        return sums / counts[:, None]
 
 
 def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> Clustering:
@@ -147,7 +179,7 @@ def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
         donor_point = int(np.argmax(dist))
         centroids[empty] = dataset.points[donor_point]
         assignment[donor_point] = empty
-    return Clustering(assignment=assignment, centroids=centroids)
+    return Clustering.adopt(assignment, centroids)
 
 
 def _nearest_with_bounds(
@@ -188,14 +220,16 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
             f"k={config.k} exceeds dataset size {dataset.n_points}"
         )
     points = dataset.points
+    columns = np.ascontiguousarray(points.T)
     centroids = init_centroids(dataset, config.k, config.seed)
     assignment, upper, lower = _nearest_with_bounds(points, centroids)
     # Centroids are distinct data points, so each owns at least itself and
     # the first assignment cannot leave a cluster empty.
+    counts = np.bincount(assignment, minlength=config.k)
     history = [dataset.n_points]
     for _ in range(config.max_iterations):
         # No cluster is empty here: see above, and the repair below.
-        new_centroids, _ = update_centroids(dataset, assignment, config.k)
+        new_centroids = _cluster_means(columns, assignment, counts)
         moved2 = np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)
         centroids = new_centroids
         moved = np.sqrt(moved2)
@@ -209,16 +243,18 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
             rows = np.flatnonzero(stale)
             assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
             history.append(rows.size)
-        repaired = bool((np.bincount(assignment, minlength=config.k) == 0).any())
+        counts = np.bincount(assignment, minlength=config.k)
+        repaired = bool((counts == 0).any())
         if repaired:
             clustering = repair_empty(dataset, assignment, centroids)
             assignment, centroids = clustering.assignment, clustering.centroids
+            counts = np.bincount(assignment, minlength=config.k)
             # The repaired assignment need not be nearest-centroid: every
             # row recomputes on the next pass.
             lower.fill(-np.inf)
         if not repaired and moved2.max() <= TOLERANCE:
             break
-    return Clustering(assignment=assignment, centroids=centroids), history
+    return Clustering.adopt(assignment, centroids), history
 
 
 def lloyd(dataset: Dataset, config: KMeansConfig) -> Clustering:

@@ -103,7 +103,7 @@ def split_cluster(
         repaired = repair_empty(dataset, assignment, new_centroids)
         distances[:, empties] = squared_distances(dataset.points, repaired.centroids[empties])
         return repaired, distances
-    return Clustering(assignment=assignment, centroids=new_centroids), distances
+    return Clustering.adopt(assignment, new_centroids), distances
 
 
 def merge_pair(
@@ -130,7 +130,7 @@ def merge_pair(
     remap = np.empty(clustering.k, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     remap[[i, j]] = len(kept)
-    merged = Clustering(assignment=remap[clustering.assignment], centroids=new_centroids)
+    merged = Clustering.adopt(remap[clustering.assignment], new_centroids)
     union_column = squared_distances(dataset.points, union_centroid[None, :])
     return merged, _replace_columns(dataset, clustering, distances, [i, j], union_column)
 

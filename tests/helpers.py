@@ -68,6 +68,14 @@ def make_dataset(points, feature_names=None, **kwargs) -> Dataset:
     return Dataset(points=points, feature_names=feature_names, **kwargs)
 
 
+def broadcast_squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The broadcast form of ``squared_distances``: the difference tensor
+    is ``points[:, None, :] - centroids[None, :, :]``. The reference the
+    contiguous-row kernel must equal byte for byte."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
 def weighted_rss(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> float:
     """Size-weighted mean cluster RSS, computed as the flat global mean of
     squared point-to-assigned-centroid distances (the two forms agree

@@ -285,6 +285,21 @@ def test_experiment_config_value_that_is_not_an_integer_is_named(tmp_path, capsy
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "methods, message",
+    [("sme:rss,sme:foo", "unknown method 'sme:foo'; expected one of sme:rss, "), (" , ", "methods must be non-empty")],
+)
+def test_experiment_bad_methods_are_named(tmp_path, capsys, methods, message):
+    code = main(
+        [
+            "experiment", "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r"),
+            "--methods", methods,
+        ]
+    )
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload", [[], {"m": 2, "segments": [[1.0, 0.0]]}])
 def test_run_with_a_malformed_oracle_file_exits_1(tmp_path, generated, capsys, payload):
     dataset, _ = generated

@@ -102,6 +102,13 @@ def test_construction_leaves_the_callers_array_writeable(caller, stored):
     np.testing.assert_array_equal(kept, before)
 
 
+def test_adopt_shares_the_arrays_it_is_handed_and_freezes_them():
+    assignment, centroids = np.array([0, 1]), np.array([[0.0], [1.0]])
+    clustering = Clustering.adopt(assignment, centroids)
+    assert clustering.assignment is assignment and clustering.centroids is centroids
+    assert not assignment.flags.writeable and not centroids.flags.writeable
+
+
 def test_duplicate_points_are_allowed():
     ds = make_dataset([[1.0, 2.0], [1.0, 2.0]])
     assert ds.n_points == 2

@@ -299,6 +299,27 @@ def test_mean_by_groups_nests_and_skips_missing_values():
     assert report.mean_by("custom_initial", "k") == {2: 0.5}
 
 
+def test_mean_by_without_a_grouping_key_is_named():
+    report = ExperimentReport(records=(_record("sme:rss", 2, 0.1, None),), failures=())
+    with pytest.raises(ValueError, match="mean_by needs at least one record field to group by"):
+        report.mean_by("impact")
+
+
+def test_config_methods_accept_names(experiment_inputs):
+    config = ExperimentConfig(methods=["sme:rss", ExperimentMethod.SM_RSS], k_values=(3,), repeats_per_cell=1)
+    assert config.methods == (ExperimentMethod.SME_RSS, ExperimentMethod.SM_RSS)
+    dataset, profile = experiment_inputs
+    report = run_experiment(dataset, config, profile)
+    assert report.failures == ()
+    assert [r.method for r in report.records] == ["sme:rss", "sm:rss"]
+
+
+@pytest.mark.parametrize("methods, message", [(("sme:foo",), "unknown method 'sme:foo'; expected one of sme:rss, "), ((), "methods must be non-empty")])
+def test_config_bad_methods_fail_at_construction(methods, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        ExperimentConfig(methods=methods)
+
+
 @pytest.mark.parametrize("k_values", [(2.9, 3), (True, 3), (2, "3")])
 def test_config_k_value_that_is_not_an_integer_is_named(k_values):
     with pytest.raises(ValueError, match="k_values must be an integer, got "):

@@ -15,7 +15,13 @@ from feedback_kmeans import (
 from feedback_kmeans import kmeans
 from feedback_kmeans.kmeans import lloyd_history, squared_distances
 
-from helpers import make_dataset, objective_sequence, plain_lloyd, weighted_rss
+from helpers import (
+    broadcast_squared_distances,
+    make_dataset,
+    objective_sequence,
+    plain_lloyd,
+    weighted_rss,
+)
 
 
 # ---------------------------------------------------------------- init
@@ -140,6 +146,35 @@ def test_squared_distances_rows_do_not_depend_on_the_batch():
             assert squared_distances(points[rows], centroids).tobytes() == full[rows].tobytes()
         for cols in (np.arange(1), [k - 1], np.flatnonzero(rng.random(k) < 0.5), rng.integers(0, k, 2)):
             assert squared_distances(points, centroids[cols]).tobytes() == full[:, cols].tobytes()
+
+
+@st.composite
+def _distance_inputs(draw):
+    """Points and centroids of n 1-200, d 1-8, k 1-20, with duplicate rows
+    and coordinates from 1e-3 to 1e3, as contiguous arrays or as row and
+    column slices of larger ones."""
+    n = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sliced = draw(st.booleans())
+
+    def block(rows):
+        # Extra rows and columns to slice away; each row has its own scale.
+        values = rng.normal(size=(2 * rows, d + 3)) * 10.0 ** rng.uniform(-3, 3, size=(2 * rows, 1))
+        values[rng.random(2 * rows) < 0.2] = values[0]  # duplicate rows
+        return values[::2, 1 : d + 1] if sliced else np.ascontiguousarray(values[:rows, :d])
+
+    return block(n), block(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distance_inputs())
+def test_squared_distances_equals_the_broadcast_form_byte_for_byte(inputs):
+    points, centroids = inputs
+    got = squared_distances(points, centroids)
+    assert got.shape == (points.shape[0], centroids.shape[0])
+    assert got.tobytes() == broadcast_squared_distances(points, centroids).tobytes()
 
 
 # ---------------------------------------------------------------- update
@@ -388,6 +423,27 @@ def test_bounded_lloyd_equals_plain_lloyd_on_a_planted_mix():
     ds = make_dataset(means[rng.integers(0, 12, 5000)] + rng.normal(size=(5000, 8)))
     history = _assert_bounded_equals_plain(ds, KMeansConfig(k=16, seed=3))
     assert sum(history[2:]) < 0.5 * ds.n_points * len(history[2:])  # most rows skip
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 2.5), ("k", True), ("seed", 1.0), ("seed", "3"), ("max_iterations", 2.5), ("max_iterations", None)],
+)
+def test_config_field_that_is_not_an_integer_is_named(field, value):
+    settings = {"k": 2, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        KMeansConfig(**settings)
+
+
+def test_config_rejects_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        KMeansConfig(k=2, seed=-1)
+
+
+def test_config_accepts_numpy_integers_as_ints():
+    config = KMeansConfig(k=np.int64(3), seed=np.uint32(4), max_iterations=np.int16(5))
+    assert (config.k, config.seed, config.max_iterations) == (3, 4, 5)
+    assert all(type(v) is int for v in (config.k, config.seed, config.max_iterations))
 
 
 def test_config_validation():

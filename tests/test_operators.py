@@ -7,11 +7,13 @@ from feedback_kmeans import (
     Clustering,
     assign_points,
     FeedbackReport,
+    KMeansConfig,
     Sense,
     SMAction,
     bisect_cluster,
     closest_centroid_pair,
     is_splittable,
+    lloyd,
     merge_pair,
     nearest_cluster,
     repair_empty,
@@ -22,6 +24,7 @@ from feedback_kmeans import (
     validate_clustering,
     worst_cluster,
 )
+from feedback_kmeans import core
 from helpers import make_dataset
 
 
@@ -253,6 +256,38 @@ def test_split_that_empties_a_kept_cluster_repairs_it_and_its_column():
     assert out.centroids.tobytes() != centroids.tobytes()  # the repair moved centroid 0
     assert validate_clustering(ds, out) == []
     assert distances.tobytes() == distances_of(ds, out).tobytes()
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """Per array a Clustering or Dataset is built from, whether it was
+    copied: the value copies an array that is still writeable."""
+    copied = []
+    for name in ("_frozen_f64", "_frozen_i64"):
+        def spy(values, *args, _original=getattr(core, name), **kwargs):
+            stored = _original(values, *args, **kwargs)
+            copied.append(stored is not values)
+            return stored
+        monkeypatch.setattr(core, name, spy)
+    return copied
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [
+        lambda ds, c: lloyd(ds, KMeansConfig(k=3, seed=0)),
+        lambda ds, c: ds.subset(c.members(0)),
+        lambda ds, c: split_cluster(ds, c, distances_of(ds, c), target=0, seed=0),
+        lambda ds, c: merge_pair(ds, c, distances_of(ds, c), 0, 1),
+        lambda ds, c: repair_empty(ds, c.assignment, np.vstack([c.centroids, [[5.0]]])),
+    ],
+    ids=["lloyd", "subset", "split", "merge", "repair"],
+)
+def test_producers_hand_their_values_arrays_they_built_uncopied(copies, produce):
+    ds, clustering = clustering_with_sizes([3, 4, 2])
+    copies.clear()
+    produce(ds, clustering)
+    assert copies and not any(copies)
 
 
 def test_operators_reject_a_distance_matrix_of_another_shape():
