@@ -35,8 +35,10 @@ def main() -> None:
     experiment = ExperimentConfig(repeats_per_cell=3, seed=seed)
     start = time.perf_counter()
     report = run_experiment(dataset, experiment, profile)
-    print(f"ran {len(report.records)} cells in {time.perf_counter() - start:.1f}s "
-          f"({len(report.failures)} failures)\n")
+    print(f"ran {len(report.records) + len(report.failures)} cells in {time.perf_counter() - start:.1f}s "
+          f"({len(report.failures)} failed)\n")
+    for failure in report.failures:
+        print(f"failed: {failure}", file=sys.stderr)
 
     own = report.mean_by("impact", "method")
     custom = report.mean_by("custom_impact", "method")

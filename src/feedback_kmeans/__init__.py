@@ -39,6 +39,7 @@ from .harness import (
     expected_relative_change,
     impact,
     run_experiment,
+    run_method,
 )
 from .ingest import read_csv, read_report, write_csv, write_report
 from .kmeans import (

@@ -2,7 +2,8 @@
 
 Commands:
     generate    draw a synthetic dataset + oracle profile from a JSON config
-    run         one engine call, optionally exporting a JSON-lines trace
+    run         one method run, as an experiment cell makes it; optionally
+                exports a JSON-lines trace
     experiment  the full protocol grid, writing report CSV + JSON
     validate    invariant checks on an exported trace file
 
@@ -24,9 +25,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engines, harness, ingest, synth
-from .core import Sense, as_integer
-from .feedback import load_oracle_profile, provider_from_name, save_oracle_profile
-from .rng import derive_seed
+from .core import Sense, as_integer, check_keys
+from .feedback import load_oracle_profile, save_oracle_profile
 
 
 def _threads() -> int:
@@ -71,19 +71,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.feedback == "custom" and args.oracle is None:
         parser.error("--feedback custom requires --oracle")
     dataset = _load_dataset(args)
-    profile = None
-    if args.oracle is not None:
-        profile = load_oracle_profile(args.oracle, rng_seed=derive_seed(args.seed, "oracle"))
-    provider = provider_from_name(args.feedback, profile)
-    method = engines.Method(args.method)
-    config = engines.EngineConfig(
-        method=method,
-        feedback=provider,
-        seed=args.seed,
-        iterations=args.iterations,
-        target_evaluation=args.target,
-    )
-    trace = engines.run_engine(dataset, args.k, config)
+    profile = None if args.oracle is None else load_oracle_profile(args.oracle)
+    method = harness.ExperimentMethod(f"{args.method}:{args.feedback}")
+    trace = harness.run_method(dataset, method, args.k, args.seed, profile, args.iterations, args.target)
     if args.out is not None:
         engines.write_trace(trace, args.out)
         print(f"wrote {args.out} ({len(trace.steps)} steps)")
@@ -91,16 +81,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     best_clust, best_eval = engines.best_clustering(trace)
     print(f"initial evaluation: {initial!r}")
     print(f"best evaluation:    {best_eval!r} (step {trace.best_step_index})")
-    print(f"impact:             {harness.impact(initial, best_eval, provider.sense)!r}")
+    print(f"impact:             {harness.impact(initial, best_eval, trace.sense)!r}")
     print(f"final k (best clustering): {best_clust.k}")
     if trace.stalled:
         print("run stalled: no legal action remained")
     return 0
-
-
-def _parse_methods(raw: str) -> tuple[str, ...]:
-    """Method names from a comma-separated list; ExperimentConfig checks them."""
-    return tuple(token.strip() for token in raw.split(",") if token.strip())
 
 
 # Experiment config JSON keys, which are also the flag names, mapped to the
@@ -122,8 +107,8 @@ def _experiment_value(key: str, value):
     other setting must be an integer (a bool or a fraction is rejected)."""
     if key in ("methods", "k_values"):
         raw = ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
-        if key == "methods":
-            return _parse_methods(raw)
+        if key == "methods":  # ExperimentConfig checks the names
+            return tuple(token.strip() for token in raw.split(",") if token.strip())
         try:
             return tuple(int(tok) for tok in raw.replace(",", " ").split())
         except ValueError:
@@ -135,14 +120,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     settings = {}
     if args.config is not None:
         settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(settings, dict):
-            raise ValueError(f"{args.config}: experiment config must be a JSON object")
-        unknown = sorted(set(settings) - set(_EXPERIMENT_KEYS))
-        if unknown:
-            raise ValueError(
-                f"{args.config}: unknown experiment config key(s) {', '.join(unknown)} "
-                f"(accepted: {', '.join(_EXPERIMENT_KEYS)})"
-            )
+        check_keys(args.config, "experiment config", settings, _EXPERIMENT_KEYS)
     settings.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS if getattr(args, key) is not None})
     config = replace(
         harness.ExperimentConfig(),
@@ -153,9 +131,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     threads = _threads()
 
     dataset = _load_dataset(args)
-    profile = None
-    if args.oracle is not None:
-        profile = load_oracle_profile(args.oracle)
+    profile = None if args.oracle is None else load_oracle_profile(args.oracle)
 
     report = harness.run_experiment(dataset, config, profile, threads=threads)
 
@@ -178,10 +154,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if report.failures:
         print(f"{len(report.failures)} cell(s) failed:", file=sys.stderr)
         for failure in report.failures:
-            print(
-                f"  {failure.method} k={failure.k} seed={failure.seed}: {failure.error}",
-                file=sys.stderr,
-            )
+            print(f"  {failure}", file=sys.stderr)
         return 1
     return 0
 
@@ -272,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    run = sub.add_parser("run", help="one engine call on a dataset")
+    run = sub.add_parser("run", help="one method run on a dataset, as an experiment cell runs it")
     run.add_argument("--dataset", required=True, help="dataset CSV")
     run.add_argument("--method", choices=["sme", "sm"], required=True)
     run.add_argument("--feedback", choices=["rss", "custom"], default="rss")

@@ -55,6 +55,26 @@ def as_integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_number(name: str, value) -> float:
+    """value as a float; a bool, a string, nan or an infinity is rejected by name."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        if np.isfinite(value):
+            return float(value)
+    raise ValueError(f"{name} must be a finite int or float, got {value!r}")
+
+
+def check_keys(what: str, where: str, block, accepted) -> None:
+    """Reject a config block that is not a JSON object or holds a key
+    outside accepted, naming the file (what) and the block (where)."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{what}: {where} must be a JSON object")
+    unknown = sorted(set(block) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{what}: unknown {where} key(s) {', '.join(unknown)} (accepted: {', '.join(accepted)})"
+        )
+
+
 # The two helpers below freeze a copy when the input is itself a writeable
 # array, so building a value never makes the caller's array read-only; an
 # input that is already read-only is shared, as the package's own producers

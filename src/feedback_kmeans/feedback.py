@@ -29,7 +29,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, validate_clustering
+from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, as_number, check_keys
+from .core import validate_clustering
 from .rng import substream
 
 BASELINE_EPSILON = 1e-12
@@ -85,12 +86,17 @@ class OracleProfile:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("score_offset", "noise_sigma", "eval_pool_fraction"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name)))
+        object.__setattr__(self, "sample_size", as_integer("sample_size", self.sample_size))
         if not self.segment_weights:
             raise ValueError("oracle profile needs at least one segment")
         weights: dict[int, np.ndarray] = {}
-        m = self.m
+        m = None if self.m is None else as_integer("m", self.m)
         for seg, w in self.segment_weights.items():
             arr = _frozen_f64(w, f"segment {seg}: weights", ndim=1)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"segment {seg}: weights must be finite, got {arr.tolist()}")
             if m is None:
                 m = arr.shape[0]
             if arr.shape[0] != m:
@@ -313,9 +319,13 @@ def provider_from_name(name: str, profile: OracleProfile | None = None) -> Feedb
     raise ValueError(f"unknown feedback provider {name!r} (expected 'rss' or 'custom')")
 
 
+# The keys of an oracle profile file ("C" is the score offset).
+_PROFILE_KEYS = ("m", "segments", "C", "noise_sigma", "sample_size", "eval_pool_fraction")
+
+
 def save_oracle_profile(profile: OracleProfile, path: str | Path) -> None:
     """Serialize a profile to JSON. The rng seed is run configuration, not
-    part of the profile file; loaders supply it."""
+    part of the profile file; each run re-seeds the loaded profile."""
     payload = {
         "m": profile.m,
         "segments": {
@@ -329,22 +339,22 @@ def save_oracle_profile(profile: OracleProfile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_oracle_profile(path: str | Path, rng_seed: int = 0) -> OracleProfile:
+def load_oracle_profile(path: str | Path) -> OracleProfile:
+    """Read a profile written by save_oracle_profile; a key it does not
+    know is an error. Its rng seed is 0, and each run sets its own."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    check_keys(f"oracle profile {path}", "top level", payload, _PROFILE_KEYS)
     try:
-        if not isinstance(payload, dict):
-            raise ValueError("top level must be a JSON object")
         if not isinstance(payload["segments"], dict):
             raise ValueError("field 'segments' must be a JSON object of segment id -> weights")
         segments = {int(seg): np.asarray(w, dtype=np.float64) for seg, w in payload["segments"].items()}
         return OracleProfile(
             segment_weights=segments,
-            m=as_integer("m", payload["m"]),
-            score_offset=float(payload["C"]),
-            noise_sigma=float(payload["noise_sigma"]),
-            sample_size=as_integer("sample_size", payload["sample_size"]),
-            eval_pool_fraction=float(payload["eval_pool_fraction"]),
-            rng_seed=int(rng_seed),
+            m=payload["m"],
+            score_offset=payload["C"],
+            noise_sigma=payload["noise_sigma"],
+            sample_size=payload["sample_size"],
+            eval_pool_fraction=payload["eval_pool_fraction"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc

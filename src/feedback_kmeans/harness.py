@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from statistics import mean
 
-from .core import Clustering, Dataset, Sense, as_integer
+from .core import Clustering, Dataset, RunTrace, Sense, as_integer
 from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
 from .feedback import FeedbackProvider, OracleProfile, provider_from_name, relative_change
 from .kmeans import KMeansConfig, lloyd
@@ -33,11 +33,11 @@ class ExperimentMethod(Enum):
 
     @property
     def engine_method(self) -> Method:
-        return Method.SME if self.value.startswith("sme") else Method.SM
+        return Method(self.value.partition(":")[0])
 
     @property
     def feedback_kind(self) -> str:
-        return self.value.split(":")[1]
+        return self.value.partition(":")[2]
 
 
 ALL_METHODS = tuple(ExperimentMethod)
@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
+        for name, values in (("methods", [m.value for m in self.methods]), ("k_values", self.k_values)):
+            repeated = sorted({v for v in values if values.count(v) > 1}, key=values.index)
+            if repeated:
+                raise ValueError(f"{name} repeats {', '.join(map(str, repeated))}")
         if any(k < MIN_K for k in self.k_values):
             raise ValueError(f"every k must be at least {MIN_K}")
         if self.repeats_per_cell < 1:
@@ -106,6 +110,9 @@ class CellFailure:
     k: int
     seed: int
     error: str
+
+    def __str__(self) -> str:
+        return f"{self.method} k={self.k} seed={self.seed}: {self.error}"
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,24 @@ def expected_relative_change(
     return mean(abs(relative_change(values[0], v)) for v in values[1:])
 
 
+def run_method(
+    dataset: Dataset,
+    method: ExperimentMethod,
+    k: int,
+    seed: int,
+    profile: OracleProfile | None = None,
+    iterations: int | None = None,
+    target: float | None = None,
+) -> RunTrace:
+    """One run of method from k seeded clusters, as an experiment cell and
+    the CLI's run command make it. A customizability-driven run evaluates
+    on the profile re-seeded from seed, so the arguments fix the run."""
+    if method.feedback_kind == "custom" and profile is not None:
+        profile = profile.with_rng_seed(derive_seed(seed, "oracle"))
+    provider = provider_from_name(method.feedback_kind, profile)
+    return run_engine(dataset, k, EngineConfig(method.engine_method, provider, seed, iterations, target))
+
+
 def _run_cell(
     dataset: Dataset,
     method: ExperimentMethod,
@@ -195,26 +220,11 @@ def _run_cell(
     config: ExperimentConfig,
     profile: OracleProfile | None,
 ) -> ImpactRecord:
-    oracle = profile
-    if method.feedback_kind == "custom" and profile is not None:
-        oracle = profile.with_rng_seed(derive_seed(cell_seed, "oracle"))
-    provider = provider_from_name(method.feedback_kind, oracle)
-    iterations = (
-        config.sme_iterations if method.engine_method is Method.SME else config.sm_iterations
-    )
-    trace = run_engine(
-        dataset,
-        k,
-        EngineConfig(
-            method=method.engine_method,
-            feedback=provider,
-            seed=cell_seed,
-            iterations=iterations,
-        ),
-    )
+    iterations = config.sme_iterations if method.engine_method is Method.SME else config.sm_iterations
+    trace = run_method(dataset, method, k, cell_seed, profile, iterations)
     initial = trace.steps[0].feedback.aggregate
     best_clust, best_eval = best_clustering(trace)
-    own_impact = impact(initial, best_eval, provider.sense)
+    own_impact = impact(initial, best_eval, trace.sense)
 
     if method.feedback_kind == "custom":
         custom_initial: float | None = initial

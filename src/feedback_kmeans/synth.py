@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, as_integer
+from .core import Dataset, as_integer, check_keys
 from .feedback import OracleProfile
 
 FEATURE_NAMES = (
@@ -171,24 +171,13 @@ def standardize(dataset: Dataset) -> tuple[Dataset, FeatureScaling]:
     )
 
 
-def build_oracle_profile(
-    config: GeneratorConfig,
-    score_offset: float = 10.0,
-    noise_sigma: float = 0.05,
-    sample_size: int = 100,
-    eval_pool_fraction: float = 0.2,
-    rng_seed: int = 0,
-) -> OracleProfile:
+def build_oracle_profile(config: GeneratorConfig, **knobs) -> OracleProfile:
     """Oracle profile whose hidden weights come from the generator config,
-    so every generated point's segment is covered."""
-    return OracleProfile(
-        segment_weights={s.id: np.asarray(s.oracle_weights) for s in config.segments},
-        score_offset=score_offset,
-        noise_sigma=noise_sigma,
-        sample_size=sample_size,
-        eval_pool_fraction=eval_pool_fraction,
-        rng_seed=rng_seed,
-    )
+    so every generated point's segment is covered; knobs are the other
+    OracleProfile fields (score_offset, noise_sigma, sample_size,
+    eval_pool_fraction, rng_seed), which keep its defaults when left out."""
+    segment_weights = {s.id: np.asarray(s.oracle_weights) for s in config.segments}
+    return OracleProfile(segment_weights=segment_weights, **knobs)
 
 
 # The keys a generator config JSON may hold: at the top level, in each
@@ -201,17 +190,6 @@ _SEGMENT_KEYS = (
 _ORACLE_KEYS = ("score_offset", "C", "noise_sigma", "sample_size", "eval_pool_fraction")
 
 
-def _check_keys(path: str | Path, where: str, block, accepted: tuple[str, ...]) -> None:
-    if not isinstance(block, dict):
-        raise ValueError(f"generator config {path}: {where} must be a JSON object")
-    unknown = sorted(set(block) - set(accepted))
-    if unknown:
-        raise ValueError(
-            f"generator config {path}: unknown {where} key(s) {', '.join(unknown)} "
-            f"(accepted: {', '.join(accepted)})"
-        )
-
-
 def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
     """Parse a generator config JSON; a key it does not know is an error.
 
@@ -219,11 +197,12 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
     noise, sample size, pool fraction) to forward to build_oracle_profile.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    _check_keys(path, "top-level", payload, _CONFIG_KEYS)
+    what = f"generator config {path}"
+    check_keys(what, "top-level", payload, _CONFIG_KEYS)
     for index, segment in enumerate(payload.get("segments", [])):
-        _check_keys(path, f"segment {index}", segment, _SEGMENT_KEYS)
+        check_keys(what, f"segment {index}", segment, _SEGMENT_KEYS)
     oracle = payload.get("oracle", {})
-    _check_keys(path, "oracle", oracle, _ORACLE_KEYS)
+    check_keys(what, "oracle", oracle, _ORACLE_KEYS)
     try:
         segments = tuple(
             SegmentSpec(

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from feedback_kmeans import Clustering, CustomizabilityFeedback, OracleProfile, engines, feedback, harness
+from feedback_kmeans import cli, ingest, save_oracle_profile, synth
 from helpers import make_dataset
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -30,6 +31,30 @@ def test_traced_names_exist():
         assert method in cls.__dict__, f"{module_name}.{class_name}.{method}"
     # RunLog observes every engine run by rebinding harness.run_engine.
     assert harness.run_engine is engines.run_engine
+
+
+def test_every_method_run_goes_through_harness_run_engine(tmp_path, monkeypatch):
+    # RunLog sees a run only if it calls harness.run_engine: both the CLI's
+    # run command and each experiment cell do, through harness.run_method.
+    calls = []
+    original = harness.run_engine
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "run_engine", counted)
+    config = synth.demo_generator_config(n_points=240, seed=3)
+    dataset = synth.generate(config)
+    profile = synth.build_oracle_profile(config)
+    ingest.write_csv(dataset, tmp_path / "dataset.csv")
+    save_oracle_profile(profile, tmp_path / "oracle.json")
+    argv = ["run", "--dataset", str(tmp_path / "dataset.csv"), "--oracle", str(tmp_path / "oracle.json")]
+    assert cli.main(argv + ["--method", "sm", "--feedback", "custom", "--k", "3", "--iterations", "2"]) == 0
+    assert len(calls) == 1
+    experiment = harness.ExperimentConfig(k_values=(2, 3), repeats_per_cell=1, sme_iterations=1, sm_iterations=1)
+    harness.run_experiment(dataset, experiment, profile)
+    assert len(calls) == 1 + 4 * 2
 
 
 def test_custom_evaluate_looks_up_the_oracle_at_call_time(monkeypatch):

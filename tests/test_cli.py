@@ -8,6 +8,7 @@ import pytest
 
 from feedback_kmeans.cli import build_parser, main, validate_trace_records
 from feedback_kmeans.engines import read_trace_records
+from feedback_kmeans.ingest import read_report
 
 
 def write_config(path, n_points=400, seed=5, noise_sigma=0.05):
@@ -113,6 +114,29 @@ def test_generate_invalid_config_exits_1(tmp_path, capsys):
     bad.write_text(json.dumps({"n_points": 10, "seed": 0, "segments": []}))
     assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "knob, value, message",
+    [
+        ("sample_size", 40.5, "sample_size must be an integer, got 40.5"),
+        ("sample_size", True, "sample_size must be an integer, got True"),
+        ("noise_sigma", "0.05", "noise_sigma must be a finite int or float, got '0.05'"),
+        ("noise_sigma", float("nan"), "noise_sigma must be a finite int or float, got nan"),
+    ],
+    ids=["fractional-sample-size", "bool-sample-size", "string-noise", "nan-noise"],
+)
+def test_generate_oracle_knob_that_is_not_a_finite_number_exits_1(tmp_path, capsys, knob, value, message):
+    # These were written truncated (40.5 as 40, true as 1), written as nan,
+    # or raised an uncaught TypeError.
+    config = write_config(tmp_path / "config.json")
+    payload = json.loads(config.read_text())
+    payload["oracle"][knob] = value
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "data"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists() and not (out / "oracle.json").exists()
 
 
 # ---------------------------------------------------------------- run
@@ -325,6 +349,18 @@ def test_experiment_bad_grid_setting_fails_before_loading_data(tmp_path, capsys)
     assert "fluctuation_calls must be at least 2" in err and "missing.csv" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--k-values", "2,2"], "k_values repeats 2"), (["--methods", "sme:rss,sme:rss"], "methods repeats sme:rss")],
+    ids=["k", "method"],
+)
+def test_experiment_repeated_grid_value_is_named(tmp_path, capsys, flags, message):
+    # `--k-values 2,2` ran each cell twice with one derived seed.
+    code = main(["experiment", "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r"), *flags])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_experiment_non_integer_thread_env_is_an_error(tmp_path, generated, monkeypatch, capsys):
     dataset, oracle = generated
     monkeypatch.setenv("FEEDBACK_KMEANS_THREADS", "abc")
@@ -379,6 +415,38 @@ def test_experiment_partial_failure_exit_code(tmp_path, generated, capsys):
     )
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_every_report_row_reproduces_through_run(tmp_path, generated, capsys):
+    # A report row's method, k and seed are all that `run` needs to redo it.
+    dataset, oracle = generated
+    out = tmp_path / "r"
+    code = main(
+        [
+            "experiment", "--dataset", str(dataset), "--oracle", str(oracle), "--out", str(out),
+            "--k-values", "2,3", "--repeats", "1", "--fluctuation-calls", "3", "--seed", "9",
+            "--sme-iterations", "3", "--sm-iterations", "5",
+        ]
+    )
+    assert code == 0
+    rows = read_report(out / "report.json")
+    assert sorted({row["method"] for row in rows}) == ["sm:custom", "sm:rss", "sme:custom", "sme:rss"]
+    assert len(rows) == 8
+    capsys.readouterr()
+    for row in rows:
+        method, feedback = row["method"].split(":")
+        code = main(
+            [
+                "run", "--dataset", str(dataset), "--oracle", str(oracle), "--method", method,
+                "--feedback", feedback, "--k", str(row["k"]), "--seed", str(row["seed"]),
+                "--iterations", "3" if method == "sme" else "5",
+            ]
+        )
+        assert code == 0
+        printed = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+        assert printed["initial evaluation"].strip() == repr(row["initial_eval"])
+        assert printed["impact"].strip() == repr(row["impact"])
+        assert printed["final k (best clustering)"].strip() == str(row["final_k"])
 
 
 # ---------------------------------------------------------------- validate

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,8 +13,28 @@ from feedback_kmeans import (
     Sense,
     validate_clustering,
 )
+from feedback_kmeans.core import as_number, check_keys
 
 from helpers import make_dataset
+
+
+@pytest.mark.parametrize("value", [3, 2.5, -0.0, np.int32(4), np.float32(0.25)])
+def test_as_number_takes_finite_ints_and_floats(value):
+    assert as_number("x", value) == float(value) and type(as_number("x", value)) is float
+
+
+@pytest.mark.parametrize("value", [True, "0.05", None, float("nan"), float("inf"), -np.inf, [1.0]])
+def test_as_number_rejects_the_rest_by_name(value):
+    with pytest.raises(ValueError, match=rf"^noise_sigma must be a finite int or float, got {re.escape(repr(value))}$"):
+        as_number("noise_sigma", value)
+
+
+def test_check_keys_names_the_file_the_block_and_the_keys():
+    check_keys("f.json", "top level", {"a": 1}, ("a", "b"))
+    with pytest.raises(ValueError, match=r"^f\.json: unknown top level key\(s\) c, d \(accepted: a, b\)$"):
+        check_keys("f.json", "top level", {"d": 1, "a": 2, "c": 3}, ("a", "b"))
+    with pytest.raises(ValueError, match=r"^f\.json: top level must be a JSON object$"):
+        check_keys("f.json", "top level", [1], ("a", "b"))
 
 
 def test_minimal_valid_clustering():

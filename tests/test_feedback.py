@@ -566,6 +566,27 @@ def test_profile_rejects_mixed_dimensions():
         OracleProfile(segment_weights={0: np.array([1.0]), 1: np.array([1.0, 0.0])})
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"noise_sigma": float("nan")}, "noise_sigma must be a finite int or float, got nan"),
+        ({"score_offset": float("inf")}, "score_offset must be a finite int or float, got inf"),
+        ({"eval_pool_fraction": "0.2"}, "eval_pool_fraction must be a finite int or float, got '0.2'"),
+        ({"segment_weights": {0: np.array([np.nan, 0.0])}}, "segment 0: weights must be finite, got [nan, 0.0]"),
+        ({"sample_size": 40.5}, "sample_size must be an integer, got 40.5"),
+        ({"sample_size": True}, "sample_size must be an integer, got True"),
+        ({"m": 2.0}, "m must be an integer, got 2.0"),
+    ],
+    ids=["nan-noise", "inf-offset", "string-fraction", "nan-weight", "fractional-sample-size", "bool-sample-size",
+         "float-m"],
+)
+def test_profile_rejects_a_field_that_is_not_a_finite_number(fields, message):
+    # Each of these used to build a profile whose every evaluation was nan,
+    # or was stored truncated, or raised a TypeError at the first use.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OracleProfile(**{"segment_weights": {0: np.array([1.0, 0.0])}, **fields})
+
+
 def test_profiles_compare_by_identity():
     # the generated field-wise __eq__ compared dicts of arrays and raised
     a, b = profile_two_segments(), profile_two_segments()
@@ -584,9 +605,9 @@ def test_profile_json_round_trip(tmp_path):
     )
     path = tmp_path / "oracle.json"
     save_oracle_profile(profile, path)
-    loaded = load_oracle_profile(path, rng_seed=42)
+    loaded = load_oracle_profile(path)
     assert loaded.m == 3
-    assert loaded.rng_seed == 42
+    assert loaded.rng_seed == 0  # run configuration: each run re-seeds the profile
     assert loaded.noise_sigma == profile.noise_sigma
     assert loaded.sample_size == profile.sample_size
     assert loaded.eval_pool_fraction == profile.eval_pool_fraction
@@ -605,8 +626,13 @@ def test_profile_json_round_trip(tmp_path):
         (lambda payload: {**payload, "m": 2.9}, "m must be an integer, got 2.9"),
         (lambda payload: {**payload, "C": None}, "float"),
         (lambda payload: {k: v for k, v in payload.items() if k != "noise_sigma"}, "missing field 'noise_sigma'"),
+        (lambda payload: {**payload, "noise_sigma": float("nan")}, "noise_sigma must be a finite int or float, got nan"),
+        (lambda payload: {**payload, "C": "10"}, "score_offset must be a finite int or float, got '10'"),
+        (lambda payload: {**payload, "segments": {"0": [float("nan"), 0.5]}}, "segment 0: weights must be finite"),
+        (lambda payload: {**payload, "rng_seed": 5}, "unknown top level key(s) rng_seed (accepted: m, segments, C, "),
     ],
-    ids=["top-level-list", "segments-list", "fractional-m", "null-C", "missing-field"],
+    ids=["top-level-list", "segments-list", "fractional-m", "null-C", "missing-field", "nan-literal", "string-C",
+         "nan-weight", "unknown-key"],
 )
 def test_malformed_profile_file_is_a_named_error(tmp_path, change, message):
     path = tmp_path / "oracle.json"

@@ -320,6 +320,28 @@ def test_config_bad_methods_fail_at_construction(methods, message):
         ExperimentConfig(methods=methods)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"k_values": (2, 3, 2)}, "k_values repeats 2"),
+        ({"k_values": (4, 3, 3, 4, 5)}, "k_values repeats 4, 3"),
+        ({"methods": ("sm:rss", "sme:rss", ExperimentMethod.SM_RSS)}, "methods repeats sm:rss"),
+    ],
+    ids=["k", "two-k", "method-by-name-and-member"],
+)
+def test_config_repeated_value_is_named(settings, message):
+    # A repeated value ran its cells twice with equal seeds, so every mean
+    # counted them twice.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**settings)
+
+
+def test_method_names_split_into_engine_method_and_feedback():
+    assert [(m.engine_method.value, m.feedback_kind) for m in ExperimentMethod] == [
+        ("sme", "rss"), ("sme", "custom"), ("sm", "rss"), ("sm", "custom"),
+    ]
+
+
 @pytest.mark.parametrize("k_values", [(2.9, 3), (True, 3), (2, "3")])
 def test_config_k_value_that_is_not_an_integer_is_named(k_values):
     with pytest.raises(ValueError, match="k_values must be an integer, got "):

@@ -1,6 +1,7 @@
 """The example scripts run to completion on the current API; the toy demo's output is pinned."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ def run_script(script, *args):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout
+    return result
 
 
 @pytest.mark.parametrize(
@@ -59,4 +60,14 @@ def test_script_exits_cleanly(script, args):
 
 
 def test_toy_demo_output_is_pinned():
-    assert run_script("toy_demo.py") == TOY_DEMO_STDOUT
+    assert run_script("toy_demo.py").stdout == TOY_DEMO_STDOUT
+
+
+def test_desk_experiment_prints_every_failed_cell():
+    # At 60 points some clusters are too small for the oracle, so cells fail.
+    result = run_script("desk_experiment.py", "60", "7")
+    failed = int(re.search(r"^ran 72 cells in .*s \((\d+) failed\)$", result.stdout, re.M).group(1))
+    lines = result.stderr.splitlines()
+    assert failed > 0 and len(lines) == failed
+    for line in lines:
+        assert re.fullmatch(r"failed: sme?:(rss|custom) k=[2-7] seed=\d+: \w+: .+", line), line
