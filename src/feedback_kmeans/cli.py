@@ -17,7 +17,6 @@ below 1 mean 1).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -25,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engines, harness, ingest, synth
-from .core import Sense, as_integer, check_keys
+from .core import Sense, as_integer, check_keys, read_json
 from .feedback import load_oracle_profile, save_oracle_profile
 
 
@@ -38,13 +37,12 @@ def _threads() -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config, oracle_kwargs = synth.load_generator_config(args.config)
+    config, profile = synth.load_generator_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = synth.generate(config)
-    profile = synth.build_oracle_profile(config, **oracle_kwargs)
     dataset_path = out / "dataset.csv"
     oracle_path = out / "oracle.json"
     ingest.write_csv(dataset, dataset_path)
@@ -119,7 +117,7 @@ def _experiment_value(key: str, value):
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     settings = {}
     if args.config is not None:
-        settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        settings = read_json(args.config, args.config)
         check_keys(args.config, "experiment config", settings, _EXPERIMENT_KEYS)
     settings.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS if getattr(args, key) is not None})
     config = replace(

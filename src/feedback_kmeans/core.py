@@ -7,9 +7,13 @@ are marked read-only.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
+import json
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -56,11 +60,21 @@ def as_integer(name: str, value) -> int:
 
 
 def as_number(name: str, value) -> float:
-    """value as a float; a bool, a string, nan or an infinity is rejected by name."""
+    """value as a float; a bool, a string, nan, an infinity or an integer
+    beyond the float range is rejected by name."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        if np.isfinite(value):
-            return float(value)
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
     raise ValueError(f"{name} must be a finite int or float, got {value!r}")
+
+
+def read_json(path: str | Path, what: str):
+    """Parse a UTF-8 JSON file; one that is not is a ValueError naming what."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def check_keys(what: str, where: str, block, accepted) -> None:

@@ -202,11 +202,13 @@ def write_trace(trace: RunTrace, path: str | Path) -> None:
 
 
 def read_trace_records(path: str | Path) -> list[dict]:
-    """Parse a JSON-lines trace export back into record dicts."""
+    """Parse a JSON-lines trace export; a line that is not UTF-8 JSON is named."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                if line.strip():
+                    records.append(json.loads(line.decode("utf-8")))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return records

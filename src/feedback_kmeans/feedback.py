@@ -30,7 +30,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, as_number, check_keys
-from .core import validate_clustering
+from .core import read_json, validate_clustering
 from .rng import substream
 
 BASELINE_EPSILON = 1e-12
@@ -319,43 +319,32 @@ def provider_from_name(name: str, profile: OracleProfile | None = None) -> Feedb
     raise ValueError(f"unknown feedback provider {name!r} (expected 'rss' or 'custom')")
 
 
-# The keys of an oracle profile file ("C" is the score offset).
-_PROFILE_KEYS = ("m", "segments", "C", "noise_sigma", "sample_size", "eval_pool_fraction")
+# An oracle profile file's keys, mapped to the OracleProfile fields they hold.
+PROFILE_KEYS = {
+    "m": "m", "segments": "segment_weights", "C": "score_offset", "noise_sigma": "noise_sigma",
+    "sample_size": "sample_size", "eval_pool_fraction": "eval_pool_fraction",
+}
 
 
 def save_oracle_profile(profile: OracleProfile, path: str | Path) -> None:
     """Serialize a profile to JSON. The rng seed is run configuration, not
     part of the profile file; each run re-seeds the loaded profile."""
-    payload = {
-        "m": profile.m,
-        "segments": {
-            str(seg): [float(v) for v in w] for seg, w in sorted(profile.segment_weights.items())
-        },
-        "C": float(profile.score_offset),
-        "noise_sigma": float(profile.noise_sigma),
-        "sample_size": int(profile.sample_size),
-        "eval_pool_fraction": float(profile.eval_pool_fraction),
-    }
+    payload = {key: getattr(profile, field) for key, field in PROFILE_KEYS.items()}
+    payload["segments"] = {str(seg): w.tolist() for seg, w in profile.segment_weights.items()}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_oracle_profile(path: str | Path) -> OracleProfile:
     """Read a profile written by save_oracle_profile; a key it does not
     know is an error. Its rng seed is 0, and each run sets its own."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    check_keys(f"oracle profile {path}", "top level", payload, _PROFILE_KEYS)
+    what = f"oracle profile {path}"
+    payload = read_json(path, what)
+    check_keys(what, "top level", payload, PROFILE_KEYS)
     try:
-        if not isinstance(payload["segments"], dict):
+        fields = {field: payload[key] for key, field in PROFILE_KEYS.items()}
+        if not isinstance(fields["segment_weights"], dict):
             raise ValueError("field 'segments' must be a JSON object of segment id -> weights")
-        segments = {int(seg): np.asarray(w, dtype=np.float64) for seg, w in payload["segments"].items()}
-        return OracleProfile(
-            segment_weights=segments,
-            m=payload["m"],
-            score_offset=payload["C"],
-            noise_sigma=payload["noise_sigma"],
-            sample_size=payload["sample_size"],
-            eval_pool_fraction=payload["eval_pool_fraction"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return OracleProfile(**fields)  # it reads the ids and the weights
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"oracle profile {path}: {detail}") from None
+        raise ValueError(f"{what}: {detail}") from None

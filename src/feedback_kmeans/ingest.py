@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, read_json
 from .harness import ExperimentReport, ImpactRecord
 from .synth import FEATURE_NAMES
 from .synth import standardize as _standardize
@@ -59,10 +59,10 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
     Each of the OPTIONAL_COLUMNS loads when the file has it; unrecognized
     columns are ignored with a warning. Repeated column names, non-numeric
     and non-finite (nan, inf) feature cells fail the load, cells with their
-    file line numbers.
+    file line numbers. A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -227,10 +227,7 @@ def read_report(path: str | Path) -> list[dict]:
     """
     path = Path(path)
     if path.suffix == ".json":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        payload = read_json(path, str(path))
         records = payload.get("records") if isinstance(payload, dict) else None
         if not isinstance(records, list):
             raise ValueError(f"{path}: expected an object with a \"records\" list")

@@ -10,14 +10,13 @@ what the simulated preference oracle consumes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, as_integer, check_keys
-from .feedback import OracleProfile
+from .core import Dataset, as_integer, as_number, check_keys, read_json
+from .feedback import PROFILE_KEYS, OracleProfile
 
 FEATURE_NAMES = (
     "distance",
@@ -32,12 +31,22 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
+def _numbers(name: str, values, length: int | None = None) -> tuple[float, ...]:
+    """values, a list or tuple of length entries (any count if None), as floats."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    numbers = tuple(as_number(f"{name}[{i}]", v) for i, v in enumerate(values))
+    if length is not None and len(numbers) != length:
+        raise ValueError(f"{name} must have {length} entries, got {len(numbers)}")
+    return numbers
+
+
 @dataclass(frozen=True)
 class SegmentSpec:
     """One mixture component: feature distribution plus oracle ground truth.
 
     booking_lognormal holds the (mu, sigma) of the underlying normal for the
-    per-point booking counts.
+    per-point booking counts. Error messages start with the field's name.
     """
 
     id: int
@@ -48,19 +57,17 @@ class SegmentSpec:
     booking_lognormal: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_means", tuple(float(v) for v in self.feature_means))
-        object.__setattr__(self, "feature_stddevs", tuple(float(v) for v in self.feature_stddevs))
-        object.__setattr__(self, "oracle_weights", tuple(float(v) for v in self.oracle_weights))
-        mu, sigma = self.booking_lognormal
-        object.__setattr__(self, "booking_lognormal", (float(mu), float(sigma)))
-        if len(self.feature_means) != N_FEATURES or len(self.feature_stddevs) != N_FEATURES:
-            raise ValueError(
-                f"segment {self.id}: feature means/stddevs must have {N_FEATURES} entries"
-            )
-        if any(s < 0 for s in self.feature_stddevs):
-            raise ValueError(f"segment {self.id}: stddevs must be non-negative")
-        if sigma < 0:
-            raise ValueError(f"segment {self.id}: booking sigma must be non-negative")
+        object.__setattr__(self, "id", as_integer("id", self.id))
+        if not -(2**63) <= self.id < 2**63:  # Dataset.hidden_segment is int64
+            raise ValueError(f"id must fit in 64 bits, got {self.id}")
+        object.__setattr__(self, "mixture_weight", as_number("mixture_weight", self.mixture_weight))
+        if self.mixture_weight < 0:
+            raise ValueError(f"mixture_weight must be non-negative, got {self.mixture_weight!r}")
+        for name, length in (("feature_means", N_FEATURES), ("feature_stddevs", N_FEATURES),
+                             ("oracle_weights", None), ("booking_lognormal", 2)):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), length))
+        if min(self.feature_stddevs) < 0 or self.booking_lognormal[1] < 0:
+            raise ValueError("feature_stddevs and the booking_lognormal sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,13 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_points", as_integer("n_points", self.n_points))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.n_points < 1:
             raise ValueError("n_points must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.segments:
             raise ValueError("at least one segment is required")
         ids = [s.id for s in self.segments]
@@ -172,61 +183,49 @@ def standardize(dataset: Dataset) -> tuple[Dataset, FeatureScaling]:
 
 
 def build_oracle_profile(config: GeneratorConfig, **knobs) -> OracleProfile:
-    """Oracle profile whose hidden weights come from the generator config,
-    so every generated point's segment is covered; knobs are the other
-    OracleProfile fields (score_offset, noise_sigma, sample_size,
-    eval_pool_fraction, rng_seed), which keep its defaults when left out."""
+    """Oracle profile with the config's segment weights, so it covers every
+    generated point; knobs set its other fields, which default otherwise."""
     segment_weights = {s.id: np.asarray(s.oracle_weights) for s in config.segments}
     return OracleProfile(segment_weights=segment_weights, **knobs)
 
 
 # The keys a generator config JSON may hold: at the top level, in each
-# segment and in the optional "oracle" block ("C" is score_offset's other
-# name).
+# segment and in the optional "oracle" block, which takes the profile file's
+# keys but m and segments (the segments imply them), and score_offset.
 _CONFIG_KEYS = ("n_points", "seed", "segments", "oracle")
-_SEGMENT_KEYS = (
-    "id", "mixture_weight", "feature_means", "feature_stddevs", "oracle_weights", "booking_lognormal",
-)
-_ORACLE_KEYS = ("score_offset", "C", "noise_sigma", "sample_size", "eval_pool_fraction")
+_SEGMENT_KEYS = tuple(f.name for f in fields(SegmentSpec))
+_ORACLE_KEYS = {"score_offset": "score_offset"} | {
+    key: field for key, field in PROFILE_KEYS.items() if key not in ("m", "segments")
+}
 
 
-def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, dict]:
-    """Parse a generator config JSON; a key it does not know is an error.
-
-    Returns the config plus the optional "oracle" knob object (score offset,
-    noise, sample size, pool fraction) to forward to build_oracle_profile.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, OracleProfile]:
+    """Parse a generator config JSON and build its oracle profile; every error names the file."""
     what = f"generator config {path}"
+    payload = read_json(path, what)
     check_keys(what, "top-level", payload, _CONFIG_KEYS)
-    for index, segment in enumerate(payload.get("segments", [])):
+    segments = payload.get("segments", [])
+    if not isinstance(segments, list):
+        raise ValueError(f"{what}: segments must be a JSON list, got {segments!r}")
+    for index, segment in enumerate(segments):
         check_keys(what, f"segment {index}", segment, _SEGMENT_KEYS)
     oracle = payload.get("oracle", {})
     check_keys(what, "oracle", oracle, _ORACLE_KEYS)
     try:
-        segments = tuple(
-            SegmentSpec(
-                id=as_integer(f"segment {index} id", s["id"]),
-                mixture_weight=float(s["mixture_weight"]),
-                feature_means=s["feature_means"],
-                feature_stddevs=s["feature_stddevs"],
-                oracle_weights=s["oracle_weights"],
-                booking_lognormal=tuple(s["booking_lognormal"]),
-            )
-            for index, s in enumerate(payload["segments"])
-        )
-        config = GeneratorConfig(
-            n_points=as_integer("n_points", payload["n_points"]),
-            segments=segments,
-            seed=as_integer("seed", payload["seed"]),
-        )
+        specs = []
+        for index, segment in enumerate(payload["segments"]):
+            try:
+                specs.append(SegmentSpec(**{key: segment[key] for key in _SEGMENT_KEYS}))
+            except ValueError as exc:
+                raise ValueError(f"segment {index} {exc}") from None
+        config = GeneratorConfig(n_points=payload["n_points"], segments=specs, seed=payload["seed"])
+        if "score_offset" in oracle and "C" in oracle:
+            raise ValueError("oracle sets both 'score_offset' and 'C'")
+        profile = build_oracle_profile(config, **{_ORACLE_KEYS[key]: value for key, value in oracle.items()})
     except (KeyError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"generator config {path}: {detail}") from None
-    if "score_offset" in oracle and "C" in oracle:
-        raise ValueError(f"generator config {path}: oracle sets both 'score_offset' and 'C'")
-    oracle_kwargs = {"score_offset" if key == "C" else key: value for key, value in oracle.items()}
-    return config, oracle_kwargs
+        raise ValueError(f"{what}: {detail}") from None
+    return config, profile
 
 
 def demo_generator_config(n_points: int = 20_000, seed: int = 7) -> GeneratorConfig:

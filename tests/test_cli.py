@@ -8,6 +8,7 @@ import pytest
 
 from feedback_kmeans.cli import build_parser, main, validate_trace_records
 from feedback_kmeans.engines import read_trace_records
+from feedback_kmeans.feedback import PROFILE_KEYS
 from feedback_kmeans.ingest import read_report
 
 
@@ -70,6 +71,14 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a flag README names but the CLI lacks exits 2
+
+
+def test_readme_oracle_key_lists_match_the_profile_keys():
+    text = README.read_text(encoding="utf-8")
+    profile = re.search(r"The oracle profile JSON holds exactly\s+`\{(.*?)\}`", text, re.S).group(1)
+    block = re.search(r"optional\s+`oracle`\s+block\s+\((.*?)\)", text, re.S).group(1)
+    assert re.findall(r"(\w+)(?:: \{.*?\})?,?", profile) == list(PROFILE_KEYS)
+    assert set(re.findall(r"`(\w+)`", block)) == {*PROFILE_KEYS, "score_offset"} - {"m", "segments"}
 
 
 # ---------------------------------------------------------------- generate
@@ -135,8 +144,57 @@ def test_generate_oracle_knob_that_is_not_a_finite_number_exits_1(tmp_path, caps
     config.write_text(json.dumps(payload))
     out = tmp_path / "data"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: generator config {config}: {message}" in capsys.readouterr().err
     assert not (out / "dataset.csv").exists() and not (out / "oracle.json").exists()
+
+
+@pytest.mark.parametrize(
+    "segment, key, value, message",
+    [
+        (None, "segments", 5, "segments must be a JSON list, got 5"),
+        (None, "seed", -1, "seed must be non-negative, got -1"),
+        (0, "id", 2**63, f"segment 0 id must fit in 64 bits, got {2**63}"),
+        (0, "feature_means", 5, "segment 0 feature_means must be a list of numbers, got 5"),
+        (0, "mixture_weight", None, "segment 0 mixture_weight must be a finite int or float, got None"),
+        (0, "mixture_weight", -0.6, "segment 0 mixture_weight must be non-negative, got -0.6"),
+        (0, "booking_lognormal", 3, "segment 0 booking_lognormal must be a list of numbers, got 3"),
+    ],
+    ids=[
+        "segments-number", "negative-seed", "huge-id", "means-number", "null-weight", "negative-weight",
+        "lognormal-number",
+    ],
+)
+def test_generate_malformed_config_value_is_named(tmp_path, capsys, segment, key, value, message):
+    # These raised an uncaught TypeError or OverflowError, or failed in
+    # numpy without naming the file: the negative seed, and the negative
+    # weight, which segment 1's 1.6 keeps summing to 1.
+    config = write_config(tmp_path / "config.json")
+    payload = json.loads(config.read_text())
+    if segment is None:
+        payload[key] = value
+    else:
+        payload["segments"][segment][key] = value
+        payload["segments"][1]["mixture_weight"] = 1.6 if value == -0.6 else 0.4
+    config.write_text(json.dumps(payload))
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err == f"error: generator config {config}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, what",
+    [("generate", "--config", "generator config "), ("run", "--oracle", "oracle profile "), ("experiment", "--config", "")],
+)
+def test_json_input_with_a_syntax_error_names_the_file(tmp_path, generated, capsys, command, flag, what):
+    dataset, _ = generated
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 1,}')
+    args = {
+        "generate": ["--out", str(tmp_path / "o")],
+        "run": ["--dataset", str(dataset), "--method", "sm", "--feedback", "custom", "--k", "2"],
+        "experiment": ["--dataset", str(dataset), "--out", str(tmp_path / "r")],
+    }[command]
+    assert main([command, flag, str(bad), *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {what}{bad}: Expecting property name")
 
 
 # ---------------------------------------------------------------- run
@@ -523,6 +581,19 @@ def test_validate_reports_wrongly_typed_fields(tmp_path, field, value, capsys):
     trace_path.write_text(json.dumps(records[0]) + "\n5\n")
     assert main(["validate", "--trace", str(trace_path)]) == 1
     assert "step 1: record is not an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line, error", [(b"{oops", "line 3: Expecting property name"), (b"\xff", "line 3: 'utf-8' codec")]
+)
+def test_validate_unreadable_trace_line_names_file_and_line(tmp_path, generated, capsys, bad_line, error):
+    dataset, _ = generated
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--dataset", str(dataset), "--method", "sme", "--k", "3", "--out", str(trace_path)])
+    lines = trace_path.read_bytes().splitlines()
+    trace_path.write_bytes(b"\n".join(lines[:2] + [bad_line] + lines[2:]) + b"\n")
+    assert main(["validate", "--trace", str(trace_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {trace_path}: {error}")
 
 
 # ---------------------------------------------------------------- golden digests

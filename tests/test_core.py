@@ -13,20 +13,31 @@ from feedback_kmeans import (
     Sense,
     validate_clustering,
 )
-from feedback_kmeans.core import as_number, check_keys
+from feedback_kmeans.core import as_number, check_keys, read_json
 
 from helpers import make_dataset
 
 
-@pytest.mark.parametrize("value", [3, 2.5, -0.0, np.int32(4), np.float32(0.25)])
+@pytest.mark.parametrize("value", [3, 2.5, -0.0, np.int32(4), np.float32(0.25), 10**20])
 def test_as_number_takes_finite_ints_and_floats(value):
     assert as_number("x", value) == float(value) and type(as_number("x", value)) is float
 
 
-@pytest.mark.parametrize("value", [True, "0.05", None, float("nan"), float("inf"), -np.inf, [1.0]])
+@pytest.mark.parametrize("value", [True, "0.05", None, float("nan"), float("inf"), -np.inf, [1.0], pytest.param(-(10**400), id="-10**400")])
 def test_as_number_rejects_the_rest_by_name(value):
     with pytest.raises(ValueError, match=rf"^noise_sigma must be a finite int or float, got {re.escape(repr(value))}$"):
         as_number("noise_sigma", value)
+
+
+@pytest.mark.parametrize(
+    "content, error", [(b'{"a": 1,}', "Expecting property name"), (b'{"a": "\xff"}', "'utf-8' codec can't decode")]
+)
+def test_read_json_names_the_file_it_cannot_parse(tmp_path, content, error):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=rf"^settings f\.json: {error}"):
+        read_json(path, "settings f.json")
+
 
 
 def test_check_keys_names_the_file_the_block_and_the_keys():

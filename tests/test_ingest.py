@@ -37,6 +37,17 @@ def test_dataset_round_trip(tmp_path, sample_dataset):
     assert loaded.destinations == sample_dataset.destinations
 
 
+def test_byte_order_mark_is_skipped(tmp_path, sample_dataset):
+    # The mark used to stay in the first header cell, so "distance" read
+    # as missing.
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = read_csv(path)
+    np.testing.assert_array_equal(loaded.points, sample_dataset.points)
+    np.testing.assert_array_equal(loaded.bookings, sample_dataset.bookings)
+
+
 def test_missing_column_is_named(tmp_path, sample_dataset):
     path = tmp_path / "dataset.csv"
     write_csv(sample_dataset, path)

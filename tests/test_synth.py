@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedback_kmeans import (
     FEATURE_NAMES,
@@ -14,6 +16,7 @@ from feedback_kmeans import (
     lloyd,
     standardize,
 )
+from feedback_kmeans.feedback import load_oracle_profile, save_oracle_profile
 from feedback_kmeans.synth import load_generator_config
 
 
@@ -228,8 +231,8 @@ def write_generator_config(path, oracle):
 @pytest.mark.parametrize("key", ["score_offset", "C"])
 def test_config_score_offset_under_either_name(tmp_path, key):
     path = write_generator_config(tmp_path / "config.json", {key: 20, "noise_sigma": 0.1})
-    _, oracle_kwargs = load_generator_config(path)
-    assert oracle_kwargs == {"score_offset": 20, "noise_sigma": 0.1}
+    _, profile = load_generator_config(path)
+    assert (profile.score_offset, profile.noise_sigma, profile.sample_size) == (20.0, 0.1, 100)
 
 
 def test_config_with_both_score_offset_names_is_rejected(tmp_path):
@@ -286,3 +289,62 @@ def test_config_integer_that_is_not_an_integer_is_named(tmp_path, where, key, va
     name = key if where == "top-level" else f"{where} {key}"
     with pytest.raises(ValueError, match=rf"config\.json: {name} must be an integer, got {value!r}$"):
         load_generator_config(path)
+
+
+# ---------------------------------------------------------------- boundary property
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-1, 2**63, 10**400]) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+# The JSON paths of every value in the two files below: the top level, each
+# segment and the generator config's oracle block.
+GENERATOR_SLOTS = [
+    ("n_points",), ("seed",), ("segments",), ("oracle",), ("segments", 0),
+    *[("segments", 0, key) for key in ("id", "mixture_weight", "feature_means", "feature_stddevs")],
+    *[("segments", 0, key) for key in ("oracle_weights", "booking_lognormal")],
+    *[("oracle", key) for key in ("C", "noise_sigma", "sample_size", "eval_pool_fraction")],
+]
+PROFILE_SLOTS = [
+    ("m",), ("segments",), ("C",), ("noise_sigma",), ("sample_size",), ("eval_pool_fraction",),
+    ("segments", "0"),
+]
+
+
+def replaced(payload, slot, value):
+    *parents, last = slot
+    block = payload
+    for key in parents:
+        block = block[key]
+    block[last] = value
+    return payload
+
+
+def loads_or_names_the_file(load, path, what):
+    try:
+        load(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{what} {path}: "), exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(slot=st.sampled_from(GENERATOR_SLOTS), value=JSON_VALUES)
+def test_any_generator_config_value_loads_or_names_the_file(tmp_path_factory, slot, value):
+    path = write_generator_config(
+        tmp_path_factory.mktemp("config") / "config.json",
+        {"C": 10, "noise_sigma": 0.1, "sample_size": 40, "eval_pool_fraction": 0.2},
+    )
+    path.write_text(json.dumps(replaced(json.loads(path.read_text()), slot, value)))
+    loads_or_names_the_file(load_generator_config, path, "generator config")
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot=st.sampled_from(PROFILE_SLOTS), value=JSON_VALUES)
+def test_any_oracle_profile_value_loads_or_names_the_file(tmp_path_factory, slot, value):
+    path = tmp_path_factory.mktemp("oracle") / "oracle.json"
+    save_oracle_profile(build_oracle_profile(single_segment_config()), path)
+    path.write_text(json.dumps(replaced(json.loads(path.read_text()), slot, value)))
+    loads_or_names_the_file(load_oracle_profile, path, "oracle profile")
