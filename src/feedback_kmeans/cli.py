@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engines, harness, ingest, synth
-from .core import Sense, as_integer, check_keys, read_json
+from .core import Sense, as_integer, check_keys, named_errors, read_json
 from .feedback import load_oracle_profile, save_oracle_profile
 
 
@@ -114,16 +114,19 @@ def _experiment_value(key: str, value):
     return as_integer(key, value)
 
 
+def _with_settings(config: harness.ExperimentConfig, settings: dict) -> harness.ExperimentConfig:
+    return replace(config, **{_EXPERIMENT_KEYS[k]: _experiment_value(k, v) for k, v in settings.items()})
+
+
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = {}
+    config = harness.ExperimentConfig()
     if args.config is not None:
         settings = read_json(args.config, args.config)
         check_keys(args.config, "experiment config", settings, _EXPERIMENT_KEYS)
-    settings.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS if getattr(args, key) is not None})
-    config = replace(
-        harness.ExperimentConfig(),
-        **{_EXPERIMENT_KEYS[key]: _experiment_value(key, value) for key, value in settings.items()},
-    )
+        with named_errors(args.config, ValueError):  # checked before the flags, to name the file
+            config = _with_settings(config, settings)
+    flags = {key: getattr(args, key) for key in _EXPERIMENT_KEYS if getattr(args, key) is not None}
+    config = _with_settings(config, flags)
     if args.oracle is None and any(m.feedback_kind == "custom" for m in config.methods):
         parser.error("customizability-driven methods require --oracle")
     threads = _threads()

@@ -69,12 +69,19 @@ def as_number(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite int or float, got {value!r}")
 
 
+@contextlib.contextmanager
+def named_errors(what: str | Path, *errors: type[Exception]):
+    """Re-raise any of errors from inside the block as ValueError("<what>: <error>")."""
+    try:
+        yield
+    except errors as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def read_json(path: str | Path, what: str):
     """Parse a UTF-8 JSON file; one that is not is a ValueError naming what."""
-    try:
+    with named_errors(what, json.JSONDecodeError, UnicodeDecodeError):
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{what}: {exc}") from None
 
 
 def check_keys(what: str, where: str, block, accepted) -> None:

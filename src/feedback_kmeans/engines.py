@@ -34,6 +34,7 @@ from .core import (
     RunTrace,
     TraceStep,
     as_integer,
+    named_errors,
 )
 from .feedback import FeedbackProvider
 from .kmeans import KMeansConfig, lloyd, squared_distances
@@ -206,9 +207,7 @@ def read_trace_records(path: str | Path) -> list[dict]:
     records = []
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
-            try:
+            with named_errors(f"{path}: line {line_no}", json.JSONDecodeError, UnicodeDecodeError):
                 if line.strip():
                     records.append(json.loads(line.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return records

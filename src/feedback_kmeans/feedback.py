@@ -181,15 +181,16 @@ def customizability_cluster(
     # One lookup for both sets: a missing segment is named for the first
     # sampled point that has it, fit points before evaluation points.
     true_w = _segment_weight_rows(dataset, np.concatenate([fit_set, eval_set]), profile)
-    fitted = true_w[:fit_count].mean(axis=0)
+    # Means as np.mean computes them (a sum reduction, then a division).
+    fitted = np.add.reduce(true_w[:fit_count], axis=0) / fit_count
     true_eval = true_w[fit_count:]
     # One draw: the first half is the fitted popularity's noise, the second
     # half the baseline's.
     draws = eval_set.size
     noise = rng.normal(0.0, profile.noise_sigma, size=2 * draws)
     diff = fitted - true_eval
-    pop_w = float(np.mean(profile.score_offset - np.einsum("nd,nd->n", diff, diff) + noise[:draws]))
-    pop_0 = float(np.mean(profile.score_offset - np.einsum("nd,nd->n", true_eval, true_eval) + noise[draws:]))
+    pop_w = float(np.add.reduce(profile.score_offset - np.einsum("nd,nd->n", diff, diff) + noise[:draws]) / draws)
+    pop_0 = float(np.add.reduce(profile.score_offset - np.einsum("nd,nd->n", true_eval, true_eval) + noise[draws:]) / draws)
     if abs(pop_0) < POP_BASELINE_EPSILON:
         raise ValueError("degenerate price baseline")
     return relative_change(pop_0, pop_w)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, read_json
+from .core import Dataset, named_errors, read_json
 from .harness import ExperimentReport, ImpactRecord
 from .synth import FEATURE_NAMES
 from .synth import standardize as _standardize
@@ -62,7 +62,7 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
     file line numbers. A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with named_errors(path, UnicodeDecodeError), open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -109,10 +109,8 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
     for name, (attr, parse) in OPTIONAL_COLUMNS.items():
         if name in col_index:
             col = col_index[name]
-            try:
+            with named_errors(f"{path}: {name} column", ValueError):
                 extras[attr] = [parse(row[col]) for row in rows]
-            except ValueError as exc:
-                raise ValueError(f"{path}: {name} column: {exc}") from None
     dataset = Dataset(points=np.array(features), feature_names=FEATURE_NAMES, **extras)
     if standardize:
         dataset, _ = _standardize(dataset)
@@ -153,10 +151,8 @@ def _row_to_record(row: list[str], where: str) -> dict:
         raise ValueError(f"{where}: expected {len(REPORT_COLUMNS)} cells, got {len(row)}")
     record = {}
     for col, cell in zip(REPORT_COLUMNS, row):
-        try:
+        with named_errors(f"{where}: {col}", KeyError, ValueError):
             record[col] = None if cell == "" and col in _NULLABLE else _REPORT_PARSERS[col](cell)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{where}: {col}: {exc}") from None
     return record
 
 
@@ -185,10 +181,8 @@ def _json_to_record(item, where: str) -> dict:
         raise ValueError(f"{where}: unexpected field(s): {', '.join(extra)}")
     record = {}
     for col in REPORT_COLUMNS:
-        try:
+        with named_errors(f"{where}: {col}", OverflowError, ValueError):
             record[col] = _json_value(col, item[col])
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"{where}: {col}: {exc}") from None
     return record
 
 
@@ -232,7 +226,7 @@ def read_report(path: str | Path) -> list[dict]:
         if not isinstance(records, list):
             raise ValueError(f"{path}: expected an object with a \"records\" list")
         return [_json_to_record(item, f"{path}: record {i}") for i, item in enumerate(records)]
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with named_errors(path, UnicodeDecodeError), open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

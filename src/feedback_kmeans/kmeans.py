@@ -10,7 +10,10 @@ kernels keep inner loops long without changing a bit of the result:
 ``squared_distances`` subtracts the centroids from contiguous copied
 point rows (k*d values per inner loop, not d), and Lloyd sums clusters
 from feature-major columns made once per run, in point order as
-``update_centroids`` does, with one size count per pass.
+``update_centroids`` does, with one size count per pass. At k=2, the
+split's 2-means, the nearest centroid and both bounds come from
+elementwise column operations, and the initial draw lists the distinct
+rows by marking their ids, with no sort.
 """
 
 from __future__ import annotations
@@ -76,12 +79,16 @@ def init_centroids(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     Raises:
         ValueError: if the dataset has fewer than k distinct points.
     """
-    _, first = np.unique(dataset.row_ids, return_index=True)
-    if k > first.size:
-        raise ValueError(f"k exceeds distinct points: k={k}, distinct={first.size}")
+    ids = dataset.row_ids
+    # Row ids are ranks, so marking them lists the distinct ones in order.
+    present = np.zeros(ids.max() + 1, dtype=bool)
+    present[ids] = True
+    distinct = np.flatnonzero(present)
+    if k > distinct.size:
+        raise ValueError(f"k exceeds distinct points: k={k}, distinct={distinct.size}")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(first.size, size=k, replace=False)
-    return dataset.points[first[chosen]]
+    chosen = distinct[rng.choice(distinct.size, size=k, replace=False)]
+    return dataset.points[[np.argmax(ids == v) for v in chosen]]
 
 
 def assign_points(
@@ -186,8 +193,13 @@ def _nearest_with_bounds(
     points: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest centroid per row (ties to the lowest index), the distance to
-    it and the distance to the second-nearest centroid (inf for k=1)."""
+    it and the distance to the second-nearest centroid (inf for k=1). At
+    k=2, a split's case, column operations give argmin's and partition's
+    arrays without their per-row calls."""
     d2 = squared_distances(points, centroids)
+    if centroids.shape[0] == 2:
+        c0, c1 = d2[:, 0], d2[:, 1]
+        return (c1 < c0).astype(np.intp), np.sqrt(np.minimum(c0, c1)), np.sqrt(np.maximum(c0, c1))
     nearest = d2.argmin(axis=1)
     if centroids.shape[0] == 1:
         return nearest, np.sqrt(d2[:, 0]), np.full(d2.shape[0], np.inf)

@@ -364,7 +364,30 @@ def test_experiment_config_value_that_is_not_an_integer_is_named(tmp_path, capsy
         ]
     )
     assert code == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {exp_config}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"repeats": 0}, "repeats_per_cell must be at least 1"),
+        ({"methods": ["sme:foo"]}, "unknown method 'sme:foo'"),
+        ({"k_values": [2, 2]}, "k_values repeats 2"),
+    ],
+)
+def test_experiment_config_value_out_of_range_is_named(tmp_path, capsys, setting, message):
+    # The file's values are checked before the flags are merged, so even a
+    # value a flag would override names its file.
+    exp_config = tmp_path / "exp.json"
+    exp_config.write_text(json.dumps({"methods": ["sme:rss"], "k_values": [2], **setting}))
+    code = main(
+        [
+            "experiment", "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r"),
+            "--config", str(exp_config), "--repeats", "1",
+        ]
+    )
+    assert code == 1
+    assert f"error: {exp_config}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,16 @@ def test_byte_order_mark_is_skipped(tmp_path, sample_dataset):
     np.testing.assert_array_equal(loaded.bookings, sample_dataset.bookings)
 
 
+def test_non_utf8_dataset_names_the_file(tmp_path, sample_dataset):
+    # The decoder's error used to pass through without the file.
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:1] + [b"\xff" + lines[1]] + lines[2:]))
+    with pytest.raises(ValueError, match=r"dataset\.csv: 'utf-8' codec can't decode byte 0xff"):
+        read_csv(path)
+
+
 def test_missing_column_is_named(tmp_path, sample_dataset):
     path = tmp_path / "dataset.csv"
     write_csv(sample_dataset, path)
@@ -236,6 +246,14 @@ def test_empty_report_is_header_only(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == [",".join(REPORT_COLUMNS)]
     assert read_report(path) == []
+
+
+def test_non_utf8_report_names_the_file(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(_report(), path, format="csv")
+    path.write_bytes(path.read_bytes().replace(b"sme:rss", b"sme:\xffss", 1))
+    with pytest.raises(ValueError, match=r"report\.csv: 'utf-8' codec can't decode byte 0xff"):
+        read_report(path)
 
 
 def test_report_row_with_wrong_cell_count_is_rejected(tmp_path):

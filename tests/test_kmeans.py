@@ -82,6 +82,20 @@ def test_init_on_subset_matches_sorted_distinct_draw():
             )
     with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
         init_centroids(sub, distinct + 1, seed=0)
+    # A subset of a subset: its ids skip the ranks of both dropped sets.
+    subsub = sub.subset(np.flatnonzero(sub.points[:, 1] != 2.0))
+    np.testing.assert_array_equal(subsub.row_ids, ds.row_ids[members][sub.points[:, 1] != 2.0])
+    sparse = np.unique(subsub.row_ids)
+    distinct = sparse.size
+    assert distinct < len(np.unique(sub.points, axis=0))
+    assert sparse[-1] + 1 > distinct  # some ids below the largest are absent
+    for k in (1, 2, 5, distinct):
+        for seed in range(6):
+            np.testing.assert_array_equal(
+                init_centroids(subsub, k, seed), _sorted_distinct_draw(subsub, k, seed)
+            )
+    with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
+        init_centroids(subsub, distinct + 1, seed=0)
 
 
 def test_subset_row_ids_compare_like_rows():
@@ -175,6 +189,41 @@ def test_squared_distances_equals_the_broadcast_form_byte_for_byte(inputs):
     got = squared_distances(points, centroids)
     assert got.shape == (points.shape[0], centroids.shape[0])
     assert got.tobytes() == broadcast_squared_distances(points, centroids).tobytes()
+
+
+def _generic_nearest_with_bounds(points, centroids):
+    # The k-generic path: argmin for the nearest, partition for the two
+    # smallest distances.
+    d2 = squared_distances(points, centroids)
+    nearest = d2.argmin(axis=1)
+    d2.partition(1, axis=1)
+    return nearest, np.sqrt(d2[:, 0]), np.sqrt(d2[:, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=200),
+    d=st.integers(min_value=1, max_value=6),
+    grid=st.booleans(),
+    from_points=st.booleans(),
+)
+def test_nearest_at_k2_equals_the_generic_path_bit_for_bit(seed, n, d, grid, from_points):
+    rng = np.random.default_rng(seed)
+    if grid:  # duplicate-heavy, with exact distance ties
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    if from_points:  # centroids on data rows, possibly equal ones
+        centroids = points[rng.integers(0, n, size=2)]
+    elif grid:
+        centroids = rng.integers(0, 3, size=(2, d)).astype(float)
+    else:
+        centroids = rng.normal(size=(2, d))
+    got = kmeans._nearest_with_bounds(points, centroids)
+    expected = _generic_nearest_with_bounds(points, centroids)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- update
