@@ -49,7 +49,6 @@ from .kmeans import (
     lloyd,
     repair_empty,
     squared_distances,
-    update_centroids,
 )
 from .operators import (
     SMAction,

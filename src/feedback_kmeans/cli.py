@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engines, harness, ingest, synth
-from .core import Sense, as_integer, check_keys, named_errors, read_json
+from .core import Sense, as_integer, check_keys, keyed_errors, named_errors, read_json
 from .feedback import load_oracle_profile, save_oracle_profile
 
 
@@ -115,7 +115,8 @@ def _experiment_value(key: str, value):
 
 
 def _with_settings(config: harness.ExperimentConfig, settings: dict) -> harness.ExperimentConfig:
-    return replace(config, **{_EXPERIMENT_KEYS[k]: _experiment_value(k, v) for k, v in settings.items()})
+    with keyed_errors(_EXPERIMENT_KEYS, settings):
+        return replace(config, **{_EXPERIMENT_KEYS[k]: _experiment_value(k, v) for k, v in settings.items()})
 
 
 def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -78,6 +78,21 @@ def named_errors(what: str | Path, *errors: type[Exception]):
         raise ValueError(f"{what}: {exc}") from None
 
 
+@contextlib.contextmanager
+def keyed_errors(keys: dict[str, str], written):
+    """Re-raise a ValueError about the field of a written key under the key:
+    keys maps each input key to the field it sets, and a message starting
+    with such a field name starts with the key instead."""
+    try:
+        yield
+    except ValueError as exc:
+        message = str(exc)
+        for key in written:
+            if message.startswith(keys[key] + " "):
+                raise ValueError(key + message[len(keys[key]):]) from None
+        raise
+
+
 def read_json(path: str | Path, what: str):
     """Parse a UTF-8 JSON file; one that is not is a ValueError naming what."""
     with named_errors(what, json.JSONDecodeError, UnicodeDecodeError):

@@ -30,7 +30,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, as_number, check_keys
-from .core import read_json, validate_clustering
+from .core import keyed_errors, read_json, validate_clustering
 from .rng import substream
 
 BASELINE_EPSILON = 1e-12
@@ -345,7 +345,8 @@ def load_oracle_profile(path: str | Path) -> OracleProfile:
         fields = {field: payload[key] for key, field in PROFILE_KEYS.items()}
         if not isinstance(fields["segment_weights"], dict):
             raise ValueError("field 'segments' must be a JSON object of segment id -> weights")
-        return OracleProfile(**fields)  # it reads the ids and the weights
+        with keyed_errors(PROFILE_KEYS, payload):
+            return OracleProfile(**fields)  # it reads the ids and the weights
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{what}: {detail}") from None

@@ -9,11 +9,10 @@ A Lloyd pass costs mostly numpy's fixed overhead per call, so both
 kernels keep inner loops long without changing a bit of the result:
 ``squared_distances`` subtracts the centroids from contiguous copied
 point rows (k*d values per inner loop, not d), and Lloyd sums clusters
-from feature-major columns made once per run, in point order as
-``update_centroids`` does, with one size count per pass. At k=2, the
-split's 2-means, the nearest centroid and both bounds come from
-elementwise column operations, and the initial draw lists the distinct
-rows by marking their ids, with no sort.
+from feature-major columns made once per run, in point order, with one
+size count per pass. At k=2, the split's 2-means, the nearest centroid
+and both bounds come from elementwise column operations, and the initial
+draw lists the distinct rows by marking their ids, with no sort.
 """
 
 from __future__ import annotations
@@ -114,36 +113,12 @@ def assign_points(
     return (assignment, d2) if return_distances else assignment
 
 
-def update_centroids(
-    dataset: Dataset, assignment: np.ndarray, k: int
-) -> tuple[np.ndarray, list[int]]:
-    """Arithmetic mean of each cluster's points.
-
-    Each column's cluster sums accumulate in point order, as numpy's mean
-    over the rows of a cluster does for two or more features.
-
-    Returns (centroids, empties); centroids of empty ids are NaN so an
-    accidental use without repair fails loudly.
-    """
-    assignment = np.asarray(assignment)
-    if assignment.shape != (dataset.n_points,):
-        raise ValueError(f"assignment has shape {assignment.shape} for {dataset.n_points} points")
-    if assignment.dtype.kind not in "iu":
-        raise ValueError(f"assignment must hold integer cluster ids, got dtype {assignment.dtype}")
-    if assignment.min() < 0:
-        raise ValueError("assignment refers to a negative cluster id")
-    if assignment.max() >= k:
-        raise ValueError("assignment refers to a cluster id >= k")
-    assignment = assignment.astype(np.intp, copy=False)  # bincount takes no uint64
-    counts = np.bincount(assignment, minlength=k)
-    return _cluster_means(dataset.points.T, assignment, counts), np.flatnonzero(counts == 0).tolist()
-
-
-def _cluster_means(columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def update_centroids(columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(k, d) cluster means from the (d, n) feature columns, k = len(counts).
 
     counts is ``bincount(assignment, minlength=k)``; each column's cluster
-    sums accumulate in point order. bincount copies a strided column before
+    sums accumulate in point order, as numpy's mean over a cluster's rows
+    does for two or more features. bincount copies a strided column before
     summing, so a caller that needs many updates passes contiguous columns.
     Empty clusters' means are NaN.
     """
@@ -227,10 +202,6 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
     history[0] is n, the first full pass; one entry follows per update+assign
     iteration: the number of rows whose distances that pass recomputed.
     """
-    if config.k > dataset.n_points:
-        raise ValueError(
-            f"k={config.k} exceeds dataset size {dataset.n_points}"
-        )
     points = dataset.points
     columns = np.ascontiguousarray(points.T)
     centroids = init_centroids(dataset, config.k, config.seed)
@@ -241,7 +212,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
     history = [dataset.n_points]
     for _ in range(config.max_iterations):
         # No cluster is empty here: see above, and the repair below.
-        new_centroids = _cluster_means(columns, assignment, counts)
+        new_centroids = update_centroids(columns, assignment, counts)
         moved2 = np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)
         centroids = new_centroids
         moved = np.sqrt(moved2)

@@ -60,20 +60,31 @@ def bisect_cluster(
     return child.centroids, child.assignment
 
 
-def _replace_columns(
-    dataset: Dataset,
+def _relabel(
     clustering: Clustering,
     distances: np.ndarray,
     drop: list[int],
+    new_centroids: np.ndarray,
     new_columns: np.ndarray,
-) -> np.ndarray:
-    """The clustering's distance matrix without the dropped clusters'
-    columns, followed by new_columns."""
-    if distances.shape != (dataset.n_points, clustering.k):
-        raise ValueError(
-            f"distances have shape {distances.shape}, expected ({dataset.n_points}, {clustering.k})"
-        )
-    return np.hstack([np.delete(distances, drop, axis=1), new_columns])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout both operators share: the dropped ids leave, the kept ids
+    keep their order and the new ids follow them.
+
+    Returns the new centroids, the new distance matrix (the kept columns of
+    the clustering's matrix, then new_columns) and the old-to-new id map,
+    in which each dropped id maps to the first new id.
+    """
+    n, k = clustering.assignment.size, clustering.k
+    if distances.shape != (n, k):
+        raise ValueError(f"distances have shape {distances.shape}, expected ({n}, {k})")
+    kept = np.delete(np.arange(k), drop)
+    remap = np.full(k, kept.size, dtype=np.int64)
+    remap[kept] = np.arange(kept.size)
+    return (
+        np.vstack([clustering.centroids[kept], new_centroids]),
+        np.hstack([distances[:, kept], new_columns]),
+        remap,
+    )
 
 
 def split_cluster(
@@ -93,10 +104,8 @@ def split_cluster(
     if not 0 <= target < clustering.k:
         raise ValueError(f"split target {target} out of range for k={clustering.k}")
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
-    kept = np.delete(clustering.centroids, target, axis=0)
-    new_centroids = np.vstack([kept, child_centroids])
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
-    distances = _replace_columns(dataset, clustering, distances, [target], child_columns)
+    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_columns)
     assignment = distances.argmin(axis=1).astype(np.int64, copy=False)
     empties = np.flatnonzero(np.bincount(assignment, minlength=len(new_centroids)) == 0)
     if empties.size:
@@ -124,15 +133,10 @@ def merge_pair(
     if clustering.k - 1 < MIN_K:
         raise ValueError(f"minimum cluster count: merging would leave fewer than {MIN_K} clusters")
     union_mask = (clustering.assignment == i) | (clustering.assignment == j)
-    union_centroid = dataset.points[union_mask].mean(axis=0)
-    kept = [c for c in range(clustering.k) if c not in (i, j)]
-    new_centroids = np.vstack([clustering.centroids[kept], union_centroid])
-    remap = np.empty(clustering.k, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))
-    remap[[i, j]] = len(kept)
-    merged = Clustering.adopt(remap[clustering.assignment], new_centroids)
-    union_column = squared_distances(dataset.points, union_centroid[None, :])
-    return merged, _replace_columns(dataset, clustering, distances, [i, j], union_column)
+    union_centroid = dataset.points[union_mask].mean(axis=0)[None, :]
+    union_column = squared_distances(dataset.points, union_centroid)
+    new_centroids, distances, remap = _relabel(clustering, distances, [i, j], union_centroid, union_column)
+    return Clustering.adopt(remap[clustering.assignment], new_centroids), distances
 
 
 def _centroid_distances(clustering: Clustering) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, as_integer, as_number, check_keys, read_json
+from .core import Dataset, as_integer, as_number, check_keys, keyed_errors, read_json
 from .feedback import PROFILE_KEYS, OracleProfile
 
 FEATURE_NAMES = (
@@ -221,7 +221,9 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, OracleProf
         config = GeneratorConfig(n_points=payload["n_points"], segments=specs, seed=payload["seed"])
         if "score_offset" in oracle and "C" in oracle:
             raise ValueError("oracle sets both 'score_offset' and 'C'")
-        profile = build_oracle_profile(config, **{_ORACLE_KEYS[key]: value for key, value in oracle.items()})
+        knobs = {_ORACLE_KEYS[key]: value for key, value in oracle.items()}
+        with keyed_errors(_ORACLE_KEYS, oracle):
+            profile = build_oracle_profile(config, **knobs)
     except (KeyError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{what}: {detail}") from None

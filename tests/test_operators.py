@@ -20,18 +20,17 @@ from feedback_kmeans import (
     sm_decide,
     split_cluster,
     squared_distances,
-    update_centroids,
     validate_clustering,
     worst_cluster,
 )
 from feedback_kmeans import core
-from helpers import make_dataset
+from helpers import cluster_means, make_dataset, reference_merge, reference_split
 
 
 def clustering_from_assignment(dataset, assignment, k):
     """Clustering whose centroids are the exact means of their members."""
-    centroids, empties = update_centroids(dataset, np.asarray(assignment), k)
-    assert empties == []
+    centroids = cluster_means(dataset, assignment, k)
+    assert not np.isnan(centroids).any()
     return Clustering(assignment=assignment, centroids=centroids)
 
 
@@ -191,13 +190,6 @@ def test_split_then_merge_keep_clusterings_valid(seed):
     assert shrunk.sizes().sum() == grown.sizes().sum() == n
 
 
-def reference_split(dataset, clustering, target, seed):
-    """The split with a full reassignment pass over every centroid."""
-    child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
-    centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
-    return repair_empty(dataset, assign_points(dataset, centroids), centroids)
-
-
 def assert_same_clustering(actual, expected):
     assert actual.k == expected.k
     assert actual.assignment.tobytes() == expected.assignment.tobytes()
@@ -236,7 +228,9 @@ def test_carried_distances_equal_a_full_recompute(seed, n, d, duplicate_heavy, a
             assert_same_clustering(clustering, expected)
         elif action == "merge" and clustering.k > 2:
             i, j = (int(c) for c in rng.choice(clustering.k, size=2, replace=False))
+            expected = reference_merge(ds, clustering, i, j)
             clustering, distances = merge_pair(ds, clustering, distances, i, j)
+            assert_same_clustering(clustering, expected)
         else:
             continue
         assert validate_clustering(ds, clustering) == []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,15 @@ def test_config_score_offset_under_either_name(tmp_path, key):
     path = write_generator_config(tmp_path / "config.json", {key: 20, "noise_sigma": 0.1})
     _, profile = load_generator_config(path)
     assert (profile.score_offset, profile.noise_sigma, profile.sample_size) == (20.0, 0.1, 100)
+
+
+@pytest.mark.parametrize("key", ["score_offset", "C"])
+@pytest.mark.parametrize("value", ["10", None])
+def test_config_score_offset_error_names_the_key_written(tmp_path, key, value):
+    path = write_generator_config(tmp_path / "config.json", {key: value})
+    message = f"{key} must be a finite int or float, got {value!r}"
+    with pytest.raises(ValueError, match=rf"^generator config {re.escape(str(path))}: {re.escape(message)}$"):
+        load_generator_config(path)
 
 
 def test_config_with_both_score_offset_names_is_rejected(tmp_path):
