@@ -89,6 +89,14 @@ class OracleProfile:
         for name in ("score_offset", "noise_sigma", "eval_pool_fraction"):
             object.__setattr__(self, name, as_number(name, getattr(self, name)))
         object.__setattr__(self, "sample_size", as_integer("sample_size", self.sample_size))
+        if self.score_offset <= 0:
+            raise ValueError("score_offset must be positive")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be non-negative")
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be at least 1")
+        if not 0 < self.eval_pool_fraction <= 1:
+            raise ValueError("eval_pool_fraction must lie in (0, 1]")
         if not self.segment_weights:
             raise ValueError("oracle profile needs at least one segment")
         weights: dict[int, np.ndarray] = {}
@@ -116,14 +124,6 @@ class OracleProfile:
         seg_ids = sorted(weights)
         object.__setattr__(self, "_segment_ids", np.array(seg_ids, dtype=np.int64))
         object.__setattr__(self, "_segment_table", np.stack([weights[seg] for seg in seg_ids]))
-        if self.score_offset <= 0:
-            raise ValueError("score_offset must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be at least 1")
-        if not 0 < self.eval_pool_fraction <= 1:
-            raise ValueError("eval_pool_fraction must lie in (0, 1]")
 
     def with_rng_seed(self, rng_seed: int) -> "OracleProfile":
         return replace(self, rng_seed=int(rng_seed))

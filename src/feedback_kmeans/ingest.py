@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import typing
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +27,27 @@ from .harness import ExperimentReport, ImpactRecord
 from .synth import FEATURE_NAMES
 from .synth import standardize as _standardize
 
+
+def _non_negative(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return value
+
+
 # The dataset CSV's optional columns, in file order: CSV header -> (Dataset
 # attribute, cell parser). write_csv writes the ones a dataset carries and
 # read_csv loads the ones a file has.
 OPTIONAL_COLUMNS = {
-    "bookings": ("bookings", int),
+    "bookings": ("bookings", _non_negative),
     "hidden_segment": ("hidden_segment", int),
     "origin": ("origins", str),
     "destination": ("destinations", str),
 }
+
+# Records that read_csv reads and parses at a time; it holds one block's
+# cells, never the whole file's.
+_BLOCK_RECORDS = 4096
 
 REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ImpactRecord))
 
@@ -59,7 +74,15 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
     Each of the OPTIONAL_COLUMNS loads when the file has it; unrecognized
     columns are ignored with a warning. Repeated column names, non-numeric
     and non-finite (nan, inf) feature cells fail the load, cells with their
-    file line numbers. A leading UTF-8 byte-order mark is skipped.
+    file line numbers, all bad rows together. Otherwise an integer cell that
+    is not an integer, does not fit in 64 bits or is a negative bookings
+    count fails it, naming its column and the line of the column's first
+    such cell. A leading UTF-8 byte-order mark is skipped.
+
+    The file is read _BLOCK_RECORDS records at a time: the features go into
+    one float buffer that becomes the points, the integer columns into
+    64-bit buffers, and each code cell is replaced by one shared str per
+    distinct code.
     """
     path = Path(path)
     with named_errors(path, UnicodeDecodeError), open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -80,38 +103,63 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
             warnings.warn(f"{path}: ignoring unrecognized column(s): {', '.join(unknown)}")
         col_index = {name: header.index(name) for name in header if name not in unknown}
 
-        feature_cols = [col_index[name] for name in FEATURE_NAMES]
-        rows = []
-        features = []
+        pick_features = operator.itemgetter(*(col_index[name] for name in FEATURE_NAMES))
+        features = array("d")
+        # Each loaded optional column: (cell index, values, parser).
+        loaded = {
+            name: (col_index[name], [] if parse is str else array("q"), parse)
+            for name, (_, parse) in OPTIONAL_COLUMNS.items()
+            if name in col_index
+        }
+        codes = {}
         bad_rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                bad_rows.append(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-                continue
-            try:
-                values = [float(row[col]) for col in feature_cols]
-            except ValueError:
-                bad_rows.append(f"line {line_no}: non-numeric feature value")
-                continue
-            if not all(map(math.isfinite, values)):
-                bad_rows.append(f"line {line_no}: non-finite feature value")
-                continue
-            rows.append(row)
-            features.append(values)
+        column_errors = {}
+        line_no = 1
+        while block := list(itertools.islice(reader, _BLOCK_RECORDS)):
+            kept, kept_lines = [], []
+            for row in block:
+                line_no += 1
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    bad_rows.append(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+                    continue
+                try:
+                    floats = tuple(map(float, pick_features(row)))
+                except ValueError:
+                    bad_rows.append(f"line {line_no}: non-numeric feature value")
+                    continue
+                if not all(map(math.isfinite, floats)):
+                    bad_rows.append(f"line {line_no}: non-finite feature value")
+                    continue
+                features.extend(floats)
+                kept.append(row)
+                kept_lines.append(line_no)
+            for name, (col, values, parse) in loaded.items():
+                if name in column_errors:
+                    continue
+                cells = [row[col] for row in kept]
+                start = len(values)
+                try:
+                    values.extend(map(codes.setdefault, cells, cells) if parse is str else map(parse, cells))
+                except (ValueError, OverflowError) as exc:
+                    # extend keeps the values parsed before the failing cell.
+                    failed = len(values) - start
+                    message = f"{cells[failed]} does not fit in 64 bits" if isinstance(exc, OverflowError) else exc
+                    column_errors[name] = f"line {kept_lines[failed]}: {message}"
         if bad_rows:
             raise ValueError(f"{path}: rejected rows: " + "; ".join(bad_rows))
-        if not rows:
+        if not features:
             raise ValueError(f"{path}: no data rows")
 
-    extras = {}
-    for name, (attr, parse) in OPTIONAL_COLUMNS.items():
-        if name in col_index:
-            col = col_index[name]
-            with named_errors(f"{path}: {name} column", ValueError):
-                extras[attr] = [parse(row[col]) for row in rows]
-    dataset = Dataset(points=np.array(features), feature_names=FEATURE_NAMES, **extras)
+    for name in OPTIONAL_COLUMNS:
+        if name in column_errors:
+            raise ValueError(f"{path}: {name} column: {column_errors[name]}")
+    # Read-only, so the Dataset shares the buffer instead of copying it.
+    points = np.frombuffer(features).reshape(-1, len(FEATURE_NAMES))
+    points.setflags(write=False)
+    extras = {OPTIONAL_COLUMNS[name][0]: values for name, (_, values, _) in loaded.items()}
+    dataset = Dataset(points=points, feature_names=FEATURE_NAMES, **extras)
     if standardize:
         dataset, _ = _standardize(dataset)
     return dataset

@@ -100,6 +100,9 @@ _COL_CHILDREN = FEATURE_NAMES.index("n_children")
 _COL_GEOGRAPHY = FEATURE_NAMES.index("geography")
 _COL_DEP_DOW = FEATURE_NAMES.index("dep_dow")
 _COL_RET_DOW = FEATURE_NAMES.index("ret_dow")
+# The generator's 20 origin and 20 destination codes, shared by every point.
+_ORIGIN_CODES = tuple(f"O{i:02d}" for i in range(20))
+_DESTINATION_CODES = tuple(f"D{i:02d}" for i in range(20))
 
 
 def generate(config: GeneratorConfig) -> Dataset:
@@ -132,10 +135,10 @@ def generate(config: GeneratorConfig) -> Dataset:
     bookings = np.maximum(0.0, np.rint(rng.lognormal(booking_mu, booking_sigma))).astype(np.int64)
 
     hidden = np.array([s.id for s in segs], dtype=np.int64)[choice]
-    origin_idx = rng.integers(0, 20, size=n)
-    dest_idx = rng.integers(0, 20, size=n)
-    origins = tuple(f"O{i:02d}" for i in origin_idx)
-    destinations = tuple(f"D{i:02d}" for i in dest_idx)
+    origin_idx = rng.integers(0, len(_ORIGIN_CODES), size=n)
+    dest_idx = rng.integers(0, len(_DESTINATION_CODES), size=n)
+    origins = tuple(map(_ORIGIN_CODES.__getitem__, origin_idx.tolist()))
+    destinations = tuple(map(_DESTINATION_CODES.__getitem__, dest_idx.tolist()))
 
     return Dataset(
         points=features,

@@ -262,6 +262,25 @@ def test_run_deterministic_trace_bytes(tmp_path, generated):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("bookings", "99999999999999999999999", "99999999999999999999999 does not fit in 64 bits"),
+        ("bookings", "-2", "must be non-negative, got -2"),
+    ],
+    ids=["huge-bookings", "negative-bookings"],
+)
+def test_run_names_a_bad_integer_cell(generated, capsys, column, cell, message):
+    dataset, _ = generated
+    lines = dataset.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[4] = ",".join(cells)
+    dataset.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--dataset", str(dataset), "--method", "sme", "--k", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {dataset}: {column} column: line 5: {message}\n"
+
+
 # ---------------------------------------------------------------- experiment
 
 def test_experiment_row_counting_and_subset(tmp_path, generated, capsys):

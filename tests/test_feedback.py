@@ -627,11 +627,13 @@ def test_profile_json_round_trip(tmp_path):
         (lambda payload: {k: v for k, v in payload.items() if k != "noise_sigma"}, "missing field 'noise_sigma'"),
         (lambda payload: {**payload, "noise_sigma": float("nan")}, "noise_sigma must be a finite int or float, got nan"),
         (lambda payload: {**payload, "C": "10"}, "C must be a finite int or float, got '10'"),
+        # The scalar checks come before the segments' ||w*||^2 <= C check.
+        (lambda payload: {**payload, "C": -1}, "C must be positive"),
         (lambda payload: {**payload, "segments": {"0": [float("nan"), 0.5]}}, "segment 0: weights must be finite"),
         (lambda payload: {**payload, "rng_seed": 5}, "unknown top level key(s) rng_seed (accepted: m, segments, C, "),
     ],
     ids=["top-level-list", "segments-list", "fractional-m", "null-C", "missing-field", "nan-literal", "string-C",
-         "nan-weight", "unknown-key"],
+         "negative-C", "nan-weight", "unknown-key"],
 )
 def test_malformed_profile_file_is_a_named_error(tmp_path, change, message):
     path = tmp_path / "oracle.json"

@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from feedback_kmeans import (
     write_report,
 )
 from feedback_kmeans.harness import CellFailure, ExperimentReport, ImpactRecord
-from feedback_kmeans.ingest import REPORT_COLUMNS
+from feedback_kmeans.ingest import _BLOCK_RECORDS, REPORT_COLUMNS
 
 
 @pytest.fixture
@@ -158,6 +160,110 @@ def test_non_integer_bookings_cell_names_the_column(tmp_path, sample_dataset):
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="bookings column"):
         read_csv(path)
+
+
+def _set_cell(lines, line_no, column, cell):
+    """Replace one cell of a written CSV's lines, by file line number."""
+    cells = lines[line_no - 1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[line_no - 1] = ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("bookings", "99999999999999999999999", "99999999999999999999999 does not fit in 64 bits"),
+        ("hidden_segment", "-99999999999999999999999", "-99999999999999999999999 does not fit in 64 bits"),
+        ("bookings", "-3", "must be non-negative, got -3"),
+    ],
+    ids=["huge-bookings", "huge-segment", "negative-bookings"],
+)
+def test_bad_integer_cell_names_file_column_and_first_line(tmp_path, sample_dataset, column, cell, message):
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    lines = path.read_text().splitlines()
+    for line_no in (6, 9):
+        _set_cell(lines, line_no, column, cell)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {column} column: line 6: {message}$"):
+        read_csv(path)
+
+
+@pytest.fixture
+def two_block_dataset():
+    return generate(demo_generator_config(n_points=_BLOCK_RECORDS + 60, seed=5))
+
+
+def test_bad_rows_across_a_block_boundary_keep_their_line_numbers(tmp_path, two_block_dataset):
+    path = tmp_path / "dataset.csv"
+    write_csv(two_block_dataset, path)
+    lines = path.read_text().splitlines()
+    # A blank record in the first block still counts as a line; the first
+    # block then ends at line _BLOCK_RECORDS + 1.
+    lines.insert(99, "")
+    last_of_first = _BLOCK_RECORDS + 1
+    _set_cell(lines, 40, "distance", "x")
+    _set_cell(lines, last_of_first, "stay_duration", "nan")
+    lines[last_of_first] += ",1"
+    _set_cell(lines, last_of_first + 30, "distance", "x")
+    _set_cell(lines, 20, "bookings", "-1")
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(path)
+    assert str(excinfo.value) == (
+        f"{path}: rejected rows: line 40: non-numeric feature value; "
+        f"line {last_of_first}: non-finite feature value; "
+        f"line {last_of_first + 1}: expected 12 cells, got 13; "
+        f"line {last_of_first + 30}: non-numeric feature value"
+    )
+
+
+def test_column_errors_come_in_column_order_across_blocks(tmp_path, two_block_dataset):
+    path = tmp_path / "dataset.csv"
+    write_csv(two_block_dataset, path)
+    lines = path.read_text().splitlines()
+    lines.insert(99, "")
+    _set_cell(lines, 30, "hidden_segment", "x")
+    _set_cell(lines, _BLOCK_RECORDS + 20, "bookings", "1.5")
+    _set_cell(lines, _BLOCK_RECORDS + 40, "bookings", "-1")
+    path.write_text("\n".join(lines))
+    expected = rf"^{re.escape(str(path))}: bookings column: line {_BLOCK_RECORDS + 20}: invalid literal"
+    with pytest.raises(ValueError, match=expected):
+        read_csv(path)
+
+
+def test_file_longer_than_a_block_round_trips_bit_for_bit(tmp_path):
+    dataset = generate(demo_generator_config(n_points=2 * _BLOCK_RECORDS + 7, seed=9))
+    path = tmp_path / "dataset.csv"
+    write_csv(dataset, path)
+    loaded = read_csv(path)
+    assert loaded.points.tobytes() == dataset.points.tobytes()
+    assert loaded.bookings.tobytes() == dataset.bookings.tobytes()
+    assert loaded.hidden_segment.tobytes() == dataset.hidden_segment.tobytes()
+    assert loaded.origins == dataset.origins
+    assert loaded.destinations == dataset.destinations
+
+
+def test_codes_are_shared_str_objects(tmp_path, sample_dataset):
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    loaded = read_csv(path, standardize=True)
+    for codes in (loaded.origins, loaded.destinations):
+        assert len({id(code) for code in codes}) == len(set(codes))
+
+
+def test_reading_20k_rows_peaks_below_12_mb(tmp_path):
+    # The loaded dataset's arrays hold about 1.8 MB; the parse holds one
+    # block's cells at a time, not the file's.
+    path = tmp_path / "dataset.csv"
+    write_csv(generate(demo_generator_config(n_points=20_000, seed=13)), path)
+    tracemalloc.start()
+    try:
+        read_csv(path, standardize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_standardize_option(tmp_path, sample_dataset):
