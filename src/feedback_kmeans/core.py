@@ -194,7 +194,9 @@ class Dataset:
         for attr in ("origins", "destinations"):
             value = getattr(self, attr)
             if value is not None:
-                value = tuple(str(v) for v in value)
+                # A list comprehension: Python 3.11 specializes its str(v)
+                # call, where map(str, ...) and a generator are slower.
+                value = tuple([str(v) for v in value])
                 if len(value) != n:
                     raise ValueError(f"{attr} must have exactly one entry per point")
                 object.__setattr__(self, attr, value)

@@ -37,11 +37,12 @@ from .core import (
     named_errors,
 )
 from .feedback import FeedbackProvider
-from .kmeans import KMeansConfig, lloyd, squared_distances
+from .kmeans import KMeansConfig, lloyd
 from .operators import (
     MIN_K,
     SMAction,
     closest_centroid_pair,
+    distance_rows,
     is_splittable,
     merge_pair,
     nearest_cluster,
@@ -150,16 +151,16 @@ def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     evaluation reaches the target, or early, flagged as stalled, when no
     legal action remains.
 
-    The current clustering's point-to-centroid distance matrix is built once
-    from the start and carried through the split and merge operators; only
-    the current step's matrix is kept.
+    The current clustering's (k, n) point-to-centroid distance matrix is
+    built once from the start and carried through the split and merge
+    operators; only the current step's matrix is kept.
     """
     if k < MIN_K:
         raise ValueError(f"k={k} below the minimum cluster count")
     step = _STEPS[config.method]
     provider, target = config.feedback, config.target_evaluation
     current = lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(config.seed, "init")))
-    distances = squared_distances(dataset.points, current.centroids)
+    distances = distance_rows(dataset, current.centroids)
     report = provider.evaluate(dataset, current, provider.evaluation_rng(0))
     steps = [TraceStep(actions=(Action.init(),), clustering=current, feedback=report)]
     stalled = False

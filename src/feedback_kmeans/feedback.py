@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, as_number, check_keys
 from .core import keyed_errors, read_json, validate_clustering
+from .kmeans import own_squared_distances
 from .rng import substream
 
 BASELINE_EPSILON = 1e-12
@@ -261,8 +262,7 @@ class RssFeedback:
         def own_distances() -> np.ndarray:
             # Every point's squared distance to its own centroid, computed on
             # the first cluster, once evaluate_per_cluster has validated.
-            diff = dataset.points - clustering.centroids[clustering.assignment]
-            return np.einsum("nd,nd->n", diff, diff)
+            return own_squared_distances(dataset.points, clustering.centroids, clustering.assignment)
 
         return evaluate_per_cluster(
             dataset,

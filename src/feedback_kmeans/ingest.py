@@ -52,6 +52,15 @@ _BLOCK_RECORDS = 4096
 REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ImpactRecord))
 
 
+def _numbered(reader) -> typing.Iterator[tuple[int, list[str]]]:
+    """Each record of a csv.reader with the file line it starts on; a
+    quoted cell may hold line breaks, so one record can span lines."""
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset: its feature columns, then whichever of the
     OPTIONAL_COLUMNS it carries."""
@@ -73,11 +82,12 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
 
     Each of the OPTIONAL_COLUMNS loads when the file has it; unrecognized
     columns are ignored with a warning. Repeated column names, non-numeric
-    and non-finite (nan, inf) feature cells fail the load, cells with their
-    file line numbers, all bad rows together. Otherwise an integer cell that
-    is not an integer, does not fit in 64 bits or is a negative bookings
-    count fails it, naming its column and the line of the column's first
-    such cell. A leading UTF-8 byte-order mark is skipped.
+    and non-finite (nan, inf) feature cells fail the load, cells with the
+    file line their record starts on, all bad rows together. Otherwise an
+    integer cell that is not an integer, does not fit in 64 bits or is a
+    negative bookings count fails it, naming its column and the line of
+    the column's first such cell. A leading UTF-8 byte-order mark is
+    skipped.
 
     The file is read _BLOCK_RECORDS records at a time: the features go into
     one float buffer that becomes the points, the integer columns into
@@ -114,11 +124,12 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
         codes = {}
         bad_rows = []
         column_errors = {}
-        line_no = 1
-        while block := list(itertools.islice(reader, _BLOCK_RECORDS)):
-            kept, kept_lines = [], []
-            for row in block:
-                line_no += 1
+        records = _numbered(reader)
+        while True:
+            # Records are taken one by one, so the block holds only the
+            # kept rows; a block that reads no line ends the file.
+            kept, kept_lines, first_line = [], [], reader.line_num
+            for line_no, row in itertools.islice(records, _BLOCK_RECORDS):
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -135,6 +146,8 @@ def read_csv(path: str | Path, standardize: bool = False) -> Dataset:
                 features.extend(floats)
                 kept.append(row)
                 kept_lines.append(line_no)
+            if reader.line_num == first_line:
+                break
             for name, (col, values, parse) in loaded.items():
                 if name in column_errors:
                     continue
@@ -281,8 +294,4 @@ def read_report(path: str | Path) -> list[dict]:
             raise ValueError(f"{path}: empty report file")
         if tuple(header) != REPORT_COLUMNS:
             raise ValueError(f"{path}: unexpected report header {header}")
-        return [
-            _row_to_record(row, f"{path}: line {line_no}")
-            for line_no, row in enumerate(reader, start=2)
-            if row
-        ]
+        return [_row_to_record(row, f"{path}: line {line_no}") for line_no, row in _numbered(reader) if row]

@@ -13,6 +13,11 @@ from feature-major columns made once per run, in point order, with one
 size count per pass. At k=2, the split's 2-means, the nearest centroid
 and both bounds come from elementwise column operations, and the initial
 draw lists the distinct rows by marking their ids, with no sort.
+
+The distance kernels build their differences one block of rows at a time,
+in one buffer of at most _BLOCK_VALUES values, so a pass's temporaries are
+its O(n*k) result plus that fixed buffer. A run carries its distance
+matrix one row per centroid (``operators.distance_rows``).
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from .core import Clustering, Dataset, as_integer
 # Lloyd stops once centroid movement, the maximum over centroids of the
 # squared displacement between consecutive iterations, is at most this.
 TOLERANCE = 1e-9
+
+# Most values a distance kernel's difference buffer holds (1 MB of
+# float64), so a pass's temporaries are O(n*k), not O(n*k*d).
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -47,12 +56,18 @@ class KMeansConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block at width values a row: as many as _BLOCK_VALUES
+    holds, and one at least."""
+    return max(1, _BLOCK_VALUES // max(1, width))
+
+
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) matrix of squared Euclidean distances between float64 rows.
 
     Computed from explicit differences (not the expanded-norm identity) so
     that exactly equal distances compare equal and ties stay deterministic.
-    The (n, k, d) difference tensor starts as each point row copied k
+    The (rows, k, d) difference tensor starts as each point row copied k
     times, contiguous, and the centroids are subtracted from it in place:
     that subtraction runs k*d values per point in one inner loop, where the
     broadcast ``points[:, None, :] - centroids`` runs only d. Each entry is
@@ -60,12 +75,43 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     same, so the result is bit-identical to the broadcast form. The rows
     are copied into a fresh buffer rather than by ``np.repeat``, which
     first copies a read-only input whole, as every dataset's points are.
+
+    The tensor is built for one block of rows at a time, in one buffer of
+    at most _BLOCK_VALUES values, so the call's memory is its (n, k) result
+    plus that buffer, not n*k*d values.
     """
     n, d = points.shape
-    diff = np.empty((n, centroids.shape[0], d))
-    diff[...] = points[:, None, :]
-    diff -= centroids
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    k = centroids.shape[0]
+    out = np.empty((n, k))
+    rows = _block_rows(k * d)
+    buffer = np.empty((min(n, rows), k, d))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        diff = buffer[: min(rows, n - start)]
+        diff[...] = points[block, None, :]
+        diff -= centroids
+        np.einsum("nkd,nkd->nk", diff, diff, out=out[block])
+    return out
+
+
+def own_squared_distances(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """(n,) squared distance of each point to its own centroid,
+    centroids[assignment], in the row blocks of ``squared_distances``.
+
+    Bit-identical to ``einsum("nd,nd->n", diff, diff)`` of the whole
+    ``points - centroids[assignment]``; assignment must hold valid ids.
+    """
+    n, d = points.shape
+    out = np.empty(n)
+    rows = _block_rows(d)
+    buffer = np.empty((min(n, rows), d))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        diff = buffer[: min(rows, n - start)]
+        np.take(centroids, assignment[block], axis=0, out=diff, mode="clip")
+        np.subtract(points[block], diff, out=diff)
+        np.einsum("nd,nd->n", diff, diff, out=out[block])
+    return out
 
 
 def init_centroids(dataset: Dataset, k: int, seed: int) -> np.ndarray:

@@ -6,14 +6,16 @@ replacement centroids produced by a seeded 2-means on the target's points;
 a merge removes the pair and appends the union, whose centroid is the
 arithmetic mean of the union's raw points.
 
-Both operators take the clustering's (n, k) point-to-centroid squared
-distance matrix, one column per centroid in centroid order, and return the
-new clustering's matrix with it: the removed centroids' columns are dropped
-and the new centroids' columns appended, so only the changed columns are
-computed (for a split, by an ``assign_points`` pass against the two
-children). Each column equals the one a full ``squared_distances`` call
-would give, bit for bit, so the split's nearest-centroid pass over the
-updated matrix is the full reassignment's.
+Both operators take the clustering's (k, n) point-to-centroid squared
+distance matrix, one contiguous row per centroid in centroid order, and
+return the new clustering's matrix with it: the removed centroids' rows
+are dropped and the new centroids' rows appended, in one new array, so
+only the changed rows are computed (for a split, by an ``assign_points``
+pass against the two children). Each row equals the column a full
+``squared_distances`` call would give, bit for bit, so the split's
+nearest-centroid pass over the updated matrix is the full reassignment's.
+An operator's temporaries are that one new matrix, the new rows and
+O(n) vectors: O(n*k) in all.
 """
 
 from __future__ import annotations
@@ -60,31 +62,55 @@ def bisect_cluster(
     return child.centroids, child.assignment
 
 
+def distance_rows(dataset: Dataset, centroids: np.ndarray) -> np.ndarray:
+    """The (k, n) squared distance matrix the operators carry: one
+    contiguous row per centroid, each a column of ``squared_distances``."""
+    return np.ascontiguousarray(squared_distances(dataset.points, centroids).T)
+
+
 def _relabel(
     clustering: Clustering,
     distances: np.ndarray,
     drop: list[int],
     new_centroids: np.ndarray,
-    new_columns: np.ndarray,
+    new_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The layout both operators share: the dropped ids leave, the kept ids
     keep their order and the new ids follow them.
 
-    Returns the new centroids, the new distance matrix (the kept columns of
-    the clustering's matrix, then new_columns) and the old-to-new id map,
-    in which each dropped id maps to the first new id.
+    Returns the new centroids, the new distance matrix (the kept rows of
+    the clustering's matrix, then new_rows, written into one new array) and
+    the old-to-new id map, in which each dropped id maps to the first new
+    id.
     """
     n, k = clustering.assignment.size, clustering.k
-    if distances.shape != (n, k):
-        raise ValueError(f"distances have shape {distances.shape}, expected ({n}, {k})")
+    if distances.shape != (k, n):
+        raise ValueError(f"distances have shape {distances.shape}, expected ({k}, {n})")
     kept = np.delete(np.arange(k), drop)
     remap = np.full(k, kept.size, dtype=np.int64)
     remap[kept] = np.arange(kept.size)
-    return (
-        np.vstack([clustering.centroids[kept], new_centroids]),
-        np.hstack([distances[:, kept], new_columns]),
-        remap,
-    )
+    matrix = np.empty((kept.size + len(new_rows), n))
+    # mode="clip" writes straight into out; the default "raise" buffers a
+    # whole copy first. kept holds valid ids.
+    np.take(distances, kept, axis=0, out=matrix[: kept.size], mode="clip")
+    matrix[kept.size :] = new_rows
+    return np.vstack([clustering.centroids[kept], new_centroids]), matrix, remap
+
+
+def _nearest(distances: np.ndarray) -> np.ndarray:
+    """Nearest centroid per point of a (k, n) distance matrix, ties to the
+    lowest id, as ``distances.argmin(axis=0)``: a scan over the contiguous
+    rows keeps the running minimum, and only a strictly smaller distance
+    moves a point."""
+    nearest = np.zeros(distances.shape[1], dtype=np.int64)
+    best = distances[0].copy()
+    closer = np.empty(distances.shape[1], dtype=bool)
+    for cid in range(1, distances.shape[0]):
+        row = distances[cid]
+        np.less(row, best, out=closer)
+        np.putmask(nearest, closer, cid)
+        np.minimum(best, row, out=best)
+    return nearest
 
 
 def split_cluster(
@@ -93,24 +119,25 @@ def split_cluster(
     """Replace the target cluster with two children, then re-derive every
     cluster as the set of points sharing the same closest centroid.
 
-    distances is the clustering's (n, k) squared distance matrix. The
-    target's column is replaced by the two children's, computed by one
+    distances is the clustering's (k, n) squared distance matrix. The
+    target's row is replaced by the two children's, computed by one
     ``assign_points`` pass against the children alone, and the single global
-    assignment pass (no centroid update afterwards) is the row-wise argmin
-    of the result, ties to the lowest id; it may move points between any
-    clusters, and clusters emptied by it are repaired, with their columns
-    recomputed. Returns the clustering, with k+1 clusters, and its matrix.
+    assignment pass (no centroid update afterwards) is the nearest centroid
+    over the result's rows, ties to the lowest id; it may move points
+    between any clusters, and clusters emptied by it are repaired, with
+    their rows recomputed. Returns the clustering, with k+1 clusters, and
+    its matrix.
     """
     if not 0 <= target < clustering.k:
         raise ValueError(f"split target {target} out of range for k={clustering.k}")
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
-    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_columns)
-    assignment = distances.argmin(axis=1).astype(np.int64, copy=False)
+    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_columns.T)
+    assignment = _nearest(distances)
     empties = np.flatnonzero(np.bincount(assignment, minlength=len(new_centroids)) == 0)
     if empties.size:
         repaired = repair_empty(dataset, assignment, new_centroids)
-        distances[:, empties] = squared_distances(dataset.points, repaired.centroids[empties])
+        distances[empties] = distance_rows(dataset, repaired.centroids[empties])
         return repaired, distances
     return Clustering.adopt(assignment, new_centroids), distances
 
@@ -122,7 +149,7 @@ def merge_pair(
 
     The union's centroid is the arithmetic mean of its raw points. No
     reassignment pass is run; k decreases by one. distances is the
-    clustering's (n, k) squared distance matrix; the merged clustering's
+    clustering's (k, n) squared distance matrix; the merged clustering's
     matrix is returned with it.
     """
     if i == j:
@@ -134,8 +161,8 @@ def merge_pair(
         raise ValueError(f"minimum cluster count: merging would leave fewer than {MIN_K} clusters")
     union_mask = (clustering.assignment == i) | (clustering.assignment == j)
     union_centroid = dataset.points[union_mask].mean(axis=0)[None, :]
-    union_column = squared_distances(dataset.points, union_centroid)
-    new_centroids, distances, remap = _relabel(clustering, distances, [i, j], union_centroid, union_column)
+    union_row = distance_rows(dataset, union_centroid)
+    new_centroids, distances, remap = _relabel(clustering, distances, [i, j], union_centroid, union_row)
     return Clustering.adopt(remap[clustering.assignment], new_centroids), distances
 
 

@@ -85,6 +85,14 @@ def test_assignment_out_of_range():
     assert validate_clustering(ds, clustering) == ["assignment value out of range"]
 
 
+def test_dataset_stores_codes_as_a_tuple_of_str():
+    ds = make_dataset([[0.0], [1.0], [2.0]], origins=[7, "LHR", np.int64(3)], destinations=("AAA", 1.5, "BBB"))
+    assert ds.origins == ("7", "LHR", "3")
+    assert ds.destinations == ("AAA", "1.5", "BBB")
+    for codes in (ds.origins, ds.destinations):
+        assert type(codes) is tuple and all(type(code) is str for code in codes)
+
+
 def test_dataset_invariants():
     with pytest.raises(ValueError, match="empty"):
         Dataset(points=np.zeros((0, 2)), feature_names=("a", "b"))

@@ -107,6 +107,21 @@ def test_non_numeric_cell_reports_line_number(tmp_path, sample_dataset):
         read_csv(path)
 
 
+def test_line_numbers_count_the_lines_of_a_quoted_cell(tmp_path, sample_dataset):
+    # Line 3's extra cell holds a line break, so its record ends on line 4
+    # and the bad row is file line 5; counting records reads line 4.
+    path = tmp_path / "dataset.csv"
+    write_csv(sample_dataset, path)
+    lines = path.read_text().splitlines()[:5]
+    lines = [lines[0] + ",note", lines[1] + ",x", lines[2] + ',"two\nlines"', lines[3] + ",x", lines[4] + ",x"]
+    _set_cell(lines, 4, "distance", "x")
+    path.write_text("\n".join(lines))
+    assert path.read_text().splitlines()[4].startswith("x,")
+    with pytest.warns(UserWarning, match="note"), pytest.raises(ValueError) as excinfo:
+        read_csv(path)
+    assert str(excinfo.value) == f"{path}: rejected rows: line 5: non-numeric feature value"
+
+
 def test_non_finite_cells_report_line_numbers(tmp_path, sample_dataset):
     path = tmp_path / "dataset.csv"
     write_csv(sample_dataset, path)
@@ -387,6 +402,19 @@ def test_report_bad_cell_names_line_and_column(tmp_path, column, cell):
     lines[2] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"report.csv: line 3: {column}: .*{cell}"):
+        read_report(path)
+
+
+def test_report_line_numbers_count_the_lines_of_a_quoted_cell(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(_report(), path, format="csv")
+    lines = path.read_text().splitlines()
+    for line_index, column, cell in ((1, "driving_feedback", '"r\nss"'), (2, "k", "x")):
+        cells = lines[line_index].split(",")
+        cells[REPORT_COLUMNS.index(column)] = cell
+        lines[line_index] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="report.csv: line 4: k: invalid literal"):
         read_report(path)
 
 

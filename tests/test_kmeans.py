@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,12 +185,58 @@ def _distance_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_distance_inputs())
-def test_squared_distances_equals_the_broadcast_form_byte_for_byte(inputs):
+@given(_distance_inputs(), st.data())
+def test_squared_distances_equals_the_broadcast_form_byte_for_byte(inputs, data):
     points, centroids = inputs
-    got = squared_distances(points, centroids)
-    assert got.shape == (points.shape[0], centroids.shape[0])
+    n, d = points.shape
+    k = centroids.shape[0]
+    # A block of at most half the rows, so the kernel runs several blocks
+    # and a shorter last one; below k*d values a block is one row.
+    block_values = data.draw(st.integers(1, max(1, n * k * d // 2)), label="block_values")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kmeans, "_BLOCK_VALUES", block_values)
+        got = squared_distances(points, centroids)
+    assert got.shape == (n, k)
     assert got.tobytes() == broadcast_squared_distances(points, centroids).tobytes()
+    assert got.tobytes() == squared_distances(points, centroids).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_distance_inputs(), st.data())
+def test_own_squared_distances_equal_the_whole_difference_byte_for_byte(inputs, data):
+    points, centroids = inputs
+    n, d = points.shape
+    assignment = np.random.default_rng(n * d).integers(0, centroids.shape[0], n)
+    block_values = data.draw(st.integers(1, max(1, n * d // 2)), label="block_values")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kmeans, "_BLOCK_VALUES", block_values)
+        got = kmeans.own_squared_distances(points, centroids, assignment)
+    diff = points - centroids[assignment]
+    assert got.tobytes() == np.einsum("nd,nd->n", diff, diff).tobytes()
+
+
+def test_squared_distances_of_no_points_or_no_centroids():
+    rng = np.random.default_rng(4)
+    points, centroids = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+    for p, c in ((points[:0], centroids), (points, centroids[:0]), (points[:0], centroids[:0])):
+        got = squared_distances(p, c)
+        assert got.shape == (p.shape[0], c.shape[0])
+        assert got.tobytes() == broadcast_squared_distances(p, c).tobytes()
+    assert kmeans.own_squared_distances(points[:0], centroids, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
+def test_squared_distances_holds_its_result_and_one_block_buffer():
+    # The whole (n, k, d) difference tensor would be 8 times the result:
+    # 44.8 MB here. The headroom covers numpy's iteration buffers.
+    points = np.random.default_rng(5).normal(size=(100_000, 8))
+    centroids = points[:7].copy()
+    tracemalloc.start()
+    try:
+        out = squared_distances(points, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * kmeans._BLOCK_VALUES + 256 * 1024
 
 
 def _generic_nearest_with_bounds(points, centroids):

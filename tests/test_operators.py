@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from feedback_kmeans import (
     validate_clustering,
     worst_cluster,
 )
-from feedback_kmeans import core
+from feedback_kmeans import core, operators
+from feedback_kmeans.synth import demo_generator_config, generate, standardize
 from helpers import cluster_means, make_dataset, reference_merge, reference_split
 
 
@@ -35,8 +38,9 @@ def clustering_from_assignment(dataset, assignment, k):
 
 
 def distances_of(dataset, clustering):
-    """The clustering's (n, k) squared distance matrix, as the operators take it."""
-    return squared_distances(dataset.points, clustering.centroids)
+    """The clustering's (k, n) squared distance matrix, one row per
+    centroid, as the operators take it."""
+    return np.ascontiguousarray(squared_distances(dataset.points, clustering.centroids).T)
 
 
 def clustering_with_sizes(sizes):
@@ -287,11 +291,67 @@ def test_producers_hand_their_values_arrays_they_built_uncopied(copies, produce)
 def test_operators_reject_a_distance_matrix_of_another_shape():
     ds, clustering = clustering_with_sizes([2, 3, 2])
     distances = distances_of(ds, clustering)
-    for bad in (distances[:, :2], distances[:-1], distances.T):
+    # A centroid short, a point short, and the point-major (n, k) layout.
+    for bad in (distances[:2], distances[:, :-1], distances.T):
         with pytest.raises(ValueError, match="distances have shape"):
             split_cluster(ds, clustering, bad, target=1, seed=0)
         with pytest.raises(ValueError, match="distances have shape"):
             merge_pair(ds, clustering, bad, 0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=200),
+    d=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=12),
+)
+def test_row_scan_nearest_equals_argmin_on_tied_grid_data(seed, n, d, k):
+    # Integer-grid points and centroids, repeated centroids among them:
+    # most points are equally near several centroids.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 3, size=(n, d)).astype(float)
+    centroids = rng.integers(0, 3, size=(k, d)).astype(float)
+    centroids[rng.random(k) < 0.3] = centroids[0]
+    d2 = squared_distances(points, centroids)
+    got = operators._nearest(np.ascontiguousarray(d2.T))
+    assert got.dtype == np.int64
+    assert got.tobytes() == d2.argmin(axis=1).astype(np.int64).tobytes()
+
+
+@pytest.fixture(scope="module")
+def large_clustering():
+    """20k generated points in 16 clusters with their exact means, and the
+    clustering's distance matrix."""
+    ds, _ = standardize(generate(demo_generator_config(n_points=20_000, seed=3)))
+    seeds = ds.points[np.random.default_rng(0).choice(ds.n_points, 16, replace=False)]
+    clustering = clustering_from_assignment(ds, squared_distances(ds.points, seeds).argmin(axis=1), 16)
+    return ds, clustering, distances_of(ds, clustering)
+
+
+@pytest.mark.parametrize(
+    "operate, new_rows, new_k",
+    [
+        (lambda ds, c, d: split_cluster(ds, c, d, target=3, seed=1), 2, 17),
+        (lambda ds, c, d: merge_pair(ds, c, d, 3, 5), 1, 15),
+    ],
+    ids=["split", "merge"],
+)
+def test_operators_allocate_one_new_matrix_and_the_new_rows(large_clustering, operate, new_rows, new_k):
+    # A copy of the kept rows before the new matrix was one matrix more:
+    # 5.6 MB for the split and 4.8 MB for the merge here, where this
+    # budget is 3.7 and 3.2 MB. The headroom is four vectors of n floats
+    # (the split's running minimum, its nearest ids, masks).
+    ds, clustering, distances = large_clustering
+    operate(ds, clustering, distances)  # first-use caches, such as row ids
+    tracemalloc.start()
+    try:
+        _, matrix = operate(ds, clustering, distances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (new_k, ds.n_points)
+    assert peak <= matrix.nbytes + new_rows * ds.n_points * 8 + 4 * ds.n_points * 8
 
 
 # ---------------------------------------------------------------- closest pair
