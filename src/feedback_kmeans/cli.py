@@ -17,6 +17,7 @@ below 1 mean 1).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -61,15 +62,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_dataset(args: argparse.Namespace):
-    return ingest.read_csv(args.dataset, standardize=not args.no_standardize)
+def _load_inputs(args: argparse.Namespace):
+    """The dataset and the oracle profile (None if absent) that the data flags name."""
+    dataset = ingest.read_csv(args.dataset, standardize=not args.no_standardize)
+    return dataset, None if args.oracle is None else load_oracle_profile(args.oracle)
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.feedback == "custom" and args.oracle is None:
         parser.error("--feedback custom requires --oracle")
-    dataset = _load_dataset(args)
-    profile = None if args.oracle is None else load_oracle_profile(args.oracle)
+    dataset, profile = _load_inputs(args)
     method = harness.ExperimentMethod(f"{args.method}:{args.feedback}")
     trace = harness.run_method(dataset, method, args.k, args.seed, profile, args.iterations, args.target)
     if args.out is not None:
@@ -87,7 +89,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 # Experiment config JSON keys, which are also the flag names, mapped to the
-# ExperimentConfig fields they set.
+# ExperimentConfig fields they set; the list settings with their flags' help.
 _EXPERIMENT_KEYS = {
     "methods": "methods",
     "k_values": "k_values",
@@ -97,13 +99,14 @@ _EXPERIMENT_KEYS = {
     "fluctuation_calls": "fluctuation_calls",
     "seed": "seed",
 }
+_LIST_KEYS = {"methods": "comma-separated, e.g. sme:rss,sm:custom", "k_values": "comma-separated initial k values"}
 
 
 def _experiment_value(key: str, value):
     """Coerce one config-file or flag value to its ExperimentConfig type;
     list settings may be JSON lists or comma-separated strings, and every
     other setting must be an integer (a bool or a fraction is rejected)."""
-    if key in ("methods", "k_values"):
+    if key in _LIST_KEYS:
         raw = ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
         if key == "methods":  # ExperimentConfig checks the names
             return tuple(token.strip() for token in raw.split(",") if token.strip())
@@ -131,9 +134,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if args.oracle is None and any(m.feedback_kind == "custom" for m in config.methods):
         parser.error("customizability-driven methods require --oracle")
     threads = _threads()
-
-    dataset = _load_dataset(args)
-    profile = None if args.oracle is None else load_oracle_profile(args.oracle)
+    dataset, profile = _load_inputs(args)
 
     report = harness.run_experiment(dataset, config, profile, threads=threads)
 
@@ -180,7 +181,8 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
 
     The export carries evaluations and actions, not snapshots, so the
     checks cover step numbering, action syntax, feedback shape against k,
-    best-flag consistency and (for SME) cluster-count preservation.
+    finite feedback values, best-flag consistency and (for SME)
+    cluster-count preservation.
     """
     violations: list[str] = []
     if not records:
@@ -205,6 +207,10 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
             violations.append(
                 f"step {pos}: {len(rec['per_cluster_feedback'])} feedback values for k={rec['k']}"
             )
+        for value in [rec["aggregate"], *rec["per_cluster_feedback"]]:
+            if type(value) not in (int, float) or (type(value) is float and not math.isfinite(value)):
+                violations.append(f"step {pos}: non-finite or non-numeric feedback {value!r}")
+                break
     if violations:
         return violations
     if records[0]["action"] != "init":
@@ -247,10 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    run = sub.add_parser("run", help="one method run on a dataset, as an experiment cell runs it")
-    run.add_argument("--dataset", required=True, help="dataset CSV")
-    run.add_argument("--method", choices=["sme", "sm"], required=True)
-    run.add_argument("--feedback", choices=["rss", "custom"], default="rss")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--dataset", required=True, help="dataset CSV")
+    data.add_argument("--oracle", default=None, help="oracle profile JSON (required for custom feedback)")
+    data.add_argument("--no-standardize", action="store_true", help="cluster on raw feature values")
+    methods = [m.value for m in engines.Method]
+    feedback_kinds = list(dict.fromkeys(m.feedback_kind for m in harness.ALL_METHODS))
+
+    run = sub.add_parser("run", parents=[data], help="one method run on a dataset, as an experiment cell runs it")
+    run.add_argument("--method", choices=methods, required=True)
+    run.add_argument("--feedback", choices=feedback_kinds, default="rss")
     run.add_argument("--k", type=int, required=True, help="initial cluster count")
     run.add_argument(
         "--iterations", type=int, default=None,
@@ -258,27 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--target", type=float, default=None, help="stop once the evaluation reaches this value")
-    run.add_argument("--oracle", default=None, help="oracle profile JSON (required for custom feedback)")
     run.add_argument("--out", default=None, help="trace output path (JSON lines)")
-    run.add_argument("--no-standardize", action="store_true", help="cluster on raw feature values")
 
-    exp = sub.add_parser("experiment", help="full protocol grid")
-    exp.add_argument("--dataset", required=True)
-    exp.add_argument("--oracle", default=None)
+    exp = sub.add_parser("experiment", parents=[data], help="full protocol grid")
     exp.add_argument("--out", required=True, help="report output directory")
     exp.add_argument("--config", default=None, help="experiment config JSON (flags override it)")
-    exp.add_argument("--methods", default=None, help="comma-separated, e.g. sme:rss,sm:custom")
-    exp.add_argument("--k-values", dest="k_values", default=None, help="comma-separated initial k values")
-    exp.add_argument("--repeats", type=int, default=None)
-    exp.add_argument("--sme-iterations", dest="sme_iterations", type=int, default=None)
-    exp.add_argument("--sm-iterations", dest="sm_iterations", type=int, default=None)
-    exp.add_argument("--fluctuation-calls", dest="fluctuation_calls", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--no-standardize", action="store_true")
+    for key in _EXPERIMENT_KEYS:  # each setting's flag is its config key; unset flags are None
+        typed = {"help": _LIST_KEYS[key]} if key in _LIST_KEYS else {"type": int}
+        exp.add_argument("--" + key.replace("_", "-"), dest=key, **typed)
 
     val = sub.add_parser("validate", help="check an exported trace for invariant violations")
     val.add_argument("--trace", required=True, help="trace JSON-lines file")
-    val.add_argument("--method", choices=["sme", "sm"], default=None)
+    val.add_argument("--method", choices=methods, default=None)
 
     return parser
 

@@ -292,7 +292,7 @@ class Clustering:
 
 @dataclass(frozen=True)
 class FeedbackReport:
-    """Per-cluster feedback values plus their size-weighted aggregate."""
+    """Per-cluster feedback values plus their size-weighted aggregate, all finite."""
 
     per_cluster: tuple[float, ...]
     aggregate: float
@@ -303,6 +303,10 @@ class FeedbackReport:
         object.__setattr__(self, "aggregate", float(self.aggregate))
         if len(self.per_cluster) == 0:
             raise ValueError("feedback report must cover at least one cluster")
+        for cid, value in enumerate((*self.per_cluster, self.aggregate)):
+            if not math.isfinite(value):
+                what = f"feedback of cluster {cid}" if cid < len(self.per_cluster) else "aggregate feedback"
+                raise ValueError(f"{what} is not finite: {value!r}")
 
 
 @dataclass(frozen=True)

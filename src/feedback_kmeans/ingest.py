@@ -45,8 +45,8 @@ OPTIONAL_COLUMNS = {
     "destination": ("destinations", str),
 }
 
-# Records that read_csv reads and parses at a time; it holds one block's
-# cells, never the whole file's.
+# Records that read_csv reads and parses, and write_csv writes, at a time;
+# each holds one block's cells, never the whole file's.
 _BLOCK_RECORDS = 4096
 
 REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ImpactRecord))
@@ -63,18 +63,16 @@ def _numbered(reader) -> typing.Iterator[tuple[int, list[str]]]:
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset: its feature columns, then whichever of the
-    OPTIONAL_COLUMNS it carries."""
-    header = list(dataset.feature_names)
-    columns = [map(repr, dataset.points[:, i].tolist()) for i in range(dataset.n_features)]
-    for name, (attr, _) in OPTIONAL_COLUMNS.items():
-        values = getattr(dataset, attr)
-        if values is not None:
-            header.append(name)
-            columns.append(map(str, values))
+    OPTIONAL_COLUMNS it carries, _BLOCK_RECORDS rows at a time."""
+    carried = {name: getattr(dataset, attr) for name, (attr, _) in OPTIONAL_COLUMNS.items()}
+    optional = {name: values for name, values in carried.items() if values is not None}
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        writer.writerow([*dataset.feature_names, *optional])
+        for start in range(0, dataset.n_points, _BLOCK_RECORDS):
+            block = slice(start, start + _BLOCK_RECORDS)
+            features = (map(repr, column) for column in dataset.points[block].T.tolist())
+            writer.writerows(zip(*features, *(map(str, values[block]) for values in optional.values())))
 
 
 def read_csv(path: str | Path, standardize: bool = False) -> Dataset:

@@ -197,8 +197,7 @@ def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
     for empty in empties:
-        diff = dataset.points - centroids[assignment]
-        dist = np.einsum("nd,nd->n", diff, diff)
+        dist = own_squared_distances(dataset.points, centroids, assignment)
         sizes = np.bincount(assignment, minlength=k)
         eligible = sizes[assignment] >= 2
         if not eligible.any():

@@ -194,12 +194,10 @@ def build_oracle_profile(config: GeneratorConfig, **knobs) -> OracleProfile:
 
 # The keys a generator config JSON may hold: at the top level, in each
 # segment and in the optional "oracle" block, which takes the profile file's
-# keys but m and segments (the segments imply them), and score_offset.
+# keys but m and segments (the segments imply them).
 _CONFIG_KEYS = ("n_points", "seed", "segments", "oracle")
 _SEGMENT_KEYS = tuple(f.name for f in fields(SegmentSpec))
-_ORACLE_KEYS = {"score_offset": "score_offset"} | {
-    key: field for key, field in PROFILE_KEYS.items() if key not in ("m", "segments")
-}
+_ORACLE_KEYS = {key: field for key, field in PROFILE_KEYS.items() if key not in ("m", "segments")}
 
 
 def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, OracleProfile]:
@@ -222,11 +220,8 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, OracleProf
             except ValueError as exc:
                 raise ValueError(f"segment {index} {exc}") from None
         config = GeneratorConfig(n_points=payload["n_points"], segments=specs, seed=payload["seed"])
-        if "score_offset" in oracle and "C" in oracle:
-            raise ValueError("oracle sets both 'score_offset' and 'C'")
-        knobs = {_ORACLE_KEYS[key]: value for key, value in oracle.items()}
         with keyed_errors(_ORACLE_KEYS, oracle):
-            profile = build_oracle_profile(config, **knobs)
+            profile = build_oracle_profile(config, **{_ORACLE_KEYS[key]: value for key, value in oracle.items()})
     except (KeyError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{what}: {detail}") from None

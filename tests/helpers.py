@@ -58,6 +58,20 @@ class ConstantPlugIn:
         return None
 
 
+class NanPlugIn:
+    """A plug-in whose cluster 0 scores NaN and every other cluster 1."""
+
+    sense = Sense.HIGHER_IS_BETTER
+
+    def evaluate(self, dataset, clustering, rng):
+        return evaluate_per_cluster(
+            dataset, clustering, self.sense, lambda cid, members: math.nan if cid == 0 else 1.0
+        )
+
+    def evaluation_rng(self, step):
+        return None
+
+
 def own_members(cls) -> set[str]:
     return {name for name in vars(cls) if not name.startswith("__")}
 

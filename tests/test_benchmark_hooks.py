@@ -1,6 +1,8 @@
 """The benchmark's tracer and run log hook package names by string; a rename
 or deletion here breaks them without failing any other test."""
 
+import contextlib
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,7 +13,8 @@ from feedback_kmeans import Clustering, CustomizabilityFeedback, OracleProfile, 
 from feedback_kmeans import cli, ingest, kmeans, save_oracle_profile, synth
 from helpers import make_dataset
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -94,3 +97,22 @@ def test_lloyd_updates_centroids_through_the_module_global(monkeypatch):
     dataset = make_dataset(np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(6, 1, (60, 2))]))
     _, history = kmeans.lloyd_history(dataset, kmeans.KMeansConfig(k=3, seed=1))
     assert len(history) > 2 and len(calls) == len(history) - 1
+
+
+def test_csv_workload_setup_and_pass_check_clean(tmp_path, monkeypatch):
+    # desk_grid and deep_refine build their inputs through write_csv,
+    # read_csv(standardize=True) and build_oracle_profile; a 240-point,
+    # one-dataset copy of desk_grid runs that set-up and the pass's checks.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    speed = importlib.import_module("speed")
+    workload = dataclasses.replace(workloads.WORKLOADS["desk_grid"], n_points=240, n_datasets=1)
+    assert workload.via_csv
+    inputs = workloads.setup(workload, 7, tmp_path)
+    [(ds_seed, dataset, profile)] = inputs
+    assert (tmp_path / f"dataset-{ds_seed}.csv").is_file()
+    assert dataset.n_points == 240 and np.allclose(dataset.points.mean(axis=0), 0.0)
+    assert profile.rng_seed == ds_seed
+    result = workloads.run_pass(workload, inputs, tmp_path, contextlib.nullcontext, speed.SpeedProbe())
+    assert result.problems == []
+    assert result.cells == 24

@@ -1,12 +1,14 @@
+import argparse
 import hashlib
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from feedback_kmeans.cli import build_parser, main, validate_trace_records
+from feedback_kmeans.cli import _EXPERIMENT_KEYS, build_parser, main, validate_trace_records
 from feedback_kmeans.engines import read_trace_records
 from feedback_kmeans.feedback import PROFILE_KEYS
 from feedback_kmeans.ingest import read_report
@@ -73,12 +75,42 @@ def test_readme_commands_parse():
         parser.parse_args(argv)  # a flag README names but the CLI lacks exits 2
 
 
+def subcommand_flags(command):
+    """Each flag of a subcommand, mapped to its (dest, type, choices)."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: (a.dest, a.type, a.choices) for a in sub.choices[command]._actions}
+
+
+def test_experiment_setting_flags_are_the_config_keys():
+    flags = subcommand_flags("experiment")
+    for other in ("-h", "--dataset", "--oracle", "--no-standardize", "--out", "--config"):
+        del flags[other]
+    assert flags == {
+        "--methods": ("methods", None, None),
+        "--k-values": ("k_values", None, None),
+        "--repeats": ("repeats", int, None),
+        "--sme-iterations": ("sme_iterations", int, None),
+        "--sm-iterations": ("sm_iterations", int, None),
+        "--fluctuation-calls": ("fluctuation_calls", int, None),
+        "--seed": ("seed", int, None),
+    }
+    assert [dest for dest, _, _ in flags.values()] == list(_EXPERIMENT_KEYS)
+
+
+def test_run_and_experiment_share_the_data_flags_and_name_the_engine_choices():
+    run, experiment = subcommand_flags("run"), subcommand_flags("experiment")
+    for flag in ("--dataset", "--oracle", "--no-standardize"):
+        assert run[flag] == experiment[flag]
+    assert run["--method"][2] == subcommand_flags("validate")["--method"][2] == ["sme", "sm"]
+    assert run["--feedback"][2] == ["rss", "custom"]
+
+
 def test_readme_oracle_key_lists_match_the_profile_keys():
     text = README.read_text(encoding="utf-8")
     profile = re.search(r"The oracle profile JSON holds exactly\s+`\{(.*?)\}`", text, re.S).group(1)
     block = re.search(r"optional\s+`oracle`\s+block\s+\((.*?)\)", text, re.S).group(1)
     assert re.findall(r"(\w+)(?:: \{.*?\})?,?", profile) == list(PROFILE_KEYS)
-    assert set(re.findall(r"`(\w+)`", block)) == {*PROFILE_KEYS, "score_offset"} - {"m", "segments"}
+    assert re.findall(r"`(\w+)`", block) == [key for key in PROFILE_KEYS if key not in ("m", "segments")]
 
 
 # ---------------------------------------------------------------- generate
@@ -589,6 +621,21 @@ def test_validate_flags_corrupted_trace(tmp_path, generated, capsys):
     assert "feedback values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, bad", [("aggregate", math.nan), ("per_cluster_feedback", math.inf)])
+def test_validate_flags_a_non_finite_evaluation(tmp_path, generated, capsys, field, bad):
+    dataset, _ = generated
+    trace_path = tmp_path / "trace.jsonl"
+    argv = ["run", "--dataset", str(dataset), "--method", "sm", "--k", "3", "--seed", "2", "--out", str(trace_path)]
+    assert main(argv) == 0
+    lines = trace_path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = bad if field == "aggregate" else [bad, *record[field][1:]]
+    lines[1] = json.dumps(record, sort_keys=True)  # writes the bare NaN or Infinity token
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--trace", str(trace_path)]) == 1
+    assert capsys.readouterr().err == f"step 1: non-finite or non-numeric feedback {bad!r}\n"
+
+
 def test_validate_records_unit_checks():
     records = [
         {"step": 0, "action": "init", "k": 2, "per_cluster_feedback": [1.0, 2.0], "aggregate": 1.5, "is_best": True},
@@ -598,6 +645,11 @@ def test_validate_records_unit_checks():
     assert validate_trace_records([], method=None) == ["trace is empty"]
     broken = [dict(records[0], action="explode()")]
     assert any("malformed action" in v for v in validate_trace_records(broken))
+    for values, bad in (([1.0, "2"], "'2'"), ([True, 2.0], "True")):
+        assert validate_trace_records([dict(records[0], per_cluster_feedback=values)]) == [
+            f"step 0: non-finite or non-numeric feedback {bad}"
+        ]
+    assert validate_trace_records([dict(records[0], per_cluster_feedback=[10**400, 2])]) == []
     # is_best must equal Sense.best_flags of the aggregates under one sense
     inconsistent = ["is_best flags are inconsistent with every evaluation orientation"]
     for aggregates, flags, expected in [

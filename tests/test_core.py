@@ -169,6 +169,20 @@ def test_feedback_report_requires_values():
         FeedbackReport(per_cluster=(), aggregate=0.0, sense=Sense.LOWER_IS_BETTER)
 
 
+@pytest.mark.parametrize(
+    "per_cluster, aggregate, message",
+    [
+        ((1.0, float("nan")), 1.0, "feedback of cluster 1 is not finite: nan"),
+        ((float("-inf"), 1.0), 1.0, "feedback of cluster 0 is not finite: -inf"),
+        ((1.0, 2.0), float("nan"), "aggregate feedback is not finite: nan"),
+        ((1.0,), float("inf"), "aggregate feedback is not finite: inf"),
+    ],
+)
+def test_feedback_report_rejects_a_non_finite_value_by_name(per_cluster, aggregate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FeedbackReport(per_cluster=per_cluster, aggregate=aggregate, sense=Sense.LOWER_IS_BETTER)
+
+
 def test_sense_better_is_strict():
     assert Sense.HIGHER_IS_BETTER.better(1.0, 0.5)
     assert not Sense.HIGHER_IS_BETTER.better(0.5, 0.5)

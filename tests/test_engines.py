@@ -20,7 +20,7 @@ from feedback_kmeans import (
     write_trace,
 )
 from feedback_kmeans.engines import DEFAULT_ITERATIONS, read_trace_records, trace_records
-from helpers import CONTRACT_MEMBERS, NoisyPlugIn, make_dataset, own_members
+from helpers import CONTRACT_MEMBERS, NanPlugIn, NoisyPlugIn, make_dataset, own_members
 
 
 class XVarianceFeedback:
@@ -331,6 +331,13 @@ def test_three_member_plug_in_runs_through_the_engine(two_blobs, plug_in, method
         # each step is evaluated under the provider's own stream for it
         rng = provider.evaluation_rng(index)
         assert step.feedback == provider.evaluate(two_blobs, step.clustering, rng)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_a_nan_evaluation_stops_the_run_naming_its_cluster(two_blobs, method):
+    config = EngineConfig(method=method, feedback=NanPlugIn(), seed=3, iterations=4)
+    with pytest.raises(ValueError, match=r"^feedback of cluster 0 is not finite: nan$"):
+        run_engine(two_blobs, 3, config)
 
 
 # ---------------------------------------------------------------- best_clustering

@@ -22,7 +22,8 @@ from feedback_kmeans import (
     run_experiment,
     standardize,
 )
-from helpers import CONTRACT_MEMBERS, ConstantPlugIn, NoisyPlugIn, make_dataset, own_members
+from feedback_kmeans import harness
+from helpers import CONTRACT_MEMBERS, ConstantPlugIn, NanPlugIn, NoisyPlugIn, make_dataset, own_members
 
 
 # ---------------------------------------------------------------- impact
@@ -105,6 +106,15 @@ def test_fluctuation_takes_a_plug_in_by_its_evaluation_stream(two_blobs):
         expected_relative_change(two_blobs, clustering, ConstantPlugIn(), calls=3, seed=0)
     stat = expected_relative_change(two_blobs, clustering, NoisyPlugIn(), calls=3, seed=0)
     assert 0.0 < stat < 1.0  # aggregates all lie in [1, 2)
+
+
+def test_a_nan_evaluation_is_a_cell_failure(two_blobs, monkeypatch):
+    monkeypatch.setattr(harness, "provider_from_name", lambda name, profile=None: NanPlugIn())
+    config = ExperimentConfig(methods=("sm:rss",), k_values=(2, 3), repeats_per_cell=1, sm_iterations=2)
+    report = run_experiment(two_blobs, config)
+    assert report.records == ()
+    assert [(f.method, f.k) for f in report.failures] == [("sm:rss", 2), ("sm:rss", 3)]
+    assert {f.error for f in report.failures} == {"ValueError: feedback of cluster 0 is not finite: nan"}
 
 
 def test_fluctuation_needs_two_calls():

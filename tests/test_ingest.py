@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import tracemalloc
@@ -7,6 +9,7 @@ import pytest
 
 from feedback_kmeans import (
     CustomizabilityFeedback,
+    Dataset,
     OracleProfile,
     demo_generator_config,
     generate,
@@ -18,7 +21,7 @@ from feedback_kmeans import (
     write_report,
 )
 from feedback_kmeans.harness import CellFailure, ExperimentReport, ImpactRecord
-from feedback_kmeans.ingest import _BLOCK_RECORDS, REPORT_COLUMNS
+from feedback_kmeans.ingest import _BLOCK_RECORDS, OPTIONAL_COLUMNS, REPORT_COLUMNS
 
 
 @pytest.fixture
@@ -279,6 +282,37 @@ def test_reading_20k_rows_peaks_below_12_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+@pytest.mark.parametrize("carried", [True, False])
+def test_write_csv_in_blocks_writes_the_one_pass_bytes(tmp_path, carried):
+    dataset = generate(demo_generator_config(n_points=2 * _BLOCK_RECORDS + 7, seed=9))
+    if not carried:
+        dataset = Dataset(points=dataset.points, feature_names=dataset.feature_names)
+    path = tmp_path / "dataset.csv"
+    write_csv(dataset, path)
+    # Every row written at once: repr of each feature, str of each other cell.
+    names = [name for name, (attr, _) in OPTIONAL_COLUMNS.items() if getattr(dataset, attr) is not None]
+    columns = [map(repr, column) for column in dataset.points.T.tolist()]
+    columns += [map(str, getattr(dataset, OPTIONAL_COLUMNS[name][0])) for name in names]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([*dataset.feature_names, *names])
+    writer.writerows(zip(*columns))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert len(names) == (4 if carried else 0)
+
+
+def test_writing_20k_rows_peaks_below_3_mb(tmp_path):
+    # The points array holds 1.3 MB; the writer holds one block's cells.
+    dataset = generate(demo_generator_config(n_points=20_000, seed=13))
+    tracemalloc.start()
+    try:
+        write_csv(dataset, tmp_path / "dataset.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_standardize_option(tmp_path, sample_dataset):

@@ -229,14 +229,13 @@ def write_generator_config(path, oracle):
     return path
 
 
-@pytest.mark.parametrize("key", ["score_offset", "C"])
-def test_config_score_offset_under_either_name(tmp_path, key):
-    path = write_generator_config(tmp_path / "config.json", {key: 20, "noise_sigma": 0.1})
+def test_config_oracle_block_sets_the_profile_by_its_file_keys(tmp_path):
+    path = write_generator_config(tmp_path / "config.json", {"C": 20, "noise_sigma": 0.1})
     _, profile = load_generator_config(path)
     assert (profile.score_offset, profile.noise_sigma, profile.sample_size) == (20.0, 0.1, 100)
 
 
-@pytest.mark.parametrize("key", ["score_offset", "C"])
+@pytest.mark.parametrize("key", ["C"])
 @pytest.mark.parametrize("value", ["10", None])
 def test_config_score_offset_error_names_the_key_written(tmp_path, key, value):
     path = write_generator_config(tmp_path / "config.json", {key: value})
@@ -245,9 +244,14 @@ def test_config_score_offset_error_names_the_key_written(tmp_path, key, value):
         load_generator_config(path)
 
 
-def test_config_with_both_score_offset_names_is_rejected(tmp_path):
-    path = write_generator_config(tmp_path / "config.json", {"score_offset": 5, "C": 20})
-    with pytest.raises(ValueError, match="'score_offset' and 'C'"):
+def test_config_oracle_block_takes_no_field_name_for_a_key(tmp_path):
+    # The block's keys are the profile file's: C, not the field score_offset.
+    path = write_generator_config(tmp_path / "config.json", {"score_offset": 5})
+    message = (
+        f"generator config {path}: unknown oracle key(s) score_offset "
+        "(accepted: C, noise_sigma, sample_size, eval_pool_fraction)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_generator_config(path)
 
 
