@@ -287,7 +287,7 @@ class Clustering:
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Point indices assigned to cluster_id, ascending."""
-        return np.flatnonzero(self.assignment == cluster_id)
+        return (self.assignment == cluster_id).nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -429,6 +429,6 @@ def validate_clustering(dataset: Dataset, clustering: Clustering) -> list[str]:
         violations.append("assignment value out of range")
         return violations
     sizes = np.bincount(assignment, minlength=clustering.k)
-    for cid in np.flatnonzero(sizes == 0):
+    for cid in (sizes == 0).nonzero()[0]:
         violations.append(f"cluster {cid} empty")
     return violations

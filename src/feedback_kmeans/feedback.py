@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol
@@ -120,11 +121,14 @@ class OracleProfile:
             weights[int(seg)] = arr
         object.__setattr__(self, "segment_weights", weights)
         object.__setattr__(self, "m", int(m))
-        # Sorted segment ids and the (S, m) table of their weight rows, so a
-        # lookup is one searchsorted and one gather.
+        # Sorted segment ids and the (S, m) table of their weight rows, and
+        # per dataset each point's row in that table (_segment_rows), built
+        # on first use. Each profile, with_rng_seed's copies included, keeps
+        # its own, so a lookup is one gather.
         seg_ids = sorted(weights)
         object.__setattr__(self, "_segment_ids", np.array(seg_ids, dtype=np.int64))
         object.__setattr__(self, "_segment_table", np.stack([weights[seg] for seg in seg_ids]))
+        object.__setattr__(self, "_point_rows", weakref.WeakKeyDictionary())
 
     def with_rng_seed(self, rng_seed: int) -> "OracleProfile":
         return replace(self, rng_seed=int(rng_seed))
@@ -137,14 +141,30 @@ def _labels(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return dataset.bookings, dataset.hidden_segment
 
 
-def _segment_weight_rows(dataset: Dataset, indices: np.ndarray, profile: OracleProfile) -> np.ndarray:
-    segs = _labels(dataset)[1][indices]
+def _segment_rows(dataset: Dataset, profile: OracleProfile) -> np.ndarray:
+    """Each point's row in profile._segment_table, -1 where the profile
+    lacks the point's segment."""
+    segs = _labels(dataset)[1]
     seg_ids = profile._segment_ids
-    pos = np.minimum(np.searchsorted(seg_ids, segs), seg_ids.size - 1)
-    missing = np.flatnonzero(seg_ids[pos] != segs)
-    if missing.size:
-        raise ValueError(f"segment {int(segs[missing[0]])} missing from oracle profile")
-    return profile._segment_table[pos]
+    rows = np.minimum(np.searchsorted(seg_ids, segs), seg_ids.size - 1)
+    rows[seg_ids[rows] != segs] = -1
+    rows.setflags(write=False)
+    return rows
+
+
+def _segment_weight_rows(dataset: Dataset, indices: np.ndarray, profile: OracleProfile) -> np.ndarray:
+    """The true weight rows of the given points (at least one); a missing
+    segment is named for the first point that has it."""
+    table = profile._point_rows.get(dataset)
+    if table is None:
+        # Threads racing on the first use build equal tables, so the cache
+        # needs no lock.
+        table = profile._point_rows[dataset] = _segment_rows(dataset, profile)
+    rows = table[indices]
+    if rows.min() < 0:
+        first = indices[np.argmax(rows < 0)]
+        raise ValueError(f"segment {int(dataset.hidden_segment[first])} missing from oracle profile")
+    return profile._segment_table[rows]
 
 
 def customizability_cluster(
@@ -268,7 +288,9 @@ class RssFeedback:
             dataset,
             clustering,
             self.sense,
-            lambda cid, members: float(np.mean(own_distances()[members])),
+            # np.mean's arithmetic (a sum reduction, then a division)
+            # without its Python wrapper.
+            lambda cid, members: float(np.add.reduce(own_distances()[members]) / members.size),
         )
 
     def evaluation_rng(self, step: int) -> None:

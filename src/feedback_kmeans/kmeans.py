@@ -10,9 +10,12 @@ kernels keep inner loops long without changing a bit of the result:
 ``squared_distances`` subtracts the centroids from contiguous copied
 point rows (k*d values per inner loop, not d), and Lloyd sums clusters
 from feature-major columns made once per run, in point order, with one
-size count per pass. At k=2, the split's 2-means, the nearest centroid
-and both bounds come from elementwise column operations, and the initial
-draw lists the distinct rows by marking their ids, with no sort.
+size count per pass, into one buffer divided once (an empty cluster's
+NaN comes from a masked division, with no warning to silence). At k=2,
+the split's 2-means and its children's assignment pass, the nearest
+centroid and both bounds come from elementwise column operations, and
+the initial draw lists the distinct rows by marking their ids, with no
+sort.
 
 The distance kernels build their differences one block of rows at a time,
 in one buffer of at most _BLOCK_VALUES values, so a pass's temporaries are
@@ -128,7 +131,7 @@ def init_centroids(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     # Row ids are ranks, so marking them lists the distinct ones in order.
     present = np.zeros(ids.max() + 1, dtype=bool)
     present[ids] = True
-    distinct = np.flatnonzero(present)
+    distinct = present.nonzero()[0]
     if k > distinct.size:
         raise ValueError(f"k exceeds distinct points: k={k}, distinct={distinct.size}")
     rng = np.random.default_rng(seed)
@@ -155,7 +158,7 @@ def assign_points(
         bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
         raise ValueError(f"centroids must be finite: row(s) {bad[:5].tolist()} are not")
     d2 = squared_distances(dataset.points, centroids)
-    assignment = d2.argmin(axis=1).astype(np.int64)
+    assignment = _nearest_ids(d2).astype(np.int64, copy=False)
     return (assignment, d2) if return_distances else assignment
 
 
@@ -166,14 +169,15 @@ def update_centroids(columns: np.ndarray, assignment: np.ndarray, counts: np.nda
     sums accumulate in point order, as numpy's mean over a cluster's rows
     does for two or more features. bincount copies a strided column before
     summing, so a caller that needs many updates passes contiguous columns.
-    Empty clusters' means are NaN.
+    The sums fill one (d, k) buffer and are divided once; an empty
+    cluster's mean is NaN, and no warning is raised for it.
     """
     k = counts.size
-    sums = np.stack(
-        [np.bincount(assignment, weights=column, minlength=k) for column in columns], axis=1
-    )
-    with np.errstate(invalid="ignore"):
-        return sums / counts[:, None]
+    sums = np.empty((columns.shape[0], k))
+    for row, column in zip(sums, columns):
+        row[...] = np.bincount(assignment, weights=column, minlength=k)
+    means = np.full((k, columns.shape[0]), np.nan)
+    return np.divide(sums.T, counts[:, None], out=means, where=counts[:, None] > 0)
 
 
 def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> Clustering:
@@ -209,18 +213,27 @@ def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
     return Clustering.adopt(assignment, centroids)
 
 
+def _nearest_ids(d2: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row of an (n, k) distance matrix, ties to the
+    lowest index, as ``d2.argmin(axis=1)``. At k=2, a split's case, one
+    column compare gives argmin's array without its per-row calls."""
+    if d2.shape[1] == 2:
+        return (d2[:, 1] < d2[:, 0]).astype(np.intp)
+    return d2.argmin(axis=1)
+
+
 def _nearest_with_bounds(
     points: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest centroid per row (ties to the lowest index), the distance to
     it and the distance to the second-nearest centroid (inf for k=1). At
-    k=2, a split's case, column operations give argmin's and partition's
-    arrays without their per-row calls."""
+    k=2 the bounds, like the nearest ids, come from column operations in
+    place of partition's per-row calls."""
     d2 = squared_distances(points, centroids)
+    nearest = _nearest_ids(d2)
     if centroids.shape[0] == 2:
         c0, c1 = d2[:, 0], d2[:, 1]
-        return (c1 < c0).astype(np.intp), np.sqrt(np.minimum(c0, c1)), np.sqrt(np.maximum(c0, c1))
-    nearest = d2.argmin(axis=1)
+        return nearest, np.sqrt(np.minimum(c0, c1)), np.sqrt(np.maximum(c0, c1))
     if centroids.shape[0] == 1:
         return nearest, np.sqrt(d2[:, 0]), np.full(d2.shape[0], np.inf)
     d2.partition(1, axis=1)
@@ -258,7 +271,8 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
     for _ in range(config.max_iterations):
         # No cluster is empty here: see above, and the repair below.
         new_centroids = update_centroids(columns, assignment, counts)
-        moved2 = np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)
+        step = new_centroids - centroids
+        moved2 = np.einsum("kd,kd->k", step, step)
         centroids = new_centroids
         moved = np.sqrt(moved2)
         upper += moved[assignment]
@@ -268,7 +282,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
             assignment, upper, lower = _nearest_with_bounds(points, centroids)
             history.append(dataset.n_points)
         else:
-            rows = np.flatnonzero(stale)
+            rows = stale.nonzero()[0]
             assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
             history.append(rows.size)
         counts = np.bincount(assignment, minlength=config.k)

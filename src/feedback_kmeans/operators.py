@@ -134,7 +134,7 @@ def split_cluster(
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
     new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_columns.T)
     assignment = _nearest(distances)
-    empties = np.flatnonzero(np.bincount(assignment, minlength=len(new_centroids)) == 0)
+    empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:
         repaired = repair_empty(dataset, assignment, new_centroids)
         distances[empties] = distance_rows(dataset, repaired.centroids[empties])

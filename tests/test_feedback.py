@@ -10,6 +10,7 @@ from feedback_kmeans import (
     Clustering,
     CustomizabilityFeedback,
     Dataset,
+    FeedbackReport,
     OracleProfile,
     RssFeedback,
     Sense,
@@ -21,6 +22,7 @@ from feedback_kmeans import (
     relative_change,
     save_oracle_profile,
 )
+from feedback_kmeans import feedback
 from feedback_kmeans.rng import substream
 from helpers import cluster_means, fit_weights, make_dataset, popularity, reference_evaluate, rss_cluster
 
@@ -529,6 +531,57 @@ def test_missing_segment_in_the_fit_set_is_named_before_the_evaluation_set():
     assert assert_matches_reference(ds, clustering, profile) == "ValueError: segment 8 missing from oracle profile"
     ds = labeled_dataset(np.zeros((4, 1)), [0, 0, 7, 0], bookings=[4, 3, 2, 1])
     assert assert_matches_reference(ds, clustering, profile) == "ValueError: segment 7 missing from oracle profile"
+
+
+def test_segment_table_belongs_to_its_profile():
+    # The first profile's per-point table for this dataset knows segment 7;
+    # a second profile that lacks it must still name it on the same dataset.
+    ds = labeled_dataset(np.zeros((4, 1)), [0, 8, 7, 0], bookings=[4, 3, 2, 1])
+    clustering = Clustering(assignment=[0, 0, 0, 0], centroids=[[0.0]])
+    weights = {0: [1.0, 0.0], 7: [0.0, 1.0], 8: [0.5, 0.5]}
+    full = OracleProfile(segment_weights=weights, noise_sigma=0.0, sample_size=2)
+    assert isinstance(assert_matches_reference(ds, clustering, full), FeedbackReport)
+    lacking = OracleProfile(segment_weights={0: weights[0], 8: weights[8]}, noise_sigma=0.0, sample_size=2)
+    assert assert_matches_reference(ds, clustering, lacking) == "ValueError: segment 7 missing from oracle profile"
+    assert isinstance(assert_matches_reference(ds, clustering, full), FeedbackReport)
+
+
+def test_rng_seed_copy_evaluates_like_a_fresh_profile():
+    ds = segment_blocks({0: 40, 1: 40, 2: 40}, seed=21)
+    assignment = np.repeat([0, 1], 60)
+    clustering = Clustering(assignment=assignment, centroids=cluster_means(ds, assignment, 2))
+    weights = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [0.5, -0.5]}
+    base = OracleProfile(segment_weights=weights, sample_size=5)
+    provider = CustomizabilityFeedback(base)
+    provider.evaluate(ds, clustering, provider.evaluation_rng(0))  # base builds its table
+    copy = base.with_rng_seed(9)
+    fresh = OracleProfile(segment_weights=weights, sample_size=5, rng_seed=9)
+    copied, rebuilt = (
+        CustomizabilityFeedback(p).evaluate(ds, clustering, substream(9, "eval", 3)) for p in (copy, fresh)
+    )
+    assert np.array(copied.per_cluster).tobytes() == np.array(rebuilt.per_cluster).tobytes()
+    assert copied.aggregate == rebuilt.aggregate
+
+
+def test_one_evaluation_builds_the_segment_table_at_most_once(monkeypatch):
+    calls = []
+    original = feedback._segment_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(feedback, "_segment_rows", counted)
+    rng = np.random.default_rng(22)
+    n, k = 400, 16
+    ds = labeled_dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n), bookings=rng.integers(0, 50, n))
+    assignment = covering_assignment(rng, n, k)
+    clustering = Clustering(assignment=assignment, centroids=cluster_means(ds, assignment, k))
+    provider = CustomizabilityFeedback(profile_two_segments(noise=0.05, sample_size=5))
+    assert len(provider.evaluate(ds, clustering, provider.evaluation_rng(0)).per_cluster) == k
+    assert len(calls) == 1
+    provider.evaluate(ds, clustering, provider.evaluation_rng(1))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

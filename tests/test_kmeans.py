@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ def test_assign_hand_computed_two_centroids():
     assignment, distances = assign_points(ds, centroids, return_distances=True)
     assert assignment.tolist() == [0, 1]
     assert distances.tolist() == [[17.0, 37.0], [37.0, 17.0]]
+
+
+def test_assign_two_centroids_equals_argmin_with_ties_to_id_0():
+    # On an integer grid many points lie as far from one centroid as from
+    # the other; the k=2 column compare must give each of them id 0.
+    ds = make_dataset([[x, y] for x in range(-3, 6) for y in range(-3, 4)])
+    for centroids in ([[0, 0], [2, 0]], [[2, 0], [0, 0]], [[1, -1], [1, 1]], [[0, 0], [2, 2]], [[1, 1], [1, 1]]):
+        assignment, distances = assign_points(ds, centroids, return_distances=True)
+        ties = distances[:, 0] == distances[:, 1]
+        assert ties.sum() >= 7
+        assert assignment.dtype == np.int64
+        assert np.array_equal(assignment, distances.argmin(axis=1))
+        assert not assignment[ties].any()
 
 
 def test_assign_rejects_dimension_mismatch():
@@ -321,6 +335,22 @@ def test_update_equals_per_cluster_mean_bit_for_bit(seed, n, d, k):
             assert np.isnan(centroids[cid]).all()
         else:
             np.testing.assert_array_equal(centroids[cid], ds.points[assignment == cid].mean(axis=0))
+
+
+def test_update_gives_an_empty_id_nan_without_a_warning():
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(50, 3))
+    assignment = rng.choice([0, 2, 3], size=50)  # ids 1 and 4 stay empty
+    counts = np.bincount(assignment, minlength=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centroids = kmeans.update_centroids(np.ascontiguousarray(points.T), assignment, counts)
+    assert centroids.shape == (5, 3)
+    for cid in range(5):
+        if counts[cid] == 0:
+            assert np.isnan(centroids[cid]).all()
+        else:
+            assert centroids[cid].tobytes() == points[assignment == cid].mean(axis=0).tobytes()
 
 
 def test_update_single_feature_is_the_row_order_mean():
