@@ -24,6 +24,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import engines, harness, ingest, synth
 from .core import Sense, as_integer, check_keys, keyed_errors, named_errors, read_json
 from .feedback import load_oracle_profile, save_oracle_profile
@@ -49,14 +51,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     ingest.write_csv(dataset, dataset_path)
     save_oracle_profile(profile, oracle_path)
 
-    counts: dict[int, int] = {}
-    for seg in dataset.hidden_segment:
-        counts[int(seg)] = counts.get(int(seg), 0) + 1
+    segments, counts = np.unique(dataset.hidden_segment, return_counts=True)
     bookings = dataset.bookings
     print(f"wrote {dataset_path} ({dataset.n_points} points) and {oracle_path}")
-    print("segments: " + ", ".join(f"{seg}: {n}" for seg, n in sorted(counts.items())))
+    print("segments: " + ", ".join(f"{seg}: {n}" for seg, n in zip(segments.tolist(), counts.tolist())))
     print(
-        f"bookings: mean {bookings.mean():.1f}, median {float(sorted(bookings)[len(bookings) // 2]):.0f}, "
+        f"bookings: mean {bookings.mean():.1f}, median {float(np.sort(bookings)[len(bookings) // 2]):.0f}, "
         f"max {bookings.max()}"
     )
     return 0

@@ -1,16 +1,21 @@
 """Dataset and report I/O: the boundary where real data would enter.
 
 All files are UTF-8. Floats are written with repr precision so write/read
-round-trips are exact. The dataset CSV's optional columns are listed once,
-in OPTIONAL_COLUMNS; the report CSV's columns are ImpactRecord's fields, in
-declaration order. Report emissions use that fixed column order and sorted
-JSON keys, so identical inputs produce byte-identical files.
+round-trips are exact. The dataset CSV is written in joined blocks, byte
+for byte as one csv.writer pass writes it: repr and str cells, which never
+need quoting, and each distinct code quoted once by csv.writer itself; it
+is read in blocks into typed buffers. Its optional columns are listed
+once, in OPTIONAL_COLUMNS; the report CSV's columns are ImpactRecord's
+fields, in declaration order. Report emissions use that fixed column
+order and sorted JSON keys, so identical inputs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -61,18 +66,40 @@ def _numbered(reader) -> typing.Iterator[tuple[int, list[str]]]:
         start = reader.line_num + 1
 
 
+def _code_cells(codes: tuple[str, ...]) -> dict[str, str]:
+    """Each distinct code's cell text, as csv.writer quotes it: the row
+    [code, ""] written once, less its trailing ",\\r\\n"."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    cells = {}
+    for code in dict.fromkeys(codes):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([code, ""])
+        cells[code] = buffer.getvalue()[:-3]
+    return cells
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset: its feature columns, then whichever of the
-    OPTIONAL_COLUMNS it carries, _BLOCK_RECORDS rows at a time."""
+    OPTIONAL_COLUMNS it carries, _BLOCK_RECORDS rows at a time, each block
+    joined and written at once. The bytes are those of one csv.writer pass:
+    repr and str cells never need quoting, and a code's cell is its
+    _code_cells text."""
     carried = {name: getattr(dataset, attr) for name, (attr, _) in OPTIONAL_COLUMNS.items()}
     optional = {name: values for name, values in carried.items() if values is not None}
+    code_cells = {name: _code_cells(codes) for name, codes in optional.items() if OPTIONAL_COLUMNS[name][1] is str}
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*dataset.feature_names, *optional])
+        csv.writer(handle).writerow([*dataset.feature_names, *optional])
         for start in range(0, dataset.n_points, _BLOCK_RECORDS):
             block = slice(start, start + _BLOCK_RECORDS)
-            features = (map(repr, column) for column in dataset.points[block].T.tolist())
-            writer.writerows(zip(*features, *(map(str, values[block]) for values in optional.values())))
+            columns = [map(repr, column) for column in dataset.points[block].T.tolist()]
+            for name, values in optional.items():
+                if name in code_cells:
+                    columns.append(map(code_cells[name].__getitem__, values[block]))
+                else:
+                    columns.append(map(str, values[block].tolist()))
+            handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_csv(path: str | Path, standardize: bool = False) -> Dataset:

@@ -6,6 +6,9 @@ departure and return day of week). Points are drawn from a Gaussian mixture
 whose components are the hidden segments; every point also gets a booking
 count and carries its segment id as generator-only ground truth, which is
 what the simulated preference oracle consumes.
+
+generate and standardize build their arrays in place and hand them to the
+Dataset read-only, so the Dataset shares them instead of copying them.
 """
 
 from __future__ import annotations
@@ -120,9 +123,13 @@ def generate(config: GeneratorConfig) -> Dataset:
     weights = weights / weights.sum()
     choice = rng.choice(len(segs), size=n, p=weights)
 
-    means = np.array([s.feature_means for s in segs])[choice]
-    stds = np.array([s.feature_stddevs for s in segs])[choice]
-    features = rng.standard_normal((n, N_FEATURES)) * stds + means
+    means = np.array([s.feature_means for s in segs])
+    stds = np.array([s.feature_stddevs for s in segs])
+    # In place, so no (n, 8) product is held beside the draw; the same two
+    # operations, in the same order, as draw * stds + means.
+    features = rng.standard_normal((n, N_FEATURES))
+    features *= stds[choice]
+    features += means[choice]
 
     features[:, _COL_PASSENGERS] = np.maximum(1.0, np.rint(features[:, _COL_PASSENGERS]))
     features[:, _COL_CHILDREN] = np.maximum(0.0, np.rint(features[:, _COL_CHILDREN]))
@@ -140,6 +147,9 @@ def generate(config: GeneratorConfig) -> Dataset:
     origins = tuple(map(_ORIGIN_CODES.__getitem__, origin_idx.tolist()))
     destinations = tuple(map(_DESTINATION_CODES.__getitem__, dest_idx.tolist()))
 
+    # Read-only, so the Dataset shares these arrays instead of copying them.
+    for values in (features, bookings, hidden):
+        values.setflags(write=False)
     return Dataset(
         points=features,
         feature_names=FEATURE_NAMES,
@@ -158,9 +168,13 @@ class FeatureScaling:
     stddev: np.ndarray
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        scale = np.where(self.stddev > 0, self.stddev, 1.0)
-        scaled = (points - self.mean) / scale
-        return np.where(self.stddev > 0, scaled, points)
+        """The z-scored points in one new array; pass-through columns are
+        copied back from the input."""
+        varying = self.stddev > 0
+        scaled = points - self.mean
+        scaled /= np.where(varying, self.stddev, 1.0)
+        np.copyto(scaled, points, where=~varying)
+        return scaled
 
     def invert(self, points: np.ndarray) -> np.ndarray:
         restored = points * np.where(self.stddev > 0, self.stddev, 1.0) + self.mean
@@ -172,9 +186,11 @@ def standardize(dataset: Dataset) -> tuple[Dataset, FeatureScaling]:
     mean = dataset.points.mean(axis=0)
     stddev = dataset.points.std(axis=0)
     scaling = FeatureScaling(mean=mean, stddev=stddev)
+    points = scaling.apply(dataset.points)
+    points.setflags(write=False)
     return (
         Dataset(
-            points=scaling.apply(dataset.points),
+            points=points,
             feature_names=dataset.feature_names,
             bookings=dataset.bookings,
             hidden_segment=dataset.hidden_segment,

@@ -122,8 +122,11 @@ def test_generate_writes_files_and_summary(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert (out / "dataset.csv").exists()
     assert (out / "oracle.json").exists()
-    assert "400 points" in captured
-    assert "segments:" in captured and "bookings:" in captured
+    assert captured.splitlines() == [
+        f"wrote {out / 'dataset.csv'} (400 points) and {out / 'oracle.json'}",
+        "segments: 0: 254, 1: 146",
+        "bookings: mean 33.5, median 19, max 328",
+    ]
 
 
 def test_generate_missing_out_is_usage_error(tmp_path):

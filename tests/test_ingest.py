@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from feedback_kmeans import (
+    FEATURE_NAMES,
     CustomizabilityFeedback,
     Dataset,
     OracleProfile,
@@ -284,6 +285,18 @@ def test_reading_20k_rows_peaks_below_12_mb(tmp_path):
     assert peak < 12e6
 
 
+def _one_pass_bytes(dataset, names):
+    """The file as one csv.writer pass writes it: every row at once, repr
+    of each feature and str of each other cell."""
+    columns = [map(repr, column) for column in dataset.points.T.tolist()]
+    columns += [map(str, getattr(dataset, OPTIONAL_COLUMNS[name][0])) for name in names]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([*dataset.feature_names, *names])
+    writer.writerows(zip(*columns))
+    return expected.getvalue().encode("utf-8")
+
+
 @pytest.mark.parametrize("carried", [True, False])
 def test_write_csv_in_blocks_writes_the_one_pass_bytes(tmp_path, carried):
     dataset = generate(demo_generator_config(n_points=2 * _BLOCK_RECORDS + 7, seed=9))
@@ -291,16 +304,33 @@ def test_write_csv_in_blocks_writes_the_one_pass_bytes(tmp_path, carried):
         dataset = Dataset(points=dataset.points, feature_names=dataset.feature_names)
     path = tmp_path / "dataset.csv"
     write_csv(dataset, path)
-    # Every row written at once: repr of each feature, str of each other cell.
     names = [name for name, (attr, _) in OPTIONAL_COLUMNS.items() if getattr(dataset, attr) is not None]
-    columns = [map(repr, column) for column in dataset.points.T.tolist()]
-    columns += [map(str, getattr(dataset, OPTIONAL_COLUMNS[name][0])) for name in names]
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow([*dataset.feature_names, *names])
-    writer.writerows(zip(*columns))
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert path.read_bytes() == _one_pass_bytes(dataset, names)
     assert len(names) == (4 if carried else 0)
+
+
+def test_write_csv_quotes_codes_as_csv_writer_does(tmp_path):
+    # Each distinct code's cell is csv.writer's own quoting of it, in a
+    # file of two blocks.
+    odd = ("a,b", 'say "hi"', "two\r\nlines", "", "  padded  ", "Zürich–東京", "plain", "\n", '"')
+    n = _BLOCK_RECORDS + 30
+    rng = np.random.default_rng(4)
+    dataset = Dataset(
+        points=rng.standard_normal((n, len(FEATURE_NAMES))) * 1e3,
+        feature_names=FEATURE_NAMES,
+        bookings=rng.integers(0, 500, n),
+        hidden_segment=rng.integers(-3, 3, n),
+        origins=tuple(odd[i % len(odd)] for i in range(n)),
+        destinations=tuple(odd[(5 * i + 2) % len(odd)] for i in range(n)),
+    )
+    path = tmp_path / "dataset.csv"
+    write_csv(dataset, path)
+    assert path.read_bytes() == _one_pass_bytes(dataset, list(OPTIONAL_COLUMNS))
+    loaded = read_csv(path)
+    assert loaded.points.tobytes() == dataset.points.tobytes()
+    assert loaded.origins == dataset.origins
+    assert loaded.destinations == dataset.destinations
+    np.testing.assert_array_equal(loaded.hidden_segment, dataset.hidden_segment)
 
 
 def test_writing_20k_rows_peaks_below_3_mb(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from feedback_kmeans import (
     FEATURE_NAMES,
+    Dataset,
     GeneratorConfig,
     KMeansConfig,
     SegmentSpec,
@@ -17,8 +20,9 @@ from feedback_kmeans import (
     lloyd,
     standardize,
 )
+from feedback_kmeans import synth
 from feedback_kmeans.feedback import load_oracle_profile, save_oracle_profile
-from feedback_kmeans.synth import load_generator_config
+from feedback_kmeans.synth import FeatureScaling, load_generator_config
 
 
 def single_segment_config(n=50, stddevs=(0.0,) * 8, seed=1):
@@ -109,6 +113,73 @@ def test_generation_deterministic_per_seed():
     assert not np.array_equal(a.points, c.points)
 
 
+def test_generate_scales_the_draw_as_the_broadcast_formula():
+    # The in-place scaling gives the bits of standard_normal * stds + means,
+    # with the mixture's draws in the same order; segment 2 has a zero
+    # stddev, so its distance is its mean.
+    a, b = two_disjoint_segments().segments
+    c = SegmentSpec(id=7, mixture_weight=0.2, feature_means=(1500.0, 40.0, 9.0, 3.0, 1.0, 1.0, 2.0, 2.0),
+                    feature_stddevs=(0.0, 7.0, 3.0, 0.8, 0.6, 0.5, 1.5, 1.5),
+                    oracle_weights=(0.5, 0.5), booking_lognormal=(1.0, 0.5))
+    segments = (replace(a, mixture_weight=0.5), replace(b, mixture_weight=0.3), c)
+    config = GeneratorConfig(n_points=3000, segments=segments, seed=21)
+    rng = np.random.default_rng(config.seed)
+    weights = np.array([s.mixture_weight for s in segments])
+    choice = rng.choice(3, size=config.n_points, p=weights / weights.sum())
+    means = np.array([s.feature_means for s in segments])
+    stds = np.array([s.feature_stddevs for s in segments])
+    expected = rng.standard_normal((config.n_points, len(FEATURE_NAMES))) * stds[choice] + means[choice]
+    expected[:, 3] = np.maximum(1.0, np.rint(expected[:, 3]))
+    expected[:, 4] = np.maximum(0.0, np.rint(expected[:, 4]))
+    for col, top in ((5, 2.0), (6, 6.0), (7, 6.0)):
+        expected[:, col] = np.clip(np.rint(expected[:, col]), 0.0, top)
+    points = generate(config).points
+    assert points.tobytes() == expected.tobytes()
+    assert (points[choice == 2, 0] == 1500.0).all()
+
+
+def test_generate_and_standardize_hand_their_arrays_to_the_dataset(monkeypatch):
+    # Both mark their fresh arrays read-only, so the Dataset shares them.
+    handed = []
+
+    def recording_dataset(**fields):
+        handed.append(fields)
+        return Dataset(**fields)
+
+    monkeypatch.setattr(synth, "Dataset", recording_dataset)
+    generated = generate(demo_generator_config(n_points=500, seed=3))
+    standardized, _ = standardize(generated)
+    for fields, dataset in zip(handed, (generated, standardized), strict=True):
+        for name in ("points", "bookings", "hidden_segment"):
+            assert np.shares_memory(getattr(dataset, name), fields[name])
+    assert not generated.points.flags.writeable and not standardized.points.flags.writeable
+
+
+def _traced_peak(call) -> int:
+    """call's tracemalloc peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_generating_20k_points_peaks_below_5_mb():
+    # The points array holds 1.3 MB; the draw is scaled in place and the
+    # Dataset shares it, so no second (n, 8) array outlives one operation.
+    config = demo_generator_config(n_points=20_000, seed=13)
+    assert _traced_peak(lambda: generate(config)) < 5e6
+
+
+def test_standardizing_20k_points_peaks_below_2_5_mb_above_its_input():
+    # One new (n, 8) array of 1.3 MB, scaled in place.
+    dataset = generate(demo_generator_config(n_points=20_000, seed=13))
+    assert _traced_peak(lambda: standardize(dataset)) < 2.5e6
+
+
 def test_every_segment_covered_by_profile():
     config = demo_generator_config(n_points=2000, seed=4)
     ds = generate(config)
@@ -195,6 +266,16 @@ def test_standardize_constant_feature_passes_through():
     standardized, scaling = standardize(ds)
     np.testing.assert_array_equal(standardized.points, ds.points)
     assert (scaling.stddev == 0).all()
+
+
+def test_scaling_equals_the_where_formula_bit_for_bit():
+    points = generate(demo_generator_config(n_points=2000, seed=12)).points.copy()
+    points[:, 4] = 3.0  # a constant column passes through
+    scaling = FeatureScaling(mean=points.mean(axis=0), stddev=points.std(axis=0))
+    assert scaling.stddev[4] == 0
+    scale = np.where(scaling.stddev > 0, scaling.stddev, 1.0)
+    expected = np.where(scaling.stddev > 0, (points - scaling.mean) / scale, points)
+    assert scaling.apply(points).tobytes() == expected.tobytes()
 
 
 def test_standardize_round_trips():
