@@ -114,7 +114,7 @@ def check_keys(what: str, where: str, block, accepted) -> None:
 # The two helpers below freeze a copy when the input is itself a writeable
 # array, so building a value never makes the caller's array read-only; an
 # input that is already read-only is shared, as the package's own producers
-# (Clustering.adopt, Dataset.subset) hand over the arrays they build.
+# (Clustering.adopt, synth.generate) hand over the arrays they build.
 def _frozen_f64(values, name: str, ndim: int) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr is values and arr.flags.writeable:
@@ -234,22 +234,6 @@ class Dataset:
         rank = np.argsort(-self.bookings, kind="stable")
         rank.setflags(write=False)
         return rank
-
-    def subset(self, members: np.ndarray) -> "Dataset":
-        """The points at the given indices, without side data.
-
-        The subset keeps this dataset's row ids, so it never sorts its rows
-        again; they still compare and order like its rows, but need not be
-        dense.
-        """
-        points = self.points[members]
-        points.setflags(write=False)  # built here, so the subset shares it
-        sub = Dataset(points=points, feature_names=self.feature_names)
-        ids = self.row_ids[members]
-        ids.setflags(write=False)
-        # cached_property reads the instance dict first.
-        sub.__dict__["row_ids"] = ids
-        return sub
 
 
 @dataclass(frozen=True, eq=False)

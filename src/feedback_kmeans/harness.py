@@ -19,7 +19,7 @@ from statistics import mean
 
 from .core import Clustering, Dataset, RunTrace, Sense, as_integer
 from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
-from .feedback import FeedbackProvider, OracleProfile, provider_from_name, relative_change
+from .feedback import BASELINE_EPSILON, FeedbackProvider, OracleProfile, provider_from_name, relative_change
 from .kmeans import KMeansConfig, lloyd
 from .operators import MIN_K
 from .rng import derive_seed, substream
@@ -162,7 +162,7 @@ def impact(initial: float, best: float, sense: Sense) -> float:
     """Relative change between the initial and best evaluation, oriented so
     that an improvement is positive."""
     initial = float(initial)
-    if abs(initial) < 1e-12:
+    if abs(initial) < BASELINE_EPSILON:
         raise ValueError("degenerate initial evaluation")
     if sense is Sense.HIGHER_IS_BETTER:
         return (float(best) - initial) / abs(initial)

@@ -290,7 +290,7 @@ def write_report(report: ExperimentReport, path: str | Path, format: str = "csv"
     elif format == "json":
         payload = {
             "records": records,
-            "failures": [dict(f) for f in report.failure_dicts()],
+            "failures": report.failure_dicts(),
             "fluctuation_by_k": {str(k): v for k, v in sorted((report.fluctuation_by_k or {}).items())},
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

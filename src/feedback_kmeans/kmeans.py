@@ -1,9 +1,10 @@
 """Lloyd's k-means with seeded random initialization.
 
 Provides the individual steps (init / assign / update / empty-cluster
-repair) as standalone operations. The split operator reuses the assignment
-pass, against its two new centroids only, and the repair outside a full
-Lloyd loop; the merge operator reuses the distance kernel.
+repair) as kernels that take arrays; only the entry points ``lloyd*`` and
+``assign_points`` take a ``Dataset``, and Lloyd runs on a whole dataset or
+on members of it. Split reuses the assignment pass, against its two new
+centroids only, and the repair; merge reuses the distance kernel.
 
 A Lloyd pass costs mostly numpy's fixed overhead per call, so both
 kernels keep inner loops long without changing a bit of the result:
@@ -117,26 +118,26 @@ def own_squared_distances(points: np.ndarray, centroids: np.ndarray, assignment:
     return out
 
 
-def init_centroids(dataset: Dataset, k: int, seed: int) -> np.ndarray:
-    """k distinct data points chosen uniformly without replacement.
+def init_centroids(points: np.ndarray, row_ids: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k distinct rows of points chosen uniformly without replacement.
 
-    Sampling is over the distinct point values, in sorted row order, so the
-    returned centroids are pairwise distinct even when the dataset contains
-    duplicates. Each drawn value is its row's first occurrence.
+    row_ids are the points' ``Dataset.row_ids``: they compare like the rows
+    but need not be dense. Sampling is over the distinct ids in ascending
+    order, so the centroids are pairwise distinct even among duplicate
+    rows. Each drawn value is its row's first occurrence.
 
     Raises:
-        ValueError: if the dataset has fewer than k distinct points.
+        ValueError: if the points hold fewer than k distinct rows.
     """
-    ids = dataset.row_ids
     # Row ids are ranks, so marking them lists the distinct ones in order.
-    present = np.zeros(ids.max() + 1, dtype=bool)
-    present[ids] = True
+    present = np.zeros(row_ids.max() + 1, dtype=bool)
+    present[row_ids] = True
     distinct = present.nonzero()[0]
     if k > distinct.size:
         raise ValueError(f"k exceeds distinct points: k={k}, distinct={distinct.size}")
     rng = np.random.default_rng(seed)
     chosen = distinct[rng.choice(distinct.size, size=k, replace=False)]
-    return dataset.points[[np.argmax(ids == v) for v in chosen]]
+    return points[[np.argmax(row_ids == v) for v in chosen]]
 
 
 def assign_points(
@@ -180,7 +181,7 @@ def update_centroids(columns: np.ndarray, assignment: np.ndarray, counts: np.nda
     return np.divide(sums.T, counts[:, None], out=means, where=counts[:, None] > 0)
 
 
-def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> Clustering:
+def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarray) -> Clustering:
     """Re-seed each empty cluster at the point farthest from its centroid.
 
     The empty ids are those of the k = len(centroids) ids that no point is
@@ -191,24 +192,22 @@ def repair_empty(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray
     would loop.
     """
     k = centroids.shape[0]
-    if k > dataset.n_points:
-        raise ValueError(
-            f"cannot repair: k={k} exceeds dataset size {dataset.n_points}"
-        )
+    if k > points.shape[0]:
+        raise ValueError(f"cannot repair: k={k} exceeds dataset size {points.shape[0]}")
     empties = np.flatnonzero(np.bincount(assignment, minlength=k) == 0)
     if not empties.size:
         return Clustering(assignment=assignment, centroids=centroids)
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
     for empty in empties:
-        dist = own_squared_distances(dataset.points, centroids, assignment)
+        dist = own_squared_distances(points, centroids, assignment)
         sizes = np.bincount(assignment, minlength=k)
         eligible = sizes[assignment] >= 2
         if not eligible.any():
             raise ValueError("cannot repair: no cluster has a point to spare")
         dist = np.where(eligible, dist, -np.inf)
         donor_point = int(np.argmax(dist))
-        centroids[empty] = dataset.points[donor_point]
+        centroids[empty] = points[donor_point]
         assignment[donor_point] = empty
     return Clustering.adopt(assignment, centroids)
 
@@ -246,9 +245,12 @@ def _nearest_with_bounds(
 _SLACK = (1.0 - 1e-9) / (1.0 + 1e-9)
 
 
-def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, list[int]]:
+def lloyd_history(
+    dataset: Dataset, config: KMeansConfig, members: np.ndarray | None = None
+) -> tuple[Clustering, list[int]]:
     """Run Lloyd's algorithm, recomputing distances only for rows whose
-    nearest centroid may have changed.
+    nearest centroid may have changed: on the members' points alone if
+    given (ascending point indices, the assignment aligned to them).
 
     Each row keeps an upper bound on the distance to its own centroid and a
     lower bound on the distance to every other centroid. When the centroids
@@ -260,14 +262,16 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
     history[0] is n, the first full pass; one entry follows per update+assign
     iteration: the number of rows whose distances that pass recomputed.
     """
-    points = dataset.points
+    points, row_ids = dataset.points, dataset.row_ids
+    if members is not None:
+        points, row_ids = points[members], row_ids[members]
     columns = np.ascontiguousarray(points.T)
-    centroids = init_centroids(dataset, config.k, config.seed)
+    centroids = init_centroids(points, row_ids, config.k, config.seed)
     assignment, upper, lower = _nearest_with_bounds(points, centroids)
     # Centroids are distinct data points, so each owns at least itself and
     # the first assignment cannot leave a cluster empty.
     counts = np.bincount(assignment, minlength=config.k)
-    history = [dataset.n_points]
+    history = [len(points)]
     for _ in range(config.max_iterations):
         # No cluster is empty here: see above, and the repair below.
         new_centroids = update_centroids(columns, assignment, counts)
@@ -280,7 +284,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
         stale = upper >= lower * _SLACK
         if stale.all():
             assignment, upper, lower = _nearest_with_bounds(points, centroids)
-            history.append(dataset.n_points)
+            history.append(len(points))
         else:
             rows = stale.nonzero()[0]
             assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
@@ -288,7 +292,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
         counts = np.bincount(assignment, minlength=config.k)
         repaired = bool((counts == 0).any())
         if repaired:
-            clustering = repair_empty(dataset, assignment, centroids)
+            clustering = repair_empty(points, assignment, centroids)
             assignment, centroids = clustering.assignment, clustering.centroids
             counts = np.bincount(assignment, minlength=config.k)
             # The repaired assignment need not be nearest-centroid: every
@@ -299,7 +303,7 @@ def lloyd_history(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, l
     return Clustering.adopt(assignment, centroids), history
 
 
-def lloyd(dataset: Dataset, config: KMeansConfig) -> Clustering:
-    """Seeded k-means; deterministic per (dataset, config)."""
-    clustering, _ = lloyd_history(dataset, config)
+def lloyd(dataset: Dataset, config: KMeansConfig, members: np.ndarray | None = None) -> Clustering:
+    """Seeded k-means, as ``lloyd_history``; deterministic per its arguments."""
+    clustering, _ = lloyd_history(dataset, config, members)
     return clustering

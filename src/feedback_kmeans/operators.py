@@ -48,7 +48,7 @@ def is_splittable(dataset: Dataset, clustering: Clustering, cluster_id: int) -> 
 def bisect_cluster(
     dataset: Dataset, clustering: Clustering, target: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded 2-means restricted to the target cluster's points.
+    """Seeded 2-means on the target cluster's points: ``lloyd`` on its members.
 
     Returns (child_centroids, child_labels) with child_labels aligned to the
     target's members in ascending point-index order. This is the pre-global-
@@ -58,7 +58,7 @@ def bisect_cluster(
     members = clustering.members(target)
     if members.size < 2:
         raise ValueError(f"cannot split singleton cluster {target}")
-    child = lloyd(dataset.subset(members), KMeansConfig(k=2, seed=seed))
+    child = lloyd(dataset, KMeansConfig(k=2, seed=seed), members)
     return child.centroids, child.assignment
 
 
@@ -136,7 +136,7 @@ def split_cluster(
     assignment = _nearest(distances)
     empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:
-        repaired = repair_empty(dataset, assignment, new_centroids)
+        repaired = repair_empty(dataset.points, assignment, new_centroids)
         distances[empties] = distance_rows(dataset, repaired.centroids[empties])
         return repaired, distances
     return Clustering.adopt(assignment, new_centroids), distances

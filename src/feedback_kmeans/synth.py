@@ -176,10 +176,6 @@ class FeatureScaling:
         np.copyto(scaled, points, where=~varying)
         return scaled
 
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        restored = points * np.where(self.stddev > 0, self.stddev, 1.0) + self.mean
-        return np.where(self.stddev > 0, restored, points)
-
 
 def standardize(dataset: Dataset) -> tuple[Dataset, FeatureScaling]:
     """Z-score each feature; constant features pass through unscaled."""

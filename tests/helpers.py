@@ -109,7 +109,7 @@ def cluster_means(dataset: Dataset, assignment, k: int) -> np.ndarray:
 def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int]:
     """Lloyd with a full nearest-centroid pass on every iteration: the
     reference the bounded loop must equal. Returns (clustering, iterations)."""
-    centroids = init_centroids(dataset, config.k, config.seed)
+    centroids = init_centroids(dataset.points, dataset.row_ids, config.k, config.seed)
     assignment = assign_points(dataset, centroids)
     iterations = 0
     for _ in range(config.max_iterations):
@@ -120,7 +120,7 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
         assignment = assign_points(dataset, centroids)
         repaired = bool((np.bincount(assignment, minlength=config.k) == 0).any())
         if repaired:
-            clustering = repair_empty(dataset, assignment, centroids)
+            clustering = repair_empty(dataset.points, assignment, centroids)
             assignment, centroids = clustering.assignment, clustering.centroids
         if not repaired and shift <= TOLERANCE:
             break
@@ -131,7 +131,7 @@ def reference_split(dataset: Dataset, clustering: Clustering, target: int, seed:
     """The split with a full reassignment pass over every centroid."""
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
     centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
-    return repair_empty(dataset, assign_points(dataset, centroids), centroids)
+    return repair_empty(dataset.points, assign_points(dataset, centroids), centroids)
 
 
 def reference_merge(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clustering:
@@ -150,7 +150,7 @@ def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:
     """Weighted RSS after init plus the first assignment, then after each
     Lloyd iteration. Lloyd is deterministic, so the state after t iterations
     is lloyd(...) capped at max_iterations=t."""
-    centroids = init_centroids(dataset, config.k, config.seed)
+    centroids = init_centroids(dataset.points, dataset.row_ids, config.k, config.seed)
     sequence = [weighted_rss(dataset, assign_points(dataset, centroids), centroids)]
     iterations = len(lloyd_history(dataset, config)[1]) - 1
     for t in range(1, iterations + 1):

@@ -8,9 +8,10 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from feedback_kmeans import Clustering, CustomizabilityFeedback, OracleProfile, engines, feedback, harness
-from feedback_kmeans import cli, ingest, kmeans, save_oracle_profile, synth
+from feedback_kmeans import cli, ingest, kmeans, operators, save_oracle_profile, synth
 from helpers import make_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -97,6 +98,41 @@ def test_lloyd_updates_centroids_through_the_module_global(monkeypatch):
     dataset = make_dataset(np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(6, 1, (60, 2))]))
     _, history = kmeans.lloyd_history(dataset, kmeans.KMeansConfig(k=3, seed=1))
     assert len(history) > 2 and len(calls) == len(history) - 1
+
+
+def test_split_runs_its_2_means_through_lloyd_on_the_members():
+    # The tracer counts kmeans.lloyd.calls by rebinding operators.lloyd, and
+    # Lloyd iterations from kmeans.lloyd_history's second positional
+    # argument: a split's bisect must reach both, once.
+    rng = np.random.default_rng(2)
+    dataset = make_dataset(np.vstack([rng.normal(c, 0.5, (30, 2)) for c in (0.0, 4.0, 8.0)]))
+    clustering = kmeans.lloyd(dataset, kmeans.KMeansConfig(k=3, seed=1))
+    distances = operators.distance_rows(dataset, clustering.centroids)
+    calls = {"lloyd": [], "lloyd_history": []}
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            # Spies over the tracer's wrappers, removed before them.
+            for module, name in ((operators, "lloyd"), (kmeans, "lloyd_history")):
+                def counted(*args, _name=name, _traced=getattr(module, name)):
+                    calls[_name].append(args)
+                    return _traced(*args)
+                patch.setattr(module, name, counted)
+            tracer.active = True
+            operators.split_cluster(dataset, clustering, distances, target=1, seed=5)
+            tracer.active = False
+    finally:
+        tracer.uninstall()
+    [lloyd_args] = calls["lloyd"]
+    [(_, config, members)] = calls["lloyd_history"]
+    assert lloyd_args[2] is members
+    assert isinstance(config, kmeans.KMeansConfig) and config.k == 2
+    np.testing.assert_array_equal(members, clustering.members(1))
+    _, history = kmeans.lloyd_history(dataset, config, members)
+    assert tracer.counts["kmeans.lloyd.iterations"] == len(history) - 1 > 0
+    assert tracer_module.layer_metrics(tracer)["kmeans.lloyd.calls"] == (1, "count")
 
 
 def test_csv_workload_setup_and_pass_check_clean(tmp_path, monkeypatch):

@@ -245,7 +245,7 @@ def test_engine_config_iterations_default_and_validation():
 @pytest.mark.parametrize("method", list(Method))
 def test_engine_sorts_the_rows_once(monkeypatch, method):
     # A row sort is an np.unique(..., axis=0) call; the dataset caches its row
-    # ids, and every bisect subset reuses them.
+    # ids, and every bisect indexes them at the target's members.
     sorts = []
     unique = np.unique
 

@@ -29,85 +29,79 @@ from helpers import (
 
 # ---------------------------------------------------------------- init
 
+def _init(ds, k, seed):
+    return init_centroids(ds.points, ds.row_ids, k, seed)
+
+
 def test_init_forced_selection_with_exactly_k_points():
     ds = make_dataset([[0, 0], [5, 5], [9, 1]])
-    centroids = init_centroids(ds, k=3, seed=0)
+    centroids = _init(ds, k=3, seed=0)
     assert sorted(centroids.tolist()) == sorted(ds.points.tolist())
 
 
 def test_init_deterministic_per_seed():
     rng = np.random.default_rng(1)
     ds = make_dataset(rng.normal(size=(200, 4)))
-    first = init_centroids(ds, k=5, seed=99)
-    second = init_centroids(ds, k=5, seed=99)
+    first = _init(ds, k=5, seed=99)
+    second = _init(ds, k=5, seed=99)
     np.testing.assert_array_equal(first, second)
 
 
 def test_init_seeds_differ():
     rng = np.random.default_rng(2)
     ds = make_dataset(rng.normal(size=(1000, 3)))
-    a = init_centroids(ds, k=3, seed=0)
-    b = init_centroids(ds, k=3, seed=1)
+    a = _init(ds, k=3, seed=0)
+    b = _init(ds, k=3, seed=1)
     assert not np.array_equal(a, b)
 
 
 def test_init_errors_on_too_few_distinct_points():
     ds = make_dataset([[1, 1], [1, 1], [2, 2]])
     with pytest.raises(ValueError, match="k exceeds distinct points"):
-        init_centroids(ds, k=3, seed=0)
-    centroids = init_centroids(ds, k=2, seed=0)
+        _init(ds, k=3, seed=0)
+    centroids = _init(ds, k=2, seed=0)
     assert len(np.unique(centroids, axis=0)) == 2
 
 
-def _sorted_distinct_draw(ds, k, seed):
-    # The draw as a sort of the dataset's own rows makes it.
-    distinct = np.unique(ds.points, axis=0)
+def _sorted_distinct_draw(points, k, seed):
+    # The draw as a sort of the points' own rows makes it.
+    distinct = np.unique(points, axis=0)
     rng = np.random.default_rng(seed)
     return distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
 
 
 def test_init_on_subset_matches_sorted_distinct_draw():
+    # A split's 2-means draws from its members' points with the dataset's
+    # row ids at those members, which skip the ranks of the rows left out.
     rng = np.random.default_rng(5)
     pool = rng.integers(0, 4, size=(30, 3)).astype(float)
     ds = make_dataset(pool[rng.integers(0, 30, size=300)])  # many duplicate rows
     members = np.flatnonzero(ds.points[:, 0] != 1.0)  # drops some distinct rows
-    sub = ds.subset(members)
-    np.testing.assert_array_equal(sub.points, ds.points[members])
-    distinct = len(np.unique(sub.points, axis=0))
+    points, ids = ds.points[members], ds.row_ids[members]
+    distinct = len(np.unique(points, axis=0))
     assert distinct < len(np.unique(ds.points, axis=0))
     for k in (1, 2, 5, distinct):
         for seed in range(6):
             np.testing.assert_array_equal(
-                init_centroids(sub, k, seed), _sorted_distinct_draw(sub, k, seed)
+                init_centroids(points, ids, k, seed), _sorted_distinct_draw(points, k, seed)
             )
-            np.testing.assert_array_equal(
-                init_centroids(ds, k, seed), _sorted_distinct_draw(ds, k, seed)
-            )
+            np.testing.assert_array_equal(_init(ds, k, seed), _sorted_distinct_draw(ds.points, k, seed))
     with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
-        init_centroids(sub, distinct + 1, seed=0)
-    # A subset of a subset: its ids skip the ranks of both dropped sets.
-    subsub = sub.subset(np.flatnonzero(sub.points[:, 1] != 2.0))
-    np.testing.assert_array_equal(subsub.row_ids, ds.row_ids[members][sub.points[:, 1] != 2.0])
-    sparse = np.unique(subsub.row_ids)
+        init_centroids(points, ids, distinct + 1, seed=0)
+    # Members of those members: their ids skip the ranks of both dropped sets.
+    nested = members[points[:, 1] != 2.0]
+    points, ids = ds.points[nested], ds.row_ids[nested]
+    sparse = np.unique(ids)
     distinct = sparse.size
-    assert distinct < len(np.unique(sub.points, axis=0))
+    assert distinct < len(np.unique(ds.points[members], axis=0))
     assert sparse[-1] + 1 > distinct  # some ids below the largest are absent
     for k in (1, 2, 5, distinct):
         for seed in range(6):
             np.testing.assert_array_equal(
-                init_centroids(subsub, k, seed), _sorted_distinct_draw(subsub, k, seed)
+                init_centroids(points, ids, k, seed), _sorted_distinct_draw(points, k, seed)
             )
     with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
-        init_centroids(subsub, distinct + 1, seed=0)
-
-
-def test_subset_row_ids_compare_like_rows():
-    ds = make_dataset([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [0.0, 1.0], [3.0, 0.0]])
-    assert ds.row_ids.tolist() == [2, 1, 2, 0, 3]
-    sub = ds.subset(np.array([0, 2, 4]))
-    assert sub.row_ids.tolist() == [2, 2, 3]
-    assert not sub.row_ids.flags.writeable
-    assert sub.bookings is None and sub.hidden_segment is None
+        init_centroids(points, ids, distinct + 1, seed=0)
 
 
 # ---------------------------------------------------------------- assign
@@ -373,7 +367,7 @@ def test_repair_moves_farthest_point():
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [0.0, 0.0]])
     assignment = np.array([0, 0, 0])  # everything ties to cluster 0
-    repaired = repair_empty(ds, assignment, centroids)
+    repaired = repair_empty(ds.points, assignment, centroids)
     assert repaired.assignment.tolist() == [0, 0, 1]  # farthest point moved
     np.testing.assert_array_equal(repaired.centroids[1], [5.0, 0.0])
     assert validate_clustering(ds, repaired) == []
@@ -383,7 +377,7 @@ def test_repair_without_empties_is_identity():
     ds = make_dataset([[0.0, 0.0], [5.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [5.0, 0.0]])
     assignment = np.array([0, 1])
-    repaired = repair_empty(ds, assignment, centroids)
+    repaired = repair_empty(ds.points, assignment, centroids)
     np.testing.assert_array_equal(repaired.assignment, assignment)
     np.testing.assert_array_equal(repaired.centroids, centroids)
 
@@ -393,7 +387,7 @@ def test_repair_line_dataset_passes_validation():
     centroids = np.array([[0.0, 0.0], [9.0, 0.0], [100.0, 0.0]])
     assignment = assign_points(ds, centroids)  # cluster 2 ends up empty
     assert 2 not in assignment
-    repaired = repair_empty(ds, assignment, centroids)
+    repaired = repair_empty(ds.points, assignment, centroids)
     assert validate_clustering(ds, repaired) == []
 
 
@@ -404,7 +398,7 @@ def test_repair_never_drains_a_singleton_donor():
     ds = make_dataset([[5.0], [0.0], [0.0]])
     assignment = np.array([1, 0, 0])
     centroids = np.array([[0.0], [5.0], [7.0]])  # cluster 2 empty
-    repaired = repair_empty(ds, assignment, centroids)
+    repaired = repair_empty(ds.points, assignment, centroids)
     assert validate_clustering(ds, repaired) == []
     assert repaired.assignment[0] == 1  # the singleton kept its point
     assert sorted(repaired.sizes().tolist()) == [1, 1, 1]
@@ -413,7 +407,7 @@ def test_repair_never_drains_a_singleton_donor():
 def test_repair_impossible_when_k_exceeds_points():
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="repair"):
-        repair_empty(ds, np.array([0, 1]), np.zeros((3, 2)))
+        repair_empty(ds.points, np.array([0, 1]), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------- lloyd
@@ -506,6 +500,42 @@ def test_bounded_lloyd_equals_plain_lloyd(seed, n, d, grid, k_draw):
     ds = make_dataset(points)
     k = 1 + (k_draw - 1) % len(np.unique(points, axis=0))
     _assert_bounded_equals_plain(ds, KMeansConfig(k=k, seed=seed))
+
+
+@st.composite
+def _members_inputs(draw):
+    """An integer-grid dataset of n 1-60 points in d 1-3, with duplicate
+    rows, and non-empty ascending members of it."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(0, 4, size=(n, d)).astype(float)
+    chosen = rng.random(n) < draw(st.floats(0.05, 1.0))
+    chosen[rng.integers(n)] = True
+    return make_dataset(points), np.flatnonzero(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_members_inputs(), st.integers(0, 2**31), st.data())
+def test_lloyd_on_members_equals_lloyd_on_their_points(inputs, seed, data):
+    # A split's 2-means runs on its target's members with the dataset's row
+    # ids at them; it must equal Lloyd on a dataset of just those points.
+    ds, members = inputs
+    alone = make_dataset(ds.points[members])
+    distinct = len(np.unique(alone.points, axis=0))
+    config = KMeansConfig(k=data.draw(st.integers(1, min(4, distinct) + 1), label="k"), seed=seed)
+    if config.k > distinct:
+        with pytest.raises(ValueError, match="k exceeds distinct points") as on_members:
+            lloyd_history(ds, config, members)
+        with pytest.raises(ValueError) as on_points:
+            lloyd_history(alone, config)
+        assert str(on_members.value) == str(on_points.value)
+        return
+    clustering, history = lloyd_history(ds, config, members)
+    reference, reference_history = lloyd_history(alone, config)
+    assert clustering.assignment.tobytes() == reference.assignment.tobytes()
+    assert clustering.centroids.tobytes() == reference.centroids.tobytes()
+    assert history == reference_history
 
 
 def test_bounded_lloyd_equals_plain_lloyd_through_a_repair(monkeypatch):

@@ -279,10 +279,18 @@ def test_scaling_equals_the_where_formula_bit_for_bit():
 
 
 def test_standardize_round_trips():
+    # The varying columns come out z-scored, a constant one as it went in,
+    # and the side data is shared, not copied.
     ds = generate(demo_generator_config(n_points=800, seed=8))
+    points = ds.points.copy()
+    points[:, 4] = 3.0
+    ds = replace(ds, points=points)
     standardized, scaling = standardize(ds)
-    restored = scaling.invert(standardized.points)
-    np.testing.assert_allclose(restored, ds.points, atol=1e-9)
+    varying = scaling.stddev > 0
+    assert varying.tolist() == [True] * 4 + [False] + [True] * 3
+    np.testing.assert_allclose(standardized.points[:, varying].mean(axis=0), 0.0, atol=1e-9)
+    np.testing.assert_allclose(standardized.points[:, varying].std(axis=0), 1.0, rtol=1e-9)
+    assert standardized.points[:, 4].tobytes() == ds.points[:, 4].tobytes()
     assert standardized.bookings is ds.bookings
     assert standardized.hidden_segment is ds.hidden_segment
 
