@@ -95,15 +95,15 @@ def _pick_split_target(
 
 
 # One iteration of a loop: the actions to record, the clustering they
-# produce and its distance matrix, or None when no legal action remains
+# produce and its distance rows, or None when no legal action remains
 # (the run stalls).
-_Step = tuple[tuple[Action, ...], Clustering, np.ndarray] | None
+_Step = tuple[tuple[Action, ...], Clustering, list[np.ndarray]] | None
 
 
 def _sme_step(
     dataset: Dataset,
     current: Clustering,
-    distances: np.ndarray,
+    distances: list[np.ndarray],
     report: FeedbackReport,
     seed: int,
     iteration: int,
@@ -122,7 +122,7 @@ def _sme_step(
 def _sm_step(
     dataset: Dataset,
     current: Clustering,
-    distances: np.ndarray,
+    distances: list[np.ndarray],
     report: FeedbackReport,
     seed: int,
     iteration: int,
@@ -151,9 +151,9 @@ def run_engine(dataset: Dataset, k: int, config: EngineConfig) -> RunTrace:
     evaluation reaches the target, or early, flagged as stalled, when no
     legal action remains.
 
-    The current clustering's (k, n) point-to-centroid distance matrix is
-    built once from the start and carried through the split and merge
-    operators; only the current step's matrix is kept.
+    The current clustering's point-to-centroid distances, one row per
+    centroid, are built once from the start and carried through the split
+    and merge operators; only the current step's rows are kept.
     """
     if k < MIN_K:
         raise ValueError(f"k={k} below the minimum cluster count")

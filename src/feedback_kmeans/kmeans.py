@@ -20,8 +20,8 @@ sort.
 
 The distance kernels build their differences one block of rows at a time,
 in one buffer of at most _BLOCK_VALUES values, so a pass's temporaries are
-its O(n*k) result plus that fixed buffer. A run carries its distance
-matrix one row per centroid (``operators.distance_rows``).
+its O(n*k) result plus that fixed buffer. A run carries its distances as
+a list of per-centroid rows (``operators.distance_rows``).
 """
 
 from __future__ import annotations

@@ -6,16 +6,15 @@ replacement centroids produced by a seeded 2-means on the target's points;
 a merge removes the pair and appends the union, whose centroid is the
 arithmetic mean of the union's raw points.
 
-Both operators take the clustering's (k, n) point-to-centroid squared
-distance matrix, one contiguous row per centroid in centroid order, and
-return the new clustering's matrix with it: the removed centroids' rows
-are dropped and the new centroids' rows appended, in one new array, so
-only the changed rows are computed (for a split, by an ``assign_points``
-pass against the two children). Each row equals the column a full
-``squared_distances`` call would give, bit for bit, so the split's
-nearest-centroid pass over the updated matrix is the full reassignment's.
-An operator's temporaries are that one new matrix, the new rows and
-O(n) vectors: O(n*k) in all.
+Both operators take the clustering's squared point-to-centroid distances
+as a list of contiguous (n,) rows, one per centroid in centroid order, and
+return the new clustering's list with it: the removed centroids' rows
+leave and the new centroids' rows are appended, so an operator computes
+and allocates only its new rows (for a split, by an ``assign_points`` pass
+against the two children) and keeps the input's own arrays for the rest.
+Each row equals the column a full ``squared_distances`` call would give,
+bit for bit, so the split's nearest-centroid scan over the rows is the
+full reassignment's.
 """
 
 from __future__ import annotations
@@ -62,50 +61,45 @@ def bisect_cluster(
     return child.centroids, child.assignment
 
 
-def distance_rows(dataset: Dataset, centroids: np.ndarray) -> np.ndarray:
-    """The (k, n) squared distance matrix the operators carry: one
-    contiguous row per centroid, each a column of ``squared_distances``."""
-    return np.ascontiguousarray(squared_distances(dataset.points, centroids).T)
+def distance_rows(dataset: Dataset, centroids: np.ndarray) -> list[np.ndarray]:
+    """The distances the operators carry: one contiguous (n,) array per
+    centroid, in centroid order, each a column of ``squared_distances``."""
+    return [np.ascontiguousarray(column) for column in squared_distances(dataset.points, centroids).T]
 
 
 def _relabel(
     clustering: Clustering,
-    distances: np.ndarray,
+    distances: list[np.ndarray],
     drop: list[int],
     new_centroids: np.ndarray,
-    new_rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    new_rows: list[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The layout both operators share: the dropped ids leave, the kept ids
     keep their order and the new ids follow them.
 
-    Returns the new centroids, the new distance matrix (the kept rows of
-    the clustering's matrix, then new_rows, written into one new array) and
-    the old-to-new id map, in which each dropped id maps to the first new
-    id.
+    Returns the new centroids, the new distance rows (the clustering's own
+    kept rows, then new_rows) and the old-to-new id map, in which each
+    dropped id maps to the first new id.
     """
     n, k = clustering.assignment.size, clustering.k
-    if distances.shape != (k, n):
-        raise ValueError(f"distances have shape {distances.shape}, expected ({k}, {n})")
-    kept = np.delete(np.arange(k), drop)
-    remap = np.full(k, kept.size, dtype=np.int64)
-    remap[kept] = np.arange(kept.size)
-    matrix = np.empty((kept.size + len(new_rows), n))
-    # mode="clip" writes straight into out; the default "raise" buffers a
-    # whole copy first. kept holds valid ids.
-    np.take(distances, kept, axis=0, out=matrix[: kept.size], mode="clip")
-    matrix[kept.size :] = new_rows
-    return np.vstack([clustering.centroids[kept], new_centroids]), matrix, remap
+    if len(distances) != k or any(np.shape(row) != (n,) for row in distances):
+        shapes = sorted({np.shape(row) for row in distances})
+        raise ValueError(f"distances have shape {len(distances)} rows of {shapes}, expected {k} rows of ({n},)")
+    kept = [cid for cid in range(k) if cid not in drop]
+    remap = np.full(k, len(kept), dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    rows = [distances[cid] for cid in kept] + new_rows
+    return np.vstack([clustering.centroids[kept], new_centroids]), rows, remap
 
 
-def _nearest(distances: np.ndarray) -> np.ndarray:
-    """Nearest centroid per point of a (k, n) distance matrix, ties to the
-    lowest id, as ``distances.argmin(axis=0)``: a scan over the contiguous
-    rows keeps the running minimum, and only a strictly smaller distance
-    moves a point."""
-    nearest = np.zeros(distances.shape[1], dtype=np.int64)
+def _nearest(distances: list[np.ndarray]) -> np.ndarray:
+    """Nearest centroid per point of the distance rows, ties to the lowest
+    id, as an argmin over the stacked rows: a scan over the rows keeps the
+    running minimum, and only a strictly smaller distance moves a point."""
+    nearest = np.zeros(distances[0].size, dtype=np.int64)
     best = distances[0].copy()
-    closer = np.empty(distances.shape[1], dtype=bool)
-    for cid in range(1, distances.shape[0]):
+    closer = np.empty(distances[0].size, dtype=bool)
+    for cid in range(1, len(distances)):
         row = distances[cid]
         np.less(row, best, out=closer)
         np.putmask(nearest, closer, cid)
@@ -114,43 +108,45 @@ def _nearest(distances: np.ndarray) -> np.ndarray:
 
 
 def split_cluster(
-    dataset: Dataset, clustering: Clustering, distances: np.ndarray, target: int, seed: int
-) -> tuple[Clustering, np.ndarray]:
+    dataset: Dataset, clustering: Clustering, distances: list[np.ndarray], target: int, seed: int
+) -> tuple[Clustering, list[np.ndarray]]:
     """Replace the target cluster with two children, then re-derive every
     cluster as the set of points sharing the same closest centroid.
 
-    distances is the clustering's (k, n) squared distance matrix. The
-    target's row is replaced by the two children's, computed by one
-    ``assign_points`` pass against the children alone, and the single global
-    assignment pass (no centroid update afterwards) is the nearest centroid
-    over the result's rows, ties to the lowest id; it may move points
-    between any clusters, and clusters emptied by it are repaired, with
-    their rows recomputed. Returns the clustering, with k+1 clusters, and
-    its matrix.
+    distances are the clustering's distance rows. The target's row is
+    replaced by the two children's, contiguous copies of the columns of
+    one ``assign_points`` pass against the children alone, and the single
+    global assignment pass (no centroid update afterwards) is the nearest
+    centroid over the result's rows, ties to the lowest id; it may move
+    points between any clusters, and clusters emptied by it are repaired,
+    with their rows recomputed. Returns the clustering, with k+1 clusters,
+    and its rows.
     """
     if not 0 <= target < clustering.k:
         raise ValueError(f"split target {target} out of range for k={clustering.k}")
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
-    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_columns.T)
+    child_rows = [np.ascontiguousarray(column) for column in child_columns.T]
+    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_rows)
     assignment = _nearest(distances)
     empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:
         repaired = repair_empty(dataset.points, assignment, new_centroids)
-        distances[empties] = distance_rows(dataset, repaired.centroids[empties])
+        for cid, row in zip(empties, distance_rows(dataset, repaired.centroids[empties])):
+            distances[cid] = row
         return repaired, distances
     return Clustering.adopt(assignment, new_centroids), distances
 
 
 def merge_pair(
-    dataset: Dataset, clustering: Clustering, distances: np.ndarray, i: int, j: int
-) -> tuple[Clustering, np.ndarray]:
+    dataset: Dataset, clustering: Clustering, distances: list[np.ndarray], i: int, j: int
+) -> tuple[Clustering, list[np.ndarray]]:
     """Replace clusters i and j by their union, appended as the last id.
 
     The union's centroid is the arithmetic mean of its raw points. No
-    reassignment pass is run; k decreases by one. distances is the
-    clustering's (k, n) squared distance matrix; the merged clustering's
-    matrix is returned with it.
+    reassignment pass is run; k decreases by one. distances are the
+    clustering's distance rows; the merged clustering's rows, the kept
+    ones and the union's, are returned with it.
     """
     if i == j:
         raise ValueError("cannot merge a cluster with itself")

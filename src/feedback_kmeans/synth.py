@@ -132,10 +132,12 @@ def generate(config: GeneratorConfig) -> Dataset:
     features += means[choice]
 
     features[:, _COL_PASSENGERS] = np.maximum(1.0, np.rint(features[:, _COL_PASSENGERS]))
-    features[:, _COL_CHILDREN] = np.maximum(0.0, np.rint(features[:, _COL_CHILDREN]))
-    features[:, _COL_GEOGRAPHY] = np.clip(np.rint(features[:, _COL_GEOGRAPHY]), 0.0, 2.0)
+    # A draw in [-0.5, 0) rounds to -0.0, which maximum and clip keep;
+    # adding 0.0 makes it +0.0 and leaves every other value as it is.
+    features[:, _COL_CHILDREN] = np.maximum(0.0, np.rint(features[:, _COL_CHILDREN])) + 0.0
+    features[:, _COL_GEOGRAPHY] = np.clip(np.rint(features[:, _COL_GEOGRAPHY]), 0.0, 2.0) + 0.0
     for col in (_COL_DEP_DOW, _COL_RET_DOW):
-        features[:, col] = np.clip(np.rint(features[:, col]), 0.0, 6.0)
+        features[:, col] = np.clip(np.rint(features[:, col]), 0.0, 6.0) + 0.0
 
     booking_mu = np.array([s.booking_lognormal[0] for s in segs])[choice]
     booking_sigma = np.array([s.booking_lognormal[1] for s in segs])[choice]

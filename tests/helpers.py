@@ -3,19 +3,29 @@ import math
 import numpy as np
 
 from feedback_kmeans import (
+    Action,
     Clustering,
     Dataset,
     FeedbackReport,
     KMeansConfig,
+    Method,
     RssFeedback,
+    RunTrace,
     Sense,
+    SMAction,
+    TraceStep,
     aggregate_weighted,
-    bisect_cluster,
+    closest_centroid_pair,
     evaluate_per_cluster,
+    is_splittable,
     lloyd,
+    nearest_cluster,
     relative_change,
+    sm_decide,
     validate_clustering,
+    worst_cluster,
 )
+from feedback_kmeans.engines import trace_records
 from feedback_kmeans.feedback import POP_BASELINE_EPSILON
 from feedback_kmeans.kmeans import (
     TOLERANCE,
@@ -25,7 +35,7 @@ from feedback_kmeans.kmeans import (
     repair_empty,
     update_centroids,
 )
-from feedback_kmeans.rng import substream
+from feedback_kmeans.rng import derive_seed, substream
 
 CONTRACT_MEMBERS = {"sense", "evaluate", "evaluation_rng"}
 
@@ -128,8 +138,13 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
 
 
 def reference_split(dataset: Dataset, clustering: Clustering, target: int, seed: int) -> Clustering:
-    """The split with a full reassignment pass over every centroid."""
-    child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
+    """The split from its definition: ``plain_lloyd`` at k=2 on a dataset of
+    the target's points alone, then a full reassignment pass over every
+    centroid. The subset's row ids rank its rows in the order of the full
+    dataset's, so its initial draw is the bisect's."""
+    members = clustering.assignment == target
+    subset = Dataset(points=dataset.points[members], feature_names=dataset.feature_names)
+    child_centroids = plain_lloyd(subset, KMeansConfig(k=2, seed=seed))[0].centroids
     centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
     return repair_empty(dataset.points, assign_points(dataset, centroids), centroids)
 
@@ -144,6 +159,52 @@ def reference_merge(dataset: Dataset, clustering: Clustering, i: int, j: int) ->
         assignment[clustering.assignment == c] = new_id
     centroids = np.vstack([clustering.centroids[kept], dataset.points[in_union].mean(axis=0)])
     return Clustering(assignment=assignment, centroids=centroids)
+
+
+def reference_run(
+    dataset: Dataset, k: int, method: Method, provider, seed: int, iterations: int
+) -> RunTrace:
+    """``run_engine``'s run recomputed at every stage, with its seeds
+    (``derive_seed(seed, "init")``, ``derive_seed(seed, "split", i)`` and
+    ``evaluation_rng(i)``) and its selection rules: a ``plain_lloyd`` start,
+    ``reference_split`` and ``reference_merge`` for the actions and
+    ``reference_evaluate`` for every report. No distances are carried from
+    one step to the next."""
+    current = plain_lloyd(dataset, KMeansConfig(k=k, seed=derive_seed(seed, "init")))[0]
+    report = reference_evaluate(provider, dataset, current, provider.evaluation_rng(0))
+    steps = [TraceStep(actions=(Action.init(),), clustering=current, feedback=report)]
+    for iteration in range(1, iterations + 1):
+        worst = worst_cluster(report)
+        if method is Method.SM and sm_decide(current, worst) is SMAction.MERGE:
+            partner = nearest_cluster(current, worst)
+            actions, current = (Action.merge(worst, partner),), reference_merge(dataset, current, worst, partner)
+        else:
+            order = report.sense.worst_first(report.per_cluster)
+            targets = [cid for cid in order if is_splittable(dataset, current, cid)]
+            if not targets:
+                return RunTrace(steps=tuple(steps), seed=seed, stalled=True)
+            actions = (Action.split(targets[0]),)
+            current = reference_split(dataset, current, targets[0], derive_seed(seed, "split", iteration))
+            if method is Method.SME:
+                i, j = closest_centroid_pair(current)
+                actions, current = actions + (Action.merge(i, j),), reference_merge(dataset, current, i, j)
+        report = reference_evaluate(provider, dataset, current, provider.evaluation_rng(iteration))
+        steps.append(TraceStep(actions=actions, clustering=current, feedback=report))
+    return RunTrace(steps=tuple(steps), seed=seed, stalled=False)
+
+
+def assert_same_run(actual: RunTrace, expected: RunTrace) -> None:
+    """The two runs agree byte for byte: their trace records, every step's
+    cluster sizes and centroids, the initial and best assignments, and
+    whether they stalled."""
+    assert trace_records(actual) == trace_records(expected)
+    for got, want in zip(actual.steps, expected.steps, strict=True):
+        assert got.clustering.sizes().tolist() == want.clustering.sizes().tolist()
+        assert got.clustering.centroids.tobytes() == want.clustering.centroids.tobytes()
+    for index in (0, expected.best_step_index):
+        got, want = actual.steps[index].clustering, expected.steps[index].clustering
+        assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert actual.stalled == expected.stalled
 
 
 def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:

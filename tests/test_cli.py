@@ -716,7 +716,7 @@ GOLDEN_EXPERIMENT_DIGESTS = {
     "report.json": "ec37746ba9521a44c9e0022907720c3f24d804f4b6d7a7d1a7779737ec198b4e",
 }
 GOLDEN_GENERATE_DIGESTS = {
-    "dataset.csv": "b84d324f740d50ff5a4905a1bf57f41196cc49df02072b5a9a2573e69131781e",
+    "dataset.csv": "0bb2e1019494330c8fef97e6990f6b575b70d4936d7ec9590e87f996bbc10f16",
     "oracle.json": "dbb75059a4533bee059205503ac866c0026a0dd8e420335d230436243687b247",
 }
 

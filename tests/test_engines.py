@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from feedback_kmeans import (
@@ -10,6 +10,7 @@ from feedback_kmeans import (
     EngineConfig,
     FeedbackReport,
     Method,
+    OracleProfile,
     RssFeedback,
     RunTrace,
     Sense,
@@ -20,7 +21,15 @@ from feedback_kmeans import (
     write_trace,
 )
 from feedback_kmeans.engines import DEFAULT_ITERATIONS, read_trace_records, trace_records
-from helpers import CONTRACT_MEMBERS, NanPlugIn, NoisyPlugIn, make_dataset, own_members
+from helpers import (
+    CONTRACT_MEMBERS,
+    NanPlugIn,
+    NoisyPlugIn,
+    assert_same_run,
+    make_dataset,
+    own_members,
+    reference_run,
+)
 
 
 class XVarianceFeedback:
@@ -292,6 +301,62 @@ def test_best_is_optimum_over_all_evaluations(two_blobs, planted_small):
         dataset, 3, EngineConfig(method=Method.SM, feedback=provider, seed=8)
     )
     assert custom_trace.best_evaluation == max(custom_trace.evaluations())
+
+
+# ---------------------------------------------------------------- whole-run reference
+
+def _run_or_message(run):
+    """The run's trace, or the message of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=6, max_value=80),
+    d=st.integers(min_value=1, max_value=4),
+    grid=st.booleans(),
+    k=st.integers(min_value=2, max_value=6),
+    method=st.sampled_from(list(Method)),
+    custom=st.booleans(),
+)
+# Ties between centroids at the split's reassignment, which the carried
+# rows must break to the lowest id as the full pass does.
+@example(seed=0, n=15, d=2, grid=True, k=2, method=Method.SME, custom=False)
+def test_runs_equal_the_reference_run(seed, n, d, grid, k, method, custom):
+    # Integer-grid points bring ties and duplicate rows. The reference
+    # recomputes every stage, so the run must equal it byte for byte, or
+    # raise the same message.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 3, size=(n, d)).astype(float) if grid else rng.normal(size=(n, d))
+    dataset = make_dataset(points, bookings=rng.integers(0, 40, n), hidden_segment=rng.integers(0, 3, n))
+    if custom:
+        weights = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [0.6, 0.6]}
+        provider = CustomizabilityFeedback(OracleProfile(segment_weights=weights, sample_size=3, rng_seed=seed))
+    else:
+        provider = RssFeedback()
+    config = EngineConfig(method=method, feedback=provider, seed=seed)
+    actual = _run_or_message(lambda: run_engine(dataset, k, config))
+    expected = _run_or_message(lambda: reference_run(dataset, k, method, provider, seed, config.iterations))
+    if isinstance(actual, str) or isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert_same_run(actual, expected)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("custom", [False, True], ids=["rss", "custom"])
+def test_planted_runs_at_k7_equal_the_reference_run(planted_small, method, custom):
+    # 2k points: Lloyd's bounds leave rows stale, at k=7 and in each
+    # split's 2-means, and the carried rows outlive many steps.
+    dataset, profile = planted_small
+    provider = CustomizabilityFeedback(profile) if custom else RssFeedback()
+    config = EngineConfig(method=method, feedback=provider, seed=3)
+    expected = reference_run(dataset, 7, method, provider, 3, config.iterations)
+    assert_same_run(run_engine(dataset, 7, config), expected)
 
 
 # ---------------------------------------------------------------- toy feedback scenario

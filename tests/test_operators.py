@@ -25,7 +25,7 @@ from feedback_kmeans import (
     validate_clustering,
     worst_cluster,
 )
-from feedback_kmeans import core, operators
+from feedback_kmeans import core, kmeans, operators
 from feedback_kmeans.synth import demo_generator_config, generate, standardize
 from helpers import cluster_means, make_dataset, reference_merge, reference_split
 
@@ -38,9 +38,15 @@ def clustering_from_assignment(dataset, assignment, k):
 
 
 def distances_of(dataset, clustering):
-    """The clustering's (k, n) squared distance matrix, one row per
-    centroid, as the operators take it."""
-    return np.ascontiguousarray(squared_distances(dataset.points, clustering.centroids).T)
+    """The clustering's squared distances as the operators take them: a
+    list of contiguous rows, one per centroid."""
+    return operators.distance_rows(dataset, clustering.centroids)
+
+
+def row_bytes(rows):
+    """Each row's bytes, in order, checking that each row is contiguous."""
+    assert all(row.flags.c_contiguous for row in rows)
+    return [row.tobytes() for row in rows]
 
 
 def clustering_with_sizes(sizes):
@@ -238,7 +244,7 @@ def test_carried_distances_equal_a_full_recompute(seed, n, d, duplicate_heavy, a
         else:
             continue
         assert validate_clustering(ds, clustering) == []
-        assert distances.tobytes() == distances_of(ds, clustering).tobytes()
+        assert row_bytes(distances) == row_bytes(distances_of(ds, clustering))
 
 
 def test_split_that_empties_a_kept_cluster_repairs_it_and_its_column():
@@ -253,7 +259,7 @@ def test_split_that_empties_a_kept_cluster_repairs_it_and_its_column():
     assert_same_clustering(out, reference_split(ds, clustering, target=1, seed=0))
     assert out.centroids.tobytes() != centroids.tobytes()  # the repair moved centroid 0
     assert validate_clustering(ds, out) == []
-    assert distances.tobytes() == distances_of(ds, out).tobytes()
+    assert row_bytes(distances) == row_bytes(distances_of(ds, out))
 
 
 @pytest.fixture
@@ -291,8 +297,9 @@ def test_producers_hand_their_values_arrays_they_built_uncopied(copies, produce)
 def test_operators_reject_a_distance_matrix_of_another_shape():
     ds, clustering = clustering_with_sizes([2, 3, 2])
     distances = distances_of(ds, clustering)
+    point_major = squared_distances(ds.points, clustering.centroids)
     # A centroid short, a point short, and the point-major (n, k) layout.
-    for bad in (distances[:2], distances[:, :-1], distances.T):
+    for bad in (distances[:2], [row[:-1] for row in distances], point_major):
         with pytest.raises(ValueError, match="distances have shape"):
             split_cluster(ds, clustering, bad, target=1, seed=0)
         with pytest.raises(ValueError, match="distances have shape"):
@@ -314,7 +321,7 @@ def test_row_scan_nearest_equals_argmin_on_tied_grid_data(seed, n, d, k):
     centroids = rng.integers(0, 3, size=(k, d)).astype(float)
     centroids[rng.random(k) < 0.3] = centroids[0]
     d2 = squared_distances(points, centroids)
-    got = operators._nearest(np.ascontiguousarray(d2.T))
+    got = operators._nearest(list(np.ascontiguousarray(d2.T)))
     assert got.dtype == np.int64
     assert got.tobytes() == d2.argmin(axis=1).astype(np.int64).tobytes()
 
@@ -322,7 +329,7 @@ def test_row_scan_nearest_equals_argmin_on_tied_grid_data(seed, n, d, k):
 @pytest.fixture(scope="module")
 def large_clustering():
     """20k generated points in 16 clusters with their exact means, and the
-    clustering's distance matrix."""
+    clustering's distance rows."""
     ds, _ = standardize(generate(demo_generator_config(n_points=20_000, seed=3)))
     seeds = ds.points[np.random.default_rng(0).choice(ds.n_points, 16, replace=False)]
     clustering = clustering_from_assignment(ds, squared_distances(ds.points, seeds).argmin(axis=1), 16)
@@ -330,28 +337,33 @@ def large_clustering():
 
 
 @pytest.mark.parametrize(
-    "operate, new_rows, new_k",
+    "operate, dropped, new_rows",
     [
-        (lambda ds, c, d: split_cluster(ds, c, d, target=3, seed=1), 2, 17),
-        (lambda ds, c, d: merge_pair(ds, c, d, 3, 5), 1, 15),
+        (lambda ds, c, d: split_cluster(ds, c, d, target=3, seed=1), [3], 2),
+        (lambda ds, c, d: merge_pair(ds, c, d, 3, 5), [3, 5], 1),
     ],
     ids=["split", "merge"],
 )
-def test_operators_allocate_one_new_matrix_and_the_new_rows(large_clustering, operate, new_rows, new_k):
-    # A copy of the kept rows before the new matrix was one matrix more:
-    # 5.6 MB for the split and 4.8 MB for the merge here, where this
-    # budget is 3.7 and 3.2 MB. The headroom is four vectors of n floats
-    # (the split's running minimum, its nearest ids, masks).
+def test_operators_keep_each_row_and_allocate_only_the_new_rows(large_clustering, operate, dropped, new_rows):
+    # Copying the kept rows into one new (k±1, n) array peaked at 3.4 MB
+    # for the split and 2.7 MB for the merge here (1.4 and 1.3 MB without
+    # it), where this budget is 2.0 and 1.8 MB: the new rows, the distance
+    # kernel's block buffer and four vectors of n floats (the split's
+    # running minimum, its nearest ids, masks).
     ds, clustering, distances = large_clustering
     operate(ds, clustering, distances)  # first-use caches, such as row ids
     tracemalloc.start()
     try:
-        _, matrix = operate(ds, clustering, distances)
+        _, rows = operate(ds, clustering, distances)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert matrix.shape == (new_k, ds.n_points)
-    assert peak <= matrix.nbytes + new_rows * ds.n_points * 8 + 4 * ds.n_points * 8
+    kept = [cid for cid in range(clustering.k) if cid not in dropped]
+    assert len(rows) == len(kept) + new_rows
+    assert all(row is distances[cid] for row, cid in zip(rows, kept))
+    assert all(row.flags.c_contiguous and row.shape == (ds.n_points,) for row in rows[len(kept) :])
+    row_size = ds.n_points * 8
+    assert peak <= new_rows * row_size + kmeans._BLOCK_VALUES * 8 + 4 * row_size
 
 
 # ---------------------------------------------------------------- closest pair

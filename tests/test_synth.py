@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import tracemalloc
@@ -22,6 +23,7 @@ from feedback_kmeans import (
 )
 from feedback_kmeans import synth
 from feedback_kmeans.feedback import load_oracle_profile, save_oracle_profile
+from feedback_kmeans.ingest import write_csv
 from feedback_kmeans.synth import FeatureScaling, load_generator_config
 
 
@@ -102,6 +104,20 @@ def test_quantized_fields_in_legal_ranges():
     assert ds.origins is not None and ds.destinations is not None
 
 
+def test_quantized_fields_hold_no_negative_zero(tmp_path):
+    # Draws in [-0.5, 0) round to -0.0: 13,795 such cells at this size,
+    # each written to the CSV as "-0.0", before they were made +0.0.
+    ds = generate(demo_generator_config(n_points=20_000, seed=7))
+    names = list(FEATURE_NAMES)
+    for col in ("n_passengers", "n_children", "geography", "dep_dow", "ret_dow"):
+        values = ds.points[:, names.index(col)]
+        assert not np.signbit(values[values == 0.0]).any(), col
+    path = tmp_path / "dataset.csv"
+    write_csv(ds, path)
+    with open(path, newline="") as handle:
+        assert not any("-0.0" in row for row in csv.reader(handle))
+
+
 def test_generation_deterministic_per_seed():
     a = generate(demo_generator_config(n_points=500, seed=9))
     b = generate(demo_generator_config(n_points=500, seed=9))
@@ -133,6 +149,7 @@ def test_generate_scales_the_draw_as_the_broadcast_formula():
     expected[:, 4] = np.maximum(0.0, np.rint(expected[:, 4]))
     for col, top in ((5, 2.0), (6, 6.0), (7, 6.0)):
         expected[:, col] = np.clip(np.rint(expected[:, col]), 0.0, top)
+    expected[:, 4:] += 0.0  # a count rounded to -0.0 is stored as +0.0
     points = generate(config).points
     assert points.tobytes() == expected.tobytes()
     assert (points[choice == 2, 0] == 1500.0).all()
