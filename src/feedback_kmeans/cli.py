@@ -29,6 +29,7 @@ import numpy as np
 from . import engines, harness, ingest, synth
 from .core import Sense, as_integer, check_keys, keyed_errors, named_errors, read_json
 from .feedback import load_oracle_profile, save_oracle_profile
+from .operators import MIN_K
 
 
 def _threads() -> int:
@@ -163,6 +164,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 _ACTION_RE = re.compile(r"^(init|split\(\d+\)|merge\(\d+,\d+\))(\+(split\(\d+\)|merge\(\d+,\d+\)))*$")
+_MERGE_RE = re.compile(r"merge\((\d+),(\d+)\)")
 
 # The JSON types each trace record field may have. Types are compared
 # exactly, so a bool is not taken for a number.
@@ -180,9 +182,9 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
     """Invariant checks on exported trace records.
 
     The export carries evaluations and actions, not snapshots, so the
-    checks cover step numbering, action syntax, feedback shape against k,
-    finite feedback values, best-flag consistency and (for SME)
-    cluster-count preservation.
+    checks cover step numbering, action syntax, merge pairs in ascending
+    order, feedback shape against k, k of at least MIN_K, finite feedback
+    values, best-flag consistency and (for SME) cluster-count preservation.
     """
     violations: list[str] = []
     if not records:
@@ -203,6 +205,11 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
             violations.append(f"step {pos}: step numbering broken (found {rec['step']})")
         if not _ACTION_RE.match(rec["action"]):
             violations.append(f"step {pos}: malformed action {rec['action']!r}")
+        for i, j in _MERGE_RE.findall(rec["action"]):
+            if int(i) >= int(j):
+                violations.append(f"step {pos}: merge({i},{j}) does not name its pair in ascending order")
+        if rec["k"] < MIN_K:
+            violations.append(f"step {pos}: k={rec['k']} is below {MIN_K}")
         if len(rec["per_cluster_feedback"]) != rec["k"]:
             violations.append(
                 f"step {pos}: {len(rec['per_cluster_feedback'])} feedback values for k={rec['k']}"

@@ -385,10 +385,6 @@ class RunTrace:
     def best_evaluation(self) -> float:
         return self.steps[self.best_step_index].feedback.aggregate
 
-    def action_count(self) -> int:
-        """Number of elementary split/merge actions recorded."""
-        return sum(1 for s in self.steps for a in s.actions if a.kind != "init")
-
 
 def validate_clustering(dataset: Dataset, clustering: Clustering) -> list[str]:
     """Check a clustering against a dataset; violations are data, not errors.

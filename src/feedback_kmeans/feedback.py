@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol
@@ -90,7 +89,8 @@ class OracleProfile:
     def __post_init__(self) -> None:
         for name in ("score_offset", "noise_sigma", "eval_pool_fraction"):
             object.__setattr__(self, name, as_number(name, getattr(self, name)))
-        object.__setattr__(self, "sample_size", as_integer("sample_size", self.sample_size))
+        for name in ("sample_size", "rng_seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.score_offset <= 0:
             raise ValueError("score_offset must be positive")
         if self.noise_sigma < 0:
@@ -121,17 +121,15 @@ class OracleProfile:
             weights[int(seg)] = arr
         object.__setattr__(self, "segment_weights", weights)
         object.__setattr__(self, "m", int(m))
-        # Sorted segment ids and the (S, m) table of their weight rows, and
-        # per dataset each point's row in that table (_segment_rows), built
-        # on first use. Each profile, with_rng_seed's copies included, keeps
-        # its own, so a lookup is one gather.
+        # Sorted segment ids and the (S, m) table of their weight rows: a
+        # lookup searches the ids. The profile holds nothing else, so it is
+        # immutable once built and threads may share it.
         seg_ids = sorted(weights)
         object.__setattr__(self, "_segment_ids", np.array(seg_ids, dtype=np.int64))
         object.__setattr__(self, "_segment_table", np.stack([weights[seg] for seg in seg_ids]))
-        object.__setattr__(self, "_point_rows", weakref.WeakKeyDictionary())
 
     def with_rng_seed(self, rng_seed: int) -> "OracleProfile":
-        return replace(self, rng_seed=int(rng_seed))
+        return replace(self, rng_seed=rng_seed)
 
 
 def _labels(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -141,30 +139,16 @@ def _labels(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return dataset.bookings, dataset.hidden_segment
 
 
-def _segment_rows(dataset: Dataset, profile: OracleProfile) -> np.ndarray:
-    """Each point's row in profile._segment_table, -1 where the profile
-    lacks the point's segment."""
-    segs = _labels(dataset)[1]
-    seg_ids = profile._segment_ids
-    rows = np.minimum(np.searchsorted(seg_ids, segs), seg_ids.size - 1)
-    rows[seg_ids[rows] != segs] = -1
-    rows.setflags(write=False)
-    return rows
-
-
 def _segment_weight_rows(dataset: Dataset, indices: np.ndarray, profile: OracleProfile) -> np.ndarray:
-    """The true weight rows of the given points (at least one); a missing
-    segment is named for the first point that has it."""
-    table = profile._point_rows.get(dataset)
-    if table is None:
-        # Threads racing on the first use build equal tables, so the cache
-        # needs no lock.
-        table = profile._point_rows[dataset] = _segment_rows(dataset, profile)
-    rows = table[indices]
-    if rows.min() < 0:
-        first = indices[np.argmax(rows < 0)]
-        raise ValueError(f"segment {int(dataset.hidden_segment[first])} missing from oracle profile")
-    return profile._segment_table[rows]
+    """The true weight rows of the given points, found by searching the
+    profile's sorted segment ids; a missing segment is named for the first
+    point that has it."""
+    segs = _labels(dataset)[1].take(indices)
+    rows = profile._segment_ids.searchsorted(segs)
+    found = profile._segment_ids.take(rows, mode="clip")
+    if not np.array_equal(found, segs):
+        raise ValueError(f"segment {int(segs[np.argmax(found != segs)])} missing from oracle profile")
+    return profile._segment_table.take(rows, axis=0)
 
 
 def customizability_cluster(

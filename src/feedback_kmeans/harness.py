@@ -206,6 +206,7 @@ def run_method(
     """One run of method from k seeded clusters, as an experiment cell and
     the CLI's run command make it. A customizability-driven run evaluates
     on the profile re-seeded from seed, so the arguments fix the run."""
+    seed = as_integer("seed", seed)  # named before the oracle's seed derives from it
     if method.feedback_kind == "custom" and profile is not None:
         profile = profile.with_rng_seed(derive_seed(seed, "oracle"))
     provider = provider_from_name(method.feedback_kind, profile)

@@ -130,7 +130,7 @@ def init_centroids(points: np.ndarray, row_ids: np.ndarray, k: int, seed: int) -
         ValueError: if the points hold fewer than k distinct rows.
     """
     # Row ids are ranks, so marking them lists the distinct ones in order.
-    present = np.zeros(row_ids.max() + 1, dtype=bool)
+    present = np.zeros(row_ids.max(initial=-1) + 1, dtype=bool)
     present[row_ids] = True
     distinct = present.nonzero()[0]
     if k > distinct.size:

@@ -137,13 +137,14 @@ def test_c04_operator_count_parity(planted_small):
     sme_trace = run_engine(
         dataset, 3, EngineConfig(method=Method.SME, feedback=RssFeedback(), seed=5, iterations=6)
     )
-    sm_ok = sm_trace.action_count() == 12 and len(sm_trace.evaluations()) == 13
-    sme_ok = sme_trace.action_count() == 12 and len(sme_trace.evaluations()) == 7
+    sm_actions, sme_actions = (sum(len(s.actions) for s in t.steps[1:]) for t in (sm_trace, sme_trace))
+    sm_ok = sm_actions == 12 and len(sm_trace.evaluations()) == 13
+    sme_ok = sme_actions == 12 and len(sme_trace.evaluations()) == 7
     report_line(
         "C4 operator-count parity (12 S/M actions vs 6 SME pairs)",
         sm_ok and sme_ok,
-        f"S/M: {sm_trace.action_count()} actions/{len(sm_trace.evaluations())} evals, "
-        f"SME: {sme_trace.action_count()} actions/{len(sme_trace.evaluations())} evals",
+        f"S/M: {sm_actions} actions/{len(sm_trace.evaluations())} evals, "
+        f"SME: {sme_actions} actions/{len(sme_trace.evaluations())} evals",
     )
 
 

@@ -673,6 +673,23 @@ def test_validate_records_unit_checks():
 
 
 @pytest.mark.parametrize(
+    "k, action, expected",
+    [
+        (0, "split(0)", ["step 1: k=0 is below 2"]),
+        (1, "merge(0,1)", ["step 1: k=1 is below 2"]),
+        (2, "merge(0,0)", ["step 1: merge(0,0) does not name its pair in ascending order"]),
+        (2, "split(0)+merge(3,1)", ["step 1: merge(3,1) does not name its pair in ascending order"]),
+        (2, "split(0)+merge(1,2)", []),
+    ],
+)
+def test_validate_flags_a_step_no_engine_produces(k, action, expected):
+    # Every k is at least MIN_K, and the export writes each merge as (i, j) with i < j.
+    init = {"step": 0, "action": "init", "k": 2, "per_cluster_feedback": [1.0, 1.0], "aggregate": 1.0, "is_best": True}
+    step = dict(init, step=1, action=action, k=k, per_cluster_feedback=[1.0] * k, is_best=False)
+    assert validate_trace_records([init, step]) == expected
+
+
+@pytest.mark.parametrize(
     "field, value", [("per_cluster_feedback", 5), ("action", 7), ("k", "2"), ("is_best", 1)]
 )
 def test_validate_reports_wrongly_typed_fields(tmp_path, field, value, capsys):
@@ -743,6 +760,7 @@ def test_run_trace_matches_golden_digest(tmp_path, generated, method, feedback):
     )
     assert code == 0
     assert _sha256(trace_path) == GOLDEN_RUN_DIGESTS[f"{method}:{feedback}"]
+    assert main(["validate", "--trace", str(trace_path), "--method", method]) == 0
 
 
 def test_experiment_reports_match_golden_digests(tmp_path, generated):

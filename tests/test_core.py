@@ -1,10 +1,14 @@
+import ast
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import feedback_kmeans
 from feedback_kmeans import (
     Clustering,
     Dataset,
@@ -237,3 +241,17 @@ def test_accepted_clusterings_are_surjective_with_sizes_summing(n, k, seed):
     assert (sizes > 0).all()
     for cid in range(k):
         assert cid in assignment
+
+
+# ---------------------------------------------------------------- package
+
+def test_the_package_imports_nothing_beyond_numpy_and_the_standard_library():
+    imported = set()
+    for path in sorted(Path(feedback_kmeans.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import has level >= 1
+                imported.add(node.module.partition(".")[0])
+    assert "numpy" in imported
+    assert imported - sys.stdlib_module_names - {"numpy"} == set()

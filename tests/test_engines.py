@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -62,7 +64,7 @@ def rss_config(method, **kwargs):
 def test_sme_counting_contract(two_blobs):
     trace = run_engine(two_blobs, 2, rss_config(Method.SME))
     assert len(trace.steps) == 7  # init + 6 iterations
-    assert trace.action_count() == 12  # one split + one merge per iteration
+    assert sum(len(step.actions) for step in trace.steps[1:]) == 12  # one split + one merge per iteration
     assert trace.steps[0].actions == (Action.init(),)
     for step in trace.steps[1:]:
         assert [a.kind for a in step.actions] == ["split", "merge"]
@@ -132,7 +134,7 @@ def test_sm_counting_contract(planted_small):
     dataset, _ = planted_small
     trace = run_engine(dataset, 3, rss_config(Method.SM))
     assert len(trace.steps) == 13  # init + 12 single-action iterations
-    assert trace.action_count() == 12
+    assert sum(len(step.actions) for step in trace.steps[1:]) == 12
     for step in trace.steps[1:]:
         assert len(step.actions) == 1
         assert step.actions[0].kind in ("split", "merge")
@@ -244,6 +246,13 @@ def test_engine_config_iterations_that_are_not_an_integer_are_named(iterations):
         rss_config(Method.SME, iterations=iterations)
 
 
+@pytest.mark.parametrize("seed", ["7", 7.0, True, None])
+def test_engine_config_seed_that_is_not_an_integer_is_named(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        EngineConfig(Method.SME, RssFeedback(), seed)
+    assert type(EngineConfig(Method.SME, RssFeedback(), np.int64(7)).seed) is int
+
+
 def test_engine_config_iterations_default_and_validation():
     assert rss_config(Method.SM).iterations == DEFAULT_ITERATIONS[Method.SM]
     assert type(rss_config(Method.SME, iterations=np.int64(3)).iterations) is int
@@ -268,7 +277,7 @@ def test_engine_sorts_the_rows_once(monkeypatch, method):
     points = np.vstack([rng.normal(c, 0.6, size=(50, 3)) for c in (0.0, 4.0, 8.0)])
     dataset = make_dataset(np.vstack([points, points[:20]]))  # with duplicate rows
     trace = run_engine(dataset, 3, rss_config(method))
-    assert trace.action_count() > 0
+    assert sum(len(step.actions) for step in trace.steps[1:]) > 0
     assert sorts == [dataset.points.shape]
 
 

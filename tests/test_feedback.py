@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +26,15 @@ from feedback_kmeans import (
 )
 from feedback_kmeans import feedback
 from feedback_kmeans.rng import substream
-from helpers import cluster_means, fit_weights, make_dataset, popularity, reference_evaluate, rss_cluster
+from helpers import (
+    cluster_means,
+    fit_weights,
+    make_dataset,
+    popularity,
+    reference_evaluate,
+    rss_cluster,
+    segment_weight_rows,
+)
 
 
 def labeled_dataset(points, segments, bookings=None):
@@ -534,8 +544,8 @@ def test_missing_segment_in_the_fit_set_is_named_before_the_evaluation_set():
 
 
 def test_segment_table_belongs_to_its_profile():
-    # The first profile's per-point table for this dataset knows segment 7;
-    # a second profile that lacks it must still name it on the same dataset.
+    # The first profile knows segment 7; a second profile that lacks it
+    # must still name it on the same dataset, and the first must not.
     ds = labeled_dataset(np.zeros((4, 1)), [0, 8, 7, 0], bookings=[4, 3, 2, 1])
     clustering = Clustering(assignment=[0, 0, 0, 0], centroids=[[0.0]])
     weights = {0: [1.0, 0.0], 7: [0.0, 1.0], 8: [0.5, 0.5]}
@@ -553,7 +563,7 @@ def test_rng_seed_copy_evaluates_like_a_fresh_profile():
     weights = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [0.5, -0.5]}
     base = OracleProfile(segment_weights=weights, sample_size=5)
     provider = CustomizabilityFeedback(base)
-    provider.evaluate(ds, clustering, provider.evaluation_rng(0))  # base builds its table
+    provider.evaluate(ds, clustering, provider.evaluation_rng(0))  # base is used before it is copied
     copy = base.with_rng_seed(9)
     fresh = OracleProfile(segment_weights=weights, sample_size=5, rng_seed=9)
     copied, rebuilt = (
@@ -563,25 +573,76 @@ def test_rng_seed_copy_evaluates_like_a_fresh_profile():
     assert copied.aggregate == rebuilt.aggregate
 
 
-def test_one_evaluation_builds_the_segment_table_at_most_once(monkeypatch):
-    calls = []
-    original = feedback._segment_rows
+INT64_EDGE = 2**63 - 1
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(feedback, "_segment_rows", counted)
-    rng = np.random.default_rng(22)
-    n, k = 400, 16
-    ds = labeled_dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n), bookings=rng.integers(0, 50, n))
-    assignment = covering_assignment(rng, n, k)
-    clustering = Clustering(assignment=assignment, centroids=cluster_means(ds, assignment, k))
-    provider = CustomizabilityFeedback(profile_two_segments(noise=0.05, sample_size=5))
-    assert len(provider.evaluate(ds, clustering, provider.evaluation_rng(0)).per_cluster) == k
-    assert len(calls) == 1
-    provider.evaluate(ds, clustering, provider.evaluation_rng(1))
-    assert len(calls) == 1
+@st.composite
+def segment_lookup_cases(draw):
+    """A profile with 1..4 int64 segment ids, and a dataset whose labels are
+    mostly the profile's ids and otherwise every edge of a search among
+    them: below the smallest, above the largest, between two, negative and
+    +-(2**63 - 1)."""
+    ids = sorted(draw(st.lists(st.integers(-INT64_EDGE, INT64_EDGE), min_size=1, max_size=4, unique=True)))
+    edges = [-INT64_EDGE, INT64_EDGE, -1, ids[0] - 1, ids[-1] + 1]
+    edges += [draw(st.integers(a + 1, b - 1)) for a, b in zip(ids, ids[1:]) if b - a > 1]
+    present = st.sampled_from(ids)
+    absent = st.sampled_from([e for e in edges if e <= INT64_EDGE and e not in ids])  # holds ids[0] - 1
+    n = draw(st.integers(min_value=4, max_value=30))
+    segments = draw(st.lists(st.one_of(present, present, absent), min_size=n, max_size=n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dataset = labeled_dataset(rng.normal(size=(n, 2)), segments, bookings=rng.integers(0, 4, size=n))
+    k = draw(st.integers(min_value=1, max_value=2))
+    clustering = Clustering(assignment=covering_assignment(rng, n, k), centroids=rng.normal(size=(k, 2)))
+    profile = OracleProfile(
+        segment_weights={seg: rng.uniform(-1.0, 1.0, 2) for seg in ids},
+        noise_sigma=0.05,
+        sample_size=draw(st.integers(min_value=1, max_value=4)),
+        rng_seed=seed,
+    )
+    return dataset, clustering, profile, rng.permutation(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=segment_lookup_cases())
+def test_segment_lookup_equals_the_reference_at_every_search_edge(case):
+    dataset, clustering, profile, order = case
+    assert_matches_reference(dataset, clustering, profile)
+    # every point, in any order: the same rows, or the same point named
+    got = outcome(lambda: feedback._segment_weight_rows(dataset, order, profile))
+    expected = outcome(lambda: segment_weight_rows(dataset, order, profile))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_threads_share_one_profile_over_datasets_with_different_labels():
+    # The same points labelled two ways, evaluated by more threads than
+    # cores that switch often: each thread's values equal the serial ones,
+    # so no lookup sees the other dataset's labels.
+    first = segment_blocks({0: 60, 1: 60, 2: 60}, seed=23)
+    second = labeled_dataset(first.points, first.hidden_segment[::-1], bookings=first.bookings)
+    assignment = np.repeat([0, 1, 2], 60)
+    clustering = Clustering(assignment=assignment, centroids=cluster_means(first, assignment, 3))
+    provider = CustomizabilityFeedback(
+        OracleProfile(segment_weights={0: [1.0, 0.0], 1: [0.0, 1.0], 2: [0.5, -0.5]}, sample_size=5)
+    )
+
+    def evaluate_all(dataset):
+        return [provider.evaluate(dataset, clustering, provider.evaluation_rng(step)) for step in range(40)]
+
+    serial = [evaluate_all(ds) for ds in (first, second)]
+    assert serial[0][0].per_cluster != serial[1][0].per_cluster
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(evaluate_all, ds) for ds in (first, second) * 2]
+            shared = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == serial * 2
 
 
 @pytest.mark.parametrize(
@@ -628,15 +689,26 @@ def test_profile_rejects_mixed_dimensions():
         ({"sample_size": 40.5}, "sample_size must be an integer, got 40.5"),
         ({"sample_size": True}, "sample_size must be an integer, got True"),
         ({"m": 2.0}, "m must be an integer, got 2.0"),
+        ({"rng_seed": 3.5}, "rng_seed must be an integer, got 3.5"),
+        ({"rng_seed": "3"}, "rng_seed must be an integer, got '3'"),
+        ({"rng_seed": None}, "rng_seed must be an integer, got None"),
+        ({"rng_seed": True}, "rng_seed must be an integer, got True"),
     ],
     ids=["nan-noise", "inf-offset", "string-fraction", "nan-weight", "fractional-sample-size", "bool-sample-size",
-         "float-m"],
+         "float-m", "fractional-seed", "string-seed", "null-seed", "bool-seed"],
 )
 def test_profile_rejects_a_field_that_is_not_a_finite_number(fields, message):
     # Each of these used to build a profile whose every evaluation was nan,
     # or was stored truncated, or raised a TypeError at the first use.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         OracleProfile(**{"segment_weights": {0: np.array([1.0, 0.0])}, **fields})
+
+
+def test_rng_seed_copy_checks_its_seed():
+    profile = profile_two_segments()
+    with pytest.raises(ValueError, match="^rng_seed must be an integer, got '3'$"):
+        profile.with_rng_seed("3")
+    assert type(profile.with_rng_seed(np.uint64(3)).rng_seed) is int
 
 
 def test_profiles_compare_by_identity():

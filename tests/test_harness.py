@@ -379,6 +379,14 @@ def test_config_k_values_accept_numpy_integers():
     assert type(config.repeats_per_cell) is int and type(config.seed) is int
 
 
+@pytest.mark.parametrize("seed", ["x", None, 2.5])
+@pytest.mark.parametrize("method", [ExperimentMethod.SME_RSS, ExperimentMethod.SM_CUSTOM])
+def test_run_method_seed_that_is_not_an_integer_is_named(planted_small, method, seed):
+    dataset, profile = planted_small
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        harness.run_method(dataset, method, 2, seed, profile)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="k"):
         ExperimentConfig(k_values=())

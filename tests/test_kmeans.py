@@ -63,6 +63,15 @@ def test_init_errors_on_too_few_distinct_points():
     assert len(np.unique(centroids, axis=0)) == 2
 
 
+def test_empty_members_name_the_distinct_count():
+    ds = make_dataset([[1, 1], [2, 2], [3, 3]])
+    message = "^k exceeds distinct points: k=2, distinct=0$"
+    with pytest.raises(ValueError, match=message):
+        lloyd(ds, KMeansConfig(k=2, seed=0), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        init_centroids(np.empty((0, 2)), np.array([], dtype=np.int64), 2, seed=0)
+
+
 def _sorted_distinct_draw(points, k, seed):
     # The draw as a sort of the points' own rows makes it.
     distinct = np.unique(points, axis=0)
