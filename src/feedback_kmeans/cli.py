@@ -165,6 +165,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 _ACTION_RE = re.compile(r"^(init|split\(\d+\)|merge\(\d+,\d+\))(\+(split\(\d+\)|merge\(\d+,\d+\)))*$")
 _MERGE_RE = re.compile(r"merge\((\d+),(\d+)\)")
+_ID_RE = re.compile(r"\d+")
 
 # The JSON types each trace record field may have. Types are compared
 # exactly, so a bool is not taken for a number.
@@ -184,7 +185,8 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
     The export carries evaluations and actions, not snapshots, so the
     checks cover step numbering, action syntax, merge pairs in ascending
     order, feedback shape against k, k of at least MIN_K, finite feedback
-    values, best-flag consistency and (for SME) cluster-count preservation.
+    values, action ids and k against the step before, best-flag
+    consistency and (for SME) cluster-count preservation.
     """
     violations: list[str] = []
     if not records:
@@ -225,6 +227,16 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
     for rec in records[1:]:
         if "init" in rec["action"]:
             violations.append(f"step {rec['step']}: init action after step 0")
+    # Each action acts on the clusters the one before it leaves: its ids lie
+    # below that count, a split adds one cluster and a merge removes one.
+    for prev, rec in zip(records, records[1:]):
+        k = prev["k"]
+        for part in rec["action"].split("+"):
+            if any(int(i) >= k for i in _ID_RE.findall(part)):
+                violations.append(f"step {rec['step']}: {part} names a cluster id not below its k={k}")
+            k += {"split": 1, "merge": -1}.get(part[:5], 0)
+        if rec["k"] != k:
+            violations.append(f"step {rec['step']}: k={rec['k']} after k={prev['k']} and {rec['action']}, not {k}")
     # is_best marks step 0 and each strict improvement, in either orientation.
     aggregates = [rec["aggregate"] for rec in records]
     flags = [rec["is_best"] for rec in records]

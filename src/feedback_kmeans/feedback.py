@@ -20,10 +20,11 @@ hand.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -129,7 +130,11 @@ class OracleProfile:
         object.__setattr__(self, "_segment_table", np.stack([weights[seg] for seg in seg_ids]))
 
     def with_rng_seed(self, rng_seed: int) -> "OracleProfile":
-        return replace(self, rng_seed=rng_seed)
+        """This profile under another seed. Only the seed is checked: the
+        copy shares the checked weights and the segment table."""
+        profile = copy.copy(self)
+        object.__setattr__(profile, "rng_seed", as_integer("rng_seed", rng_seed))
+        return profile
 
 
 def _labels(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

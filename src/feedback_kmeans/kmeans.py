@@ -8,8 +8,12 @@ centroids only, and the repair; merge reuses the distance kernel.
 
 A Lloyd pass costs mostly numpy's fixed overhead per call, so both
 kernels keep inner loops long without changing a bit of the result:
-``squared_distances`` subtracts the centroids from contiguous copied
-point rows (k*d values per inner loop, not d), and Lloyd sums clusters
+``squared_distances`` sums each distance's squared differences in one
+fixed order of IEEE adds, einsum's two-lane order, either by einsum
+itself on small calls (below _LANE_MIN_VALUES values of n*k*d) or, from
+there on, by one add per feature pair over feature-major planes of a
+block's rows (rows values per inner loop, not d); the order, not the
+path or the CPU's SIMD width, sets the bits. Lloyd sums clusters
 from feature-major columns made once per run, in point order, with one
 size count per pass, into one buffer divided once (an empty cluster's
 NaN comes from a masked division, with no warning to silence). At k=2,
@@ -39,6 +43,12 @@ TOLERANCE = 1e-9
 # Most values a distance kernel's difference buffer holds (1 MB of
 # float64), so a pass's temporaries are O(n*k), not O(n*k*d).
 _BLOCK_VALUES = 1 << 17
+
+# Fewest n*k*d values for which ``squared_distances`` folds feature-major
+# slabs. Below it the einsum path's fewer numpy calls are faster: at d=8
+# the fold took 1.0-1.3 times einsum's time up to 12,800 values, and
+# 0.83-0.94 times at 16,384 for k >= 2 (1.1 at k=1).
+_LANE_MIN_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -71,31 +81,84 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     Computed from explicit differences (not the expanded-norm identity) so
     that exactly equal distances compare equal and ties stay deterministic.
-    The (rows, k, d) difference tensor starts as each point row copied k
-    times, contiguous, and the centroids are subtracted from it in place:
-    that subtraction runs k*d values per point in one inner loop, where the
-    broadcast ``points[:, None, :] - centroids`` runs only d. Each entry is
-    the same single subtraction either way and the einsum reduction is the
-    same, so the result is bit-identical to the broadcast form. The rows
-    are copied into a fresh buffer rather than by ``np.repeat``, which
-    first copies a read-only input whole, as every dataset's points are.
+    Each entry is its d squared differences summed in one fixed order of
+    IEEE adds, the order of numpy's einsum ``nkd,nkd->nk`` on a contiguous
+    difference tensor (two lanes, see ``_fold_lanes``), so both paths below
+    give the same bits:
 
-    The tensor is built for one block of rows at a time, in one buffer of
+    * Below _LANE_MIN_VALUES values of n*k*d, einsum itself reduces the
+      (rows, k, d) tensor, built as each point row copied k times and the
+      centroids subtracted in place (k*d values per inner loop, where the
+      broadcast ``points[:, None, :] - centroids`` runs d). Its three calls
+      cost less than the fold's ten at that size.
+    * From there on, a block's points are copied feature-major, (d, rows),
+      and each group of centroids gets a (d, group, rows) slab of squared
+      differences, from one broadcast subtraction and one multiplication,
+      that ``_fold_lanes`` sums with one add per feature pair over whole
+      (group, rows) planes: every inner loop is rows long, not d.
+
+    Either way the work runs one block of rows at a time, in one buffer of
     at most _BLOCK_VALUES values, so the call's memory is its (n, k) result
-    plus that buffer, not n*k*d values.
+    plus that buffer, not n*k*d values. The fold's blocks hold about
+    _BLOCK_VALUES // (2d) rows and as many centroids as fit beside them.
     """
     n, d = points.shape
     k = centroids.shape[0]
     out = np.empty((n, k))
-    rows = _block_rows(k * d)
-    buffer = np.empty((min(n, rows), k, d))
+    if n * k * d < _LANE_MIN_VALUES:
+        rows = _block_rows(k * d)
+        buffer = np.empty((min(n, rows), k, d))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            diff = buffer[: min(rows, n - start)]
+            diff[...] = points[block, None, :]
+            diff -= centroids
+            np.einsum("nkd,nkd->nk", diff, diff, out=out[block])
+        return out
+    rows = min(n, _block_rows(2 * d))
+    group = max(1, min(k, _BLOCK_VALUES // (d * rows) - 1))
+    buffer = np.empty(d * rows * (1 + group))
     for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        diff = buffer[: min(rows, n - start)]
-        diff[...] = points[block, None, :]
-        diff -= centroids
-        np.einsum("nkd,nkd->nk", diff, diff, out=out[block])
+        m = min(rows, n - start)
+        columns = buffer[: d * m].reshape(d, m)
+        np.copyto(columns, points[start : start + m].T)
+        for first in range(0, k, group):
+            g = min(group, k - first)
+            slab = buffer[d * m : d * m * (1 + g)].reshape(d, g, m)
+            np.subtract(columns[:, None, :], centroids.T[:, first : first + g, None], out=slab)
+            np.multiply(slab, slab, out=slab)
+            _fold_lanes(slab, out.T[first : first + g, start : start + m])
     return out
+
+
+def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
+    """out = the sum over axis 0 of squares, (d, ...), in einsum's order;
+    squares is used as scratch.
+
+    numpy's einsum sums a contiguous product in two lanes of a 128-bit
+    vector: even features in lane 0, odd in lane 1. Each chunk of four
+    feature pairs is added last pair first onto the running lanes, leftover
+    pairs follow in order, an odd last feature goes onto lane 0, and the
+    two lanes are added last; for d=8 that is
+    ``(s0 + (s2 + (s4 + s6))) + (s1 + (s3 + (s5 + s7)))``. Each add here
+    is one ``np.add`` over both lanes' planes, an IEEE add per entry, so
+    no SIMD width or dispatch changes a bit. The lanes start from squares
+    (never -0.0), which equal einsum's 0 + square.
+    """
+    d = squares.shape[0]
+    pairs = squares[: d - d % 2].reshape(d // 2, 2, *squares.shape[1:])
+    chunked = d // 2 - d // 2 % 4
+    order = [p for c in range(0, chunked, 4) for p in range(c + 3, c - 1, -1)]
+    order += range(chunked, d // 2)
+    if not order:  # d == 1
+        np.copyto(out, squares[0])
+        return
+    lanes = pairs[order[0]]
+    for p in order[1:]:
+        np.add(pairs[p], lanes, out=lanes)
+    if d % 2:
+        np.add(squares[-1], lanes[0], out=lanes[0])
+    np.add(lanes[0], lanes[1], out=out)
 
 
 def own_squared_distances(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:

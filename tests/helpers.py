@@ -95,10 +95,36 @@ def make_dataset(points, feature_names=None, **kwargs) -> Dataset:
 
 def broadcast_squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """The broadcast form of ``squared_distances``: the difference tensor
-    is ``points[:, None, :] - centroids[None, :, :]``. The reference the
-    contiguous-row kernel must equal byte for byte."""
+    is ``points[:, None, :] - centroids[None, :, :]``, reduced by einsum.
+    A reference the kernel must equal byte for byte."""
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def lane_fold_squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``squared_distances`` entry by entry in Python floats, so that the
+    kernel's summation order is pinned without numpy's einsum.
+
+    Each squared difference is one subtraction and one multiplication. The
+    squares add in two lanes, even features in lane 0 and odd in lane 1,
+    both starting from 0.0: each chunk of four feature pairs folds onto the
+    lanes last pair first, leftover pairs follow in order, an odd last
+    feature goes onto lane 0, and the sum is lane 0 + lane 1.
+    """
+    out = np.empty((points.shape[0], centroids.shape[0]))
+    for i, point in enumerate(points.tolist()):
+        for j, centroid in enumerate(centroids.tolist()):
+            squares = [(a - b) * (a - b) for a, b in zip(point, centroid)]
+            pairs = len(squares) // 2
+            chunked = pairs - pairs % 4
+            order = [p for c in range(0, chunked, 4) for p in (c + 3, c + 2, c + 1, c)]
+            lanes = [0.0, 0.0]
+            for p in order + list(range(chunked, pairs)):
+                lanes = [squares[2 * p] + lanes[0], squares[2 * p + 1] + lanes[1]]
+            if len(squares) % 2:
+                lanes[0] = squares[-1] + lanes[0]
+            out[i, j] = lanes[0] + lanes[1]
+    return out
 
 
 def weighted_rss(dataset: Dataset, assignment: np.ndarray, centroids: np.ndarray) -> float:

@@ -680,13 +680,26 @@ def test_validate_records_unit_checks():
         (2, "merge(0,0)", ["step 1: merge(0,0) does not name its pair in ascending order"]),
         (2, "split(0)+merge(3,1)", ["step 1: merge(3,1) does not name its pair in ascending order"]),
         (2, "split(0)+merge(1,2)", []),
+        (
+            2,
+            "split(9)+merge(7,8)",
+            [
+                "step 1: split(9) names a cluster id not below its k=2",
+                "step 1: merge(7,8) names a cluster id not below its k=3",
+            ],
+        ),
+        (5, "split(0)", ["step 1: k=5 after k=2 and split(0), not 3"]),
     ],
 )
 def test_validate_flags_a_step_no_engine_produces(k, action, expected):
-    # Every k is at least MIN_K, and the export writes each merge as (i, j) with i < j.
+    # Every k is at least MIN_K, the export writes each merge as (i, j) with
+    # i < j, and each action's ids lie below the k it acts on: the k before
+    # it, plus one after an SME step's split. A step that keeps k is checked
+    # as an SME step too.
     init = {"step": 0, "action": "init", "k": 2, "per_cluster_feedback": [1.0, 1.0], "aggregate": 1.0, "is_best": True}
     step = dict(init, step=1, action=action, k=k, per_cluster_feedback=[1.0] * k, is_best=False)
-    assert validate_trace_records([init, step]) == expected
+    for method in [None, "sm"] + (["sme"] if k == init["k"] else []):
+        assert validate_trace_records([init, step], method=method) == expected, method
 
 
 @pytest.mark.parametrize(

@@ -711,6 +711,15 @@ def test_rng_seed_copy_checks_its_seed():
     assert type(profile.with_rng_seed(np.uint64(3)).rng_seed) is int
 
 
+def test_rng_seed_copy_shares_the_checked_profile():
+    # Re-running the profile's checks rebuilt every weight and the table per copy.
+    profile = profile_two_segments(rng_seed=1)
+    copy = profile.with_rng_seed(5)
+    assert (copy.rng_seed, profile.rng_seed) == (5, 1)
+    assert copy._segment_table is profile._segment_table
+    assert copy.segment_weights is profile.segment_weights
+
+
 def test_profiles_compare_by_identity():
     # the generated field-wise __eq__ compared dicts of arrays and raised
     a, b = profile_two_segments(), profile_two_segments()

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import feedback_kmeans
 from feedback_kmeans import (
     KMeansConfig,
     assign_points,
@@ -20,6 +25,7 @@ from feedback_kmeans.kmeans import lloyd_history, squared_distances
 from helpers import (
     broadcast_squared_distances,
     cluster_means,
+    lane_fold_squared_distances,
     make_dataset,
     objective_sequence,
     plain_lloyd,
@@ -169,9 +175,11 @@ def test_assign_rejects_non_finite_centroids():
 def test_squared_distances_rows_do_not_depend_on_the_batch():
     # The bounded Lloyd recomputes subsets of rows, and split and merge
     # compute only the new centroids' columns; both must get the values a
-    # full pass would.
+    # full pass would. The shapes' full passes lie on both sides of the
+    # fold's crossover (n*k*d of 16,384).
     rng = np.random.default_rng(8)
-    for n, k, d in ((500, 7, 8), (40, 1, 3), (30, 16, 5), (9, 2, 1), (200, 17, 8), (60, 5, 2)):
+    shapes = ((500, 7, 8), (40, 1, 3), (30, 16, 5), (9, 2, 1), (200, 17, 8), (60, 5, 2))
+    for n, k, d in shapes + ((300, 7, 9), (60, 3, 13), (400, 4, 17), (120, 8, 17), (90, 11, 13)):
         points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
         centroids = rng.normal(size=(k, d))
         full = squared_distances(points, centroids)
@@ -183,11 +191,12 @@ def test_squared_distances_rows_do_not_depend_on_the_batch():
 
 @st.composite
 def _distance_inputs(draw):
-    """Points and centroids of n 1-200, d 1-8, k 1-20, with duplicate rows
+    """Points and centroids of n 1-200, d 1-24, k 1-20, with duplicate rows
     and coordinates from 1e-3 to 1e3, as contiguous arrays or as row and
-    column slices of larger ones."""
+    column slices of larger ones. Past d=8 a distance's sum has a second
+    chunk of four feature pairs, leftover pairs and odd last features."""
     n = draw(st.integers(1, 200))
-    d = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 24))
     k = draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sliced = draw(st.booleans())
@@ -208,13 +217,17 @@ def test_squared_distances_equals_the_broadcast_form_byte_for_byte(inputs, data)
     n, d = points.shape
     k = centroids.shape[0]
     # A block of at most half the rows, so the kernel runs several blocks
-    # and a shorter last one; below k*d values a block is one row.
+    # and a shorter last one; below k*d values a block is one row. The
+    # crossover is drawn too, so either path may take any shape.
     block_values = data.draw(st.integers(1, max(1, n * k * d // 2)), label="block_values")
+    lane_min = data.draw(st.integers(0, 2 * n * k * d), label="lane_min_values")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kmeans, "_BLOCK_VALUES", block_values)
+        patch.setattr(kmeans, "_LANE_MIN_VALUES", lane_min)
         got = squared_distances(points, centroids)
     assert got.shape == (n, k)
     assert got.tobytes() == broadcast_squared_distances(points, centroids).tobytes()
+    assert got.tobytes() == lane_fold_squared_distances(points, centroids).tobytes()
     assert got.tobytes() == squared_distances(points, centroids).tobytes()
 
 
@@ -254,6 +267,48 @@ def test_squared_distances_holds_its_result_and_one_block_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 8 * kmeans._BLOCK_VALUES + 256 * 1024
+
+
+# Distances on both sides of the fold's crossover, with per-feature scales
+# far apart, as one digest. The inputs come from uniform draws and powers
+# of two only: numpy's normal draws and exp dispatch too, so their bits
+# would differ before the kernel ran.
+_KERNEL_DIGEST = """
+import hashlib
+import numpy as np
+from feedback_kmeans.kmeans import squared_distances
+rng = np.random.default_rng(27)
+digest = hashlib.sha256()
+for n, k, d in ((3000, 5, 13), (40, 3, 8)):
+    scale = np.ldexp(1.0, rng.integers(-20, 21, size=d))
+    points, centroids = (rng.random((n, d)) - 0.5) * scale, (rng.random((k, d)) - 0.5) * scale
+    digest.update(squared_distances(points, centroids).tobytes())
+digest = digest.hexdigest()
+"""
+
+
+def test_squared_distances_do_not_depend_on_simd_dispatch():
+    # numpy picks some loops at run time by the CPU's features; a distance
+    # must come out the same with every such feature switched off.
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    dispatch = getattr(umath, "__cpu_dispatch__", None)
+    if dispatch is None:
+        pytest.skip("numpy lists no run-time dispatched CPU features (__cpu_dispatch__)")
+    enabled = [f for f in dispatch if umath.__cpu_features__.get(f)]
+    if not enabled:
+        pytest.skip("this CPU enables none of numpy's run-time dispatched features")
+    env = {key: value for key, value in os.environ.items() if key != "NPY_ENABLE_CPU_FEATURES"}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(enabled)
+    package_root = str(Path(feedback_kmeans.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    report = f"from {umath.__name__} import __cpu_features__ as on\nprint(digest, [f for f in {enabled!r} if on[f]])"
+    result = subprocess.run(
+        [sys.executable, "-c", _KERNEL_DIGEST + report], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    here = {}
+    exec(_KERNEL_DIGEST, here)
+    assert result.stdout.split(" ", 1) == [here["digest"], "[]\n"]
 
 
 def _generic_nearest_with_bounds(points, centroids):
