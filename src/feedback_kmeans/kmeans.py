@@ -9,18 +9,16 @@ centroids only, and the repair; merge reuses the distance kernel.
 A Lloyd pass costs mostly numpy's fixed overhead per call, so both
 kernels keep inner loops long without changing a bit of the result:
 ``squared_distances`` sums each distance's squared differences in one
-fixed order of IEEE adds, einsum's two-lane order, either by einsum
-itself on small calls (below _LANE_MIN_VALUES values of n*k*d) or, from
-there on, by one add per feature pair over feature-major planes of a
-block's rows (rows values per inner loop, not d); the order, not the
-path or the CPU's SIMD width, sets the bits. Lloyd sums clusters
-from feature-major columns made once per run, in point order, with one
-size count per pass, into one buffer divided once (an empty cluster's
-NaN comes from a masked division, with no warning to silence). At k=2,
-the split's 2-means and its children's assignment pass, the nearest
-centroid and both bounds come from elementwise column operations, and
-the initial draw lists the distinct rows by marking their ids, with no
-sort.
+fixed order of IEEE adds, numpy einsum's two-lane order, by one add per
+feature pair over feature-major planes of a block's rows (rows values per
+inner loop, not d); the order, not the CPU's SIMD width or the batch, sets
+the bits. Lloyd sums clusters from feature-major columns made once per
+run, in point order, with one size count per pass, into one buffer
+divided once (an empty cluster's NaN comes from a masked division, with
+no warning to silence). At k=2, the split's 2-means and its children's
+assignment pass, the nearest centroid and both bounds come from
+elementwise column operations, and the initial draw lists the distinct
+rows by marking their ids, with no sort.
 
 The distance kernels build their differences one block of rows at a time,
 in one buffer of at most _BLOCK_VALUES values, so a pass's temporaries are
@@ -30,6 +28,7 @@ a list of per-centroid rows (``operators.distance_rows``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,6 @@ TOLERANCE = 1e-9
 # Most values a distance kernel's difference buffer holds (1 MB of
 # float64), so a pass's temporaries are O(n*k), not O(n*k*d).
 _BLOCK_VALUES = 1 << 17
-
-# Fewest n*k*d values for which ``squared_distances`` folds feature-major
-# slabs. Below it the einsum path's fewer numpy calls are faster: at d=8
-# the fold took 1.0-1.3 times einsum's time up to 12,800 values, and
-# 0.83-0.94 times at 16,384 for k >= 2 (1.1 at k=1).
-_LANE_MIN_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,41 +75,28 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Computed from explicit differences (not the expanded-norm identity) so
     that exactly equal distances compare equal and ties stay deterministic.
     Each entry is its d squared differences summed in one fixed order of
-    IEEE adds, the order of numpy's einsum ``nkd,nkd->nk`` on a contiguous
-    difference tensor (two lanes, see ``_fold_lanes``), so both paths below
-    give the same bits:
+    IEEE adds, the order in which numpy's einsum ``nkd,nkd->nk`` sums a
+    contiguous difference tensor (two lanes, see ``_fold_lanes``). Each
+    multiply and add is its own ufunc call, never a fused multiply-add, so
+    an entry's bits depend neither on the batch it is computed in nor on
+    the CPU's SIMD features; where einsum's own loop does not fuse them
+    (numpy's x86-64 baseline), they are einsum's bits.
 
-    * Below _LANE_MIN_VALUES values of n*k*d, einsum itself reduces the
-      (rows, k, d) tensor, built as each point row copied k times and the
-      centroids subtracted in place (k*d values per inner loop, where the
-      broadcast ``points[:, None, :] - centroids`` runs d). Its three calls
-      cost less than the fold's ten at that size.
-    * From there on, a block's points are copied feature-major, (d, rows),
-      and each group of centroids gets a (d, group, rows) slab of squared
-      differences, from one broadcast subtraction and one multiplication,
-      that ``_fold_lanes`` sums with one add per feature pair over whole
-      (group, rows) planes: every inner loop is rows long, not d.
-
-    Either way the work runs one block of rows at a time, in one buffer of
-    at most _BLOCK_VALUES values, so the call's memory is its (n, k) result
-    plus that buffer, not n*k*d values. The fold's blocks hold about
-    _BLOCK_VALUES // (2d) rows and as many centroids as fit beside them.
+    A block's points are copied feature-major, (d, rows), and each group of
+    centroids gets a (d, group, rows) slab of squared differences, from one
+    broadcast subtraction and one multiplication, that ``_fold_lanes`` sums
+    with one add per feature pair over whole (group, rows) planes: every
+    inner loop is rows long, not d. The work runs one block of rows at a
+    time, in one buffer of at most _BLOCK_VALUES values, so the call's
+    memory is its (n, k) result plus that buffer, not n*k*d values. A block
+    holds about _BLOCK_VALUES // (2d) rows and as many centroids as fit
+    beside them.
     """
     n, d = points.shape
     k = centroids.shape[0]
     out = np.empty((n, k))
-    if n * k * d < _LANE_MIN_VALUES:
-        rows = _block_rows(k * d)
-        buffer = np.empty((min(n, rows), k, d))
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            diff = buffer[: min(rows, n - start)]
-            diff[...] = points[block, None, :]
-            diff -= centroids
-            np.einsum("nkd,nkd->nk", diff, diff, out=out[block])
-        return out
-    rows = min(n, _block_rows(2 * d))
-    group = max(1, min(k, _BLOCK_VALUES // (d * rows) - 1))
+    rows = max(1, min(n, _block_rows(2 * d)))
+    group = max(1, min(k, _BLOCK_VALUES // max(1, d * rows) - 1))
     buffer = np.empty(d * rows * (1 + group))
     for start in range(0, n, rows):
         m = min(rows, n - start)
@@ -129,6 +109,15 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             np.multiply(slab, slab, out=slab)
             _fold_lanes(slab, out.T[first : first + g, start : start + m])
     return out
+
+
+@functools.cache
+def _lane_order(d: int) -> tuple[int, ...]:
+    """The feature pairs of d features in the order einsum adds them onto
+    its two lanes: each chunk of four last pair first, then the rest."""
+    chunked = d // 2 - d // 2 % 4
+    order = [p for c in range(0, chunked, 4) for p in range(c + 3, c - 1, -1)]
+    return (*order, *range(chunked, d // 2))
 
 
 def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
@@ -147,11 +136,9 @@ def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
     """
     d = squares.shape[0]
     pairs = squares[: d - d % 2].reshape(d // 2, 2, *squares.shape[1:])
-    chunked = d // 2 - d // 2 % 4
-    order = [p for c in range(0, chunked, 4) for p in range(c + 3, c - 1, -1)]
-    order += range(chunked, d // 2)
-    if not order:  # d == 1
-        np.copyto(out, squares[0])
+    order = _lane_order(d)
+    if not order:  # d <= 1: the one square, or 0.0
+        np.add.reduce(squares, axis=0, out=out)
         return
     lanes = pairs[order[0]]
     for p in order[1:]:
@@ -350,7 +337,8 @@ def lloyd_history(
             history.append(len(points))
         else:
             rows = stale.nonzero()[0]
-            assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
+            if rows.size:
+                assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
             history.append(rows.size)
         counts = np.bincount(assignment, minlength=config.k)
         repaired = bool((counts == 0).any())
