@@ -6,24 +6,30 @@ repair) as kernels that take arrays; only the entry points ``lloyd*`` and
 on members of it. Split reuses the assignment pass, against its two new
 centroids only, and the repair; merge reuses the distance kernel.
 
-A Lloyd pass costs mostly numpy's fixed overhead per call, so both
-kernels keep inner loops long without changing a bit of the result:
-``squared_distances`` sums each distance's squared differences in one
-fixed order of IEEE adds, numpy einsum's two-lane order, by one add per
-feature pair over feature-major planes of a block's rows (rows values per
-inner loop, not d); the order, not the CPU's SIMD width or the batch, sets
-the bits. Lloyd sums clusters from feature-major columns made once per
-run, in point order, with one size count per pass, into one buffer
-divided once (an empty cluster's NaN comes from a masked division, with
-no warning to silence). At k=2, the split's 2-means and its children's
-assignment pass, the nearest centroid and both bounds come from
-elementwise column operations, and the initial draw lists the distinct
-rows by marking their ids, with no sort.
+A Lloyd pass costs mostly numpy's fixed overhead per call and memory
+layout, so the kernels keep inner loops long without changing a bit of
+the result. Distances go feature-major columns in, centroid-major rows
+out: ``column_distances`` reads (d, n) columns and writes a (k, n) result
+whose rows are each centroid's distances, summing each distance's squared
+differences in one fixed order of IEEE adds, numpy einsum's two-lane
+order, by one add per feature pair over whole rows of the block (rows
+values per inner loop, not d); the order, not the CPU's SIMD width or the
+batch, sets the bits. Lloyd hands the kernel the columns it keeps for its
+centroid sums, so a full pass copies no point and a stale-row pass
+gathers its rows' columns once; ``squared_distances`` hands it the
+transpose of row-major points and returns the (n, k) transpose of the
+result. One scan over the result's rows, ``nearest_rows``, gives every
+pass its nearest ids and Lloyd its two bounds. Lloyd sums clusters from
+the same columns, in point order, into one buffer divided once (an empty
+cluster's NaN comes from a masked division, with no warning to silence);
+its cluster sizes follow the recomputed rows by integer arithmetic. The
+initial draw lists the distinct rows by marking their ids, with no sort.
 
-The distance kernels build their differences one block of rows at a time,
-in one buffer of at most _BLOCK_VALUES values, so a pass's temporaries are
-its O(n*k) result plus that fixed buffer. A run carries its distances as
-a list of per-centroid rows (``operators.distance_rows``).
+The distance kernels build their squared differences one block of rows
+at a time, in one buffer of at most _BLOCK_VALUES values, so a pass's
+temporaries are its O(n*k) result plus that fixed buffer. A run carries
+its distances as a list of per-centroid rows, the rows of kernel results
+(``operators.distance_rows``).
 """
 
 from __future__ import annotations
@@ -70,7 +76,15 @@ def _block_rows(width: int) -> int:
 
 
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of squared Euclidean distances between float64 rows.
+    """(n, k) matrix of squared Euclidean distances between float64 rows:
+    the transpose view of ``column_distances(points.T, centroids)``."""
+    return column_distances(points.T, centroids).T
+
+
+def column_distances(columns: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(k, n) squared Euclidean distances from the (d, n) feature columns of
+    n points to k float64 centroid rows: row c holds every point's distance
+    to centroid c.
 
     Computed from explicit differences (not the expanded-norm identity) so
     that exactly equal distances compare equal and ties stay deterministic.
@@ -82,32 +96,32 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     the CPU's SIMD features; where einsum's own loop does not fuse them
     (numpy's x86-64 baseline), they are einsum's bits.
 
-    A block's points are copied feature-major, (d, rows), and each group of
-    centroids gets a (d, group, rows) slab of squared differences, from one
+    The columns are read in place, contiguous (Lloyd's own) or not (the
+    transpose of row-major points). Each group of centroids gets a (d,
+    group, rows) slab of squared differences over a block of rows, from one
     broadcast subtraction and one multiplication, that ``_fold_lanes`` sums
-    with one add per feature pair over whole (group, rows) planes: every
-    inner loop is rows long, not d. The work runs one block of rows at a
-    time, in one buffer of at most _BLOCK_VALUES values, so the call's
-    memory is its (n, k) result plus that buffer, not n*k*d values. A block
-    holds about _BLOCK_VALUES // (2d) rows and as many centroids as fit
-    beside them.
+    with one add per feature pair over whole (group, rows) planes straight
+    into the result's rows: every inner loop is rows long, not d. The slab
+    is the call's one buffer, of at most _BLOCK_VALUES values, so the
+    call's memory is its (k, n) result plus that buffer, not n*k*d values.
+    A block holds at most _BLOCK_VALUES // (2d) rows, so a group holds two
+    centroids at that size and more in a shorter call.
     """
-    n, d = points.shape
+    d, n = columns.shape
     k = centroids.shape[0]
-    out = np.empty((n, k))
+    out = np.empty((k, n))
     rows = max(1, min(n, _block_rows(2 * d)))
-    group = max(1, min(k, _BLOCK_VALUES // max(1, d * rows) - 1))
-    buffer = np.empty(d * rows * (1 + group))
+    group = max(1, min(k, _BLOCK_VALUES // max(1, d * rows)))
+    buffer = np.empty(d * rows * group)
     for start in range(0, n, rows):
         m = min(rows, n - start)
-        columns = buffer[: d * m].reshape(d, m)
-        np.copyto(columns, points[start : start + m].T)
+        block = columns[:, None, start : start + m]
         for first in range(0, k, group):
             g = min(group, k - first)
-            slab = buffer[d * m : d * m * (1 + g)].reshape(d, g, m)
-            np.subtract(columns[:, None, :], centroids.T[:, first : first + g, None], out=slab)
+            slab = buffer[: d * g * m].reshape(d, g, m)
+            np.subtract(block, centroids.T[:, first : first + g, None], out=slab)
             np.multiply(slab, slab, out=slab)
-            _fold_lanes(slab, out.T[first : first + g, start : start + m])
+            _fold_lanes(slab, out[first : first + g, start : start + m])
     return out
 
 
@@ -133,38 +147,56 @@ def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
     is one ``np.add`` over both lanes' planes, an IEEE add per entry, so
     no SIMD width or dispatch changes a bit. The lanes start from squares
     (never -0.0), which equal einsum's 0 + square.
+
+    Where a point's features are adjacent in memory (squares the transpose
+    of row-major rows), numpy would run each add's inner loop over a pair's
+    two lanes; there each pair is read as one complex number, lane 0 its
+    real part, whose add is the two lanes' IEEE adds with an inner loop
+    over points, into a contiguous lane buffer.
     """
     d = squares.shape[0]
-    pairs = squares[: d - d % 2].reshape(d // 2, 2, *squares.shape[1:])
     order = _lane_order(d)
     if not order:  # d <= 1: the one square, or 0.0
         np.add.reduce(squares, axis=0, out=out)
         return
-    lanes = pairs[order[0]]
-    for p in order[1:]:
+    first, *rest = order
+    even = squares[: d - d % 2]
+    if squares.strides[0] == squares.itemsize:
+        pairs = np.moveaxis(np.moveaxis(even, 0, -1).view(np.complex128), -1, 0)
+        lanes = np.add(pairs[rest.pop(0)], pairs[first]) if rest else pairs[first]
+        lane0, lane1 = lanes.real, lanes.imag
+    else:
+        pairs = even.reshape(d // 2, 2, *squares.shape[1:])
+        lanes = pairs[first]
+        lane0, lane1 = lanes
+    for p in rest:
         np.add(pairs[p], lanes, out=lanes)
     if d % 2:
-        np.add(squares[-1], lanes[0], out=lanes[0])
-    np.add(lanes[0], lanes[1], out=out)
+        np.add(squares[-1], lane0, out=lane0)
+    np.add(lane0, lane1, out=out)
 
 
 def own_squared_distances(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """(n,) squared distance of each point to its own centroid,
-    centroids[assignment], in the row blocks of ``squared_distances``.
+    centroids[assignment]; assignment must hold valid ids.
 
-    Bit-identical to ``einsum("nd,nd->n", diff, diff)`` of the whole
-    ``points - centroids[assignment]``; assignment must hold valid ids.
+    Each entry is the ``column_distances`` entry of its pair, bit for bit:
+    the squared differences ``(points - centroids[assignment])**2`` of a
+    block of rows are summed by ``_fold_lanes`` over their feature-major
+    view. A block holds about _BLOCK_VALUES // (2d) rows, so its squares
+    and the fold's lane buffer (two values a row) fit in _BLOCK_VALUES.
     """
     n, d = points.shape
     out = np.empty(n)
-    rows = _block_rows(d)
+    rows = _block_rows(2 * d)
     buffer = np.empty((min(n, rows), d))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        diff = buffer[: min(rows, n - start)]
-        np.take(centroids, assignment[block], axis=0, out=diff, mode="clip")
-        np.subtract(points[block], diff, out=diff)
-        np.einsum("nd,nd->n", diff, diff, out=out[block])
+        squares = buffer[: min(rows, n - start)]
+        np.take(centroids, assignment[block], axis=0, out=squares, mode="clip")
+        np.subtract(points[block], squares, out=squares)
+        np.multiply(squares, squares, out=squares)
+        _fold_lanes(squares.T, out[block])
     return out
 
 
@@ -196,7 +228,9 @@ def assign_points(
     """Index of the nearest centroid per point; ties go to the lowest index.
 
     With return_distances, returns (assignment, distances), distances being
-    the (n, k) ``squared_distances`` matrix the assignment was taken from.
+    the (n, k) ``squared_distances`` matrix the assignment was taken from:
+    the transpose view of a (k, n) ``column_distances`` result, whose rows
+    ``nearest_rows`` scanned.
     """
     centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
     if centroids.shape[0] == 0:
@@ -208,9 +242,9 @@ def assign_points(
     if not np.isfinite(centroids).all():
         bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
         raise ValueError(f"centroids must be finite: row(s) {bad[:5].tolist()} are not")
-    d2 = squared_distances(dataset.points, centroids)
-    assignment = _nearest_ids(d2).astype(np.int64, copy=False)
-    return (assignment, d2) if return_distances else assignment
+    d2 = column_distances(dataset.points.T, centroids)
+    assignment = nearest_rows(d2)[0]
+    return (assignment, d2.T) if return_distances else assignment
 
 
 def update_centroids(columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -262,31 +296,43 @@ def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarr
     return Clustering.adopt(assignment, centroids)
 
 
-def _nearest_ids(d2: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row of an (n, k) distance matrix, ties to the
-    lowest index, as ``d2.argmin(axis=1)``. At k=2, a split's case, one
-    column compare gives argmin's array without its per-row calls."""
-    if d2.shape[1] == 2:
-        return (d2[:, 1] < d2[:, 0]).astype(np.intp)
-    return d2.argmin(axis=1)
+def nearest_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid per point of k >= 1 distance rows, a (k, n) array
+    or a list of (n,) rows: (nearest, best, second), the int64 nearest id
+    (ties to the lowest id), its distance and the second-smallest distance
+    (inf for k=1), as ``argmin`` and ``partition(1)`` over the stacked rows
+    give them, bit for bit.
+
+    One scan over the rows, each an elementwise pass over n points: rows 0
+    and 1 give the first best and second by a compare, a minimum and a
+    maximum, and each later row moves a point only when it is strictly
+    smaller than the running best.
+    """
+    first = rows[0]
+    if len(rows) == 1:
+        return np.zeros(first.size, dtype=np.int64), first.copy(), np.full(first.size, np.inf)
+    closer = np.less(rows[1], first)
+    nearest = closer.astype(np.int64)
+    best = np.minimum(first, rows[1])
+    second = np.maximum(first, rows[1])
+    above = np.empty_like(best)
+    for cid in range(2, len(rows)):
+        row = rows[cid]
+        # The new second is the old second, or the larger of the old best and the row.
+        np.maximum(best, row, out=above)
+        np.minimum(second, above, out=second)
+        np.less(row, best, out=closer)
+        np.putmask(nearest, closer, cid)
+        np.minimum(best, row, out=best)
+    return nearest, best, second
 
 
-def _nearest_with_bounds(
-    points: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest centroid per row (ties to the lowest index), the distance to
-    it and the distance to the second-nearest centroid (inf for k=1). At
-    k=2 the bounds, like the nearest ids, come from column operations in
-    place of partition's per-row calls."""
-    d2 = squared_distances(points, centroids)
-    nearest = _nearest_ids(d2)
-    if centroids.shape[0] == 2:
-        c0, c1 = d2[:, 0], d2[:, 1]
-        return nearest, np.sqrt(np.minimum(c0, c1)), np.sqrt(np.maximum(c0, c1))
-    if centroids.shape[0] == 1:
-        return nearest, np.sqrt(d2[:, 0]), np.full(d2.shape[0], np.inf)
-    d2.partition(1, axis=1)
-    return nearest, np.sqrt(d2[:, 0]), np.sqrt(d2[:, 1])
+def _bounds(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's per-point state from a (k, n) distance result: the nearest
+    ids, the distance to the nearest centroid (the upper bound) and to the
+    second-nearest (the lower bound), as square roots taken in place."""
+    nearest, best, second = nearest_rows(distances)
+    return nearest, np.sqrt(best, out=best), np.sqrt(second, out=second)
 
 
 # A row is recomputed unless its upper bound is below its lower bound by
@@ -317,7 +363,7 @@ def lloyd_history(
         points, row_ids = points[members], row_ids[members]
     columns = np.ascontiguousarray(points.T)
     centroids = init_centroids(points, row_ids, config.k, config.seed)
-    assignment, upper, lower = _nearest_with_bounds(points, centroids)
+    assignment, upper, lower = _bounds(column_distances(columns, centroids))
     # Centroids are distinct data points, so each owns at least itself and
     # the first assignment cannot leave a cluster empty.
     counts = np.bincount(assignment, minlength=config.k)
@@ -333,14 +379,17 @@ def lloyd_history(
         lower -= moved.max()
         stale = upper >= lower * _SLACK
         if stale.all():
-            assignment, upper, lower = _nearest_with_bounds(points, centroids)
+            assignment, upper, lower = _bounds(column_distances(columns, centroids))
+            counts = np.bincount(assignment, minlength=config.k)
             history.append(len(points))
         else:
             rows = stale.nonzero()[0]
             if rows.size:
-                assignment[rows], upper[rows], lower[rows] = _nearest_with_bounds(points[rows], centroids)
+                old = assignment[rows]
+                new, upper[rows], lower[rows] = _bounds(column_distances(columns.take(rows, axis=1), centroids))
+                assignment[rows] = new
+                counts += np.bincount(new, minlength=config.k) - np.bincount(old, minlength=config.k)
             history.append(rows.size)
-        counts = np.bincount(assignment, minlength=config.k)
         repaired = bool((counts == 0).any())
         if repaired:
             clustering = repair_empty(points, assignment, centroids)

@@ -12,9 +12,10 @@ return the new clustering's list with it: the removed centroids' rows
 leave and the new centroids' rows are appended, so an operator computes
 and allocates only its new rows (for a split, by an ``assign_points`` pass
 against the two children) and keeps the input's own arrays for the rest.
-Each row equals the column a full ``squared_distances`` call would give,
-bit for bit, so the split's nearest-centroid scan over the rows is the
-full reassignment's.
+New rows are the rows of a ``column_distances`` result, not copies. Each
+row equals the column a full ``squared_distances`` call would give, bit
+for bit, so the split's ``nearest_rows`` scan over the rows is the full
+reassignment's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .core import Clustering, Dataset, FeedbackReport
-from .kmeans import KMeansConfig, assign_points, lloyd, repair_empty, squared_distances
+from .kmeans import KMeansConfig, assign_points, column_distances, lloyd, nearest_rows, repair_empty
 
 MIN_K = 2  # fewest clusters any clustering may have; no merge goes below it
 
@@ -63,8 +64,9 @@ def bisect_cluster(
 
 def distance_rows(dataset: Dataset, centroids: np.ndarray) -> list[np.ndarray]:
     """The distances the operators carry: one contiguous (n,) array per
-    centroid, in centroid order, each a column of ``squared_distances``."""
-    return [np.ascontiguousarray(column) for column in squared_distances(dataset.points, centroids).T]
+    centroid, in centroid order, the rows of one ``column_distances``
+    result (each a column of ``squared_distances``)."""
+    return list(column_distances(dataset.points.T, centroids))
 
 
 def _relabel(
@@ -92,21 +94,6 @@ def _relabel(
     return np.vstack([clustering.centroids[kept], new_centroids]), rows, remap
 
 
-def _nearest(distances: list[np.ndarray]) -> np.ndarray:
-    """Nearest centroid per point of the distance rows, ties to the lowest
-    id, as an argmin over the stacked rows: a scan over the rows keeps the
-    running minimum, and only a strictly smaller distance moves a point."""
-    nearest = np.zeros(distances[0].size, dtype=np.int64)
-    best = distances[0].copy()
-    closer = np.empty(distances[0].size, dtype=bool)
-    for cid in range(1, len(distances)):
-        row = distances[cid]
-        np.less(row, best, out=closer)
-        np.putmask(nearest, closer, cid)
-        np.minimum(best, row, out=best)
-    return nearest
-
-
 def split_cluster(
     dataset: Dataset, clustering: Clustering, distances: list[np.ndarray], target: int, seed: int
 ) -> tuple[Clustering, list[np.ndarray]]:
@@ -114,10 +101,10 @@ def split_cluster(
     cluster as the set of points sharing the same closest centroid.
 
     distances are the clustering's distance rows. The target's row is
-    replaced by the two children's, contiguous copies of the columns of
-    one ``assign_points`` pass against the children alone, and the single
-    global assignment pass (no centroid update afterwards) is the nearest
-    centroid over the result's rows, ties to the lowest id; it may move
+    replaced by the two children's, the rows of one ``assign_points`` pass
+    against the children alone, and the single global assignment pass (no
+    centroid update afterwards) is the nearest centroid over the result's
+    rows, ties to the lowest id (``nearest_rows``); it may move
     points between any clusters, and clusters emptied by it are repaired,
     with their rows recomputed. Returns the clustering, with k+1 clusters,
     and its rows.
@@ -126,9 +113,8 @@ def split_cluster(
         raise ValueError(f"split target {target} out of range for k={clustering.k}")
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
-    child_rows = [np.ascontiguousarray(column) for column in child_columns.T]
-    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, child_rows)
-    assignment = _nearest(distances)
+    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, list(child_columns.T))
+    assignment = nearest_rows(distances)[0]
     empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:
         repaired = repair_empty(dataset.points, assignment, new_centroids)

@@ -33,6 +33,7 @@ from feedback_kmeans.kmeans import (
     init_centroids,
     lloyd_history,
     repair_empty,
+    squared_distances,
     update_centroids,
 )
 from feedback_kmeans.rng import derive_seed, substream
@@ -144,16 +145,22 @@ def cluster_means(dataset: Dataset, assignment, k: int) -> np.ndarray:
 
 def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int]:
     """Lloyd with a full nearest-centroid pass on every iteration: the
-    reference the bounded loop must equal. Returns (clustering, iterations)."""
+    reference the bounded loop must equal. Returns (clustering, iterations).
+    Its passes take numpy's argmin of the distance matrix, not the row scan
+    Lloyd and ``assign_points`` share."""
+
+    def nearest(centroids):
+        return squared_distances(dataset.points, centroids).argmin(axis=1)
+
     centroids = init_centroids(dataset.points, dataset.row_ids, config.k, config.seed)
-    assignment = assign_points(dataset, centroids)
+    assignment = nearest(centroids)
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
         new_centroids = cluster_means(dataset, assignment, config.k)
         shift = float(np.max(np.einsum("kd,kd->k", new_centroids - centroids, new_centroids - centroids)))
         centroids = new_centroids
-        assignment = assign_points(dataset, centroids)
+        assignment = nearest(centroids)
         repaired = bool((np.bincount(assignment, minlength=config.k) == 0).any())
         if repaired:
             clustering = repair_empty(dataset.points, assignment, centroids)

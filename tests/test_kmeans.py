@@ -242,7 +242,11 @@ def test_own_squared_distances_equal_the_whole_difference_byte_for_byte(inputs, 
         patch.setattr(kmeans, "_BLOCK_VALUES", block_values)
         got = kmeans.own_squared_distances(points, centroids, assignment)
     diff = points - centroids[assignment]
+    # einsum's loop may fuse a multiply and an add (see the kernel's test);
+    # the Python reference pins the order regardless.
     assert got.tobytes() == np.einsum("nd,nd->n", diff, diff).tobytes()
+    own = [lane_fold_squared_distances(point[None], centroids[[cid]])[0, 0] for point, cid in zip(points, assignment)]
+    assert got.tobytes() == np.array(own).tobytes()
 
 
 def test_squared_distances_of_no_points_or_no_centroids():
@@ -325,39 +329,42 @@ def test_squared_distances_do_not_depend_on_simd_dispatch():
     assert result.stdout.split(" ", 1) == [here["digest"], "[]\n"]
 
 
-def _generic_nearest_with_bounds(points, centroids):
-    # The k-generic path: argmin for the nearest, partition for the two
-    # smallest distances.
-    d2 = squared_distances(points, centroids)
-    nearest = d2.argmin(axis=1)
-    d2.partition(1, axis=1)
-    return nearest, np.sqrt(d2[:, 0]), np.sqrt(d2[:, 1])
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     n=st.integers(min_value=1, max_value=200),
     d=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=12),
     grid=st.booleans(),
-    from_points=st.booleans(),
+    as_list=st.booleans(),
 )
-def test_nearest_at_k2_equals_the_generic_path_bit_for_bit(seed, n, d, grid, from_points):
+def test_nearest_rows_equal_argmin_and_partition_bit_for_bit(seed, n, d, k, grid, as_list):
+    # Integer-grid points and centroids, some centroids repeated: most
+    # points are equally near several centroids, and the best and second
+    # distances are often equal.
     rng = np.random.default_rng(seed)
-    if grid:  # duplicate-heavy, with exact distance ties
+    if grid:
         points = rng.integers(0, 3, size=(n, d)).astype(float)
+        centroids = rng.integers(0, 3, size=(k, d)).astype(float)
+        centroids[rng.random(k) < 0.3] = centroids[0]
     else:
         points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
-    if from_points:  # centroids on data rows, possibly equal ones
-        centroids = points[rng.integers(0, n, size=2)]
-    elif grid:
-        centroids = rng.integers(0, 3, size=(2, d)).astype(float)
+        centroids = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4)
+    result = kmeans.column_distances(points.T, centroids)  # (k, n)
+    rows = [row.copy() for row in result] if as_list else result
+    nearest, best, second = kmeans.nearest_rows(rows)
+    d2 = squared_distances(points, centroids)
+    assert np.stack(list(rows)).tobytes() == d2.T.tobytes()  # the rows are left as they were
+    assert nearest.dtype == np.int64
+    assert nearest.tobytes() == d2.argmin(axis=1).astype(np.int64).tobytes()
+    if k == 1:
+        expected_best, expected_second = d2[:, 0], np.full(n, np.inf)
     else:
-        centroids = rng.normal(size=(2, d))
-    got = kmeans._nearest_with_bounds(points, centroids)
-    expected = _generic_nearest_with_bounds(points, centroids)
-    for a, b in zip(got, expected):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        d2.partition(1, axis=1)
+        expected_best, expected_second = d2[:, 0], d2[:, 1]
+    assert best.tobytes() == expected_best.tobytes()
+    assert second.tobytes() == expected_second.tobytes()
+    assert not np.shares_memory(best, result) and not np.shares_memory(second, result)
 
 
 # ---------------------------------------------------------------- update

@@ -306,24 +306,20 @@ def test_operators_reject_a_distance_matrix_of_another_shape():
             merge_pair(ds, clustering, bad, 0, 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    n=st.integers(min_value=1, max_value=200),
-    d=st.integers(min_value=1, max_value=4),
-    k=st.integers(min_value=1, max_value=12),
-)
-def test_row_scan_nearest_equals_argmin_on_tied_grid_data(seed, n, d, k):
-    # Integer-grid points and centroids, repeated centroids among them:
-    # most points are equally near several centroids.
-    rng = np.random.default_rng(seed)
-    points = rng.integers(0, 3, size=(n, d)).astype(float)
-    centroids = rng.integers(0, 3, size=(k, d)).astype(float)
-    centroids[rng.random(k) < 0.3] = centroids[0]
-    d2 = squared_distances(points, centroids)
-    got = operators._nearest(list(np.ascontiguousarray(d2.T)))
-    assert got.dtype == np.int64
-    assert got.tobytes() == d2.argmin(axis=1).astype(np.int64).tobytes()
+def test_new_rows_are_the_rows_of_one_kernel_result_not_copies():
+    ds, clustering = clustering_with_sizes([3, 4, 2])
+    rows = distances_of(ds, clustering)
+    result = rows[0].base
+    assert result.shape == (clustering.k, ds.n_points) and result.flags.c_contiguous
+    assert all(row.flags.c_contiguous and row.base is result for row in rows)
+    assert all(np.shares_memory(row, result) for row in rows)
+    out, grown = split_cluster(ds, clustering, rows, target=1, seed=0)
+    assert out.k == 4 and [row is rows[cid] for row, cid in zip(grown, (0, 2))] == [True, True]
+    children = grown[2:]
+    assert all(row.flags.c_contiguous for row in children)
+    assert children[0].base is children[1].base
+    assert children[0].base.shape == (2, ds.n_points)
+    assert row_bytes(grown) == row_bytes(distances_of(ds, out))
 
 
 @pytest.fixture(scope="module")
