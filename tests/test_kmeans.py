@@ -367,6 +367,43 @@ def test_nearest_rows_equal_argmin_and_partition_bit_for_bit(seed, n, d, k, grid
     assert not np.shares_memory(best, result) and not np.shares_memory(second, result)
 
 
+
+def _generic_nearest_with_bounds(points, centroids):
+    # The k-generic path: argmin for the nearest, partition for the two
+    # smallest squared distances.
+    d2 = squared_distances(points, centroids)
+    nearest = d2.argmin(axis=1).astype(np.int64)
+    d2.partition(1, axis=1)
+    return nearest, d2[:, 0], d2[:, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=200),
+    d=st.integers(min_value=1, max_value=6),
+    grid=st.booleans(),
+    from_points=st.booleans(),
+)
+def test_nearest_at_k2_equals_the_generic_path_bit_for_bit(seed, n, d, grid, from_points):
+    # At k=2 the row scan is one compare, one minimum and one maximum.
+    rng = np.random.default_rng(seed)
+    if grid:  # duplicate-heavy, with exact distance ties
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    if from_points:  # centroids on data rows, possibly equal ones
+        centroids = points[rng.integers(0, n, size=2)]
+    elif grid:
+        centroids = rng.integers(0, 3, size=(2, d)).astype(float)
+    else:
+        centroids = rng.normal(size=(2, d))
+    got = kmeans.nearest_rows(kmeans.column_distances(np.ascontiguousarray(points.T), centroids))
+    expected = _generic_nearest_with_bounds(points, centroids)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------- update
 
 def test_update_single_cluster_mean():

@@ -322,6 +322,28 @@ def test_new_rows_are_the_rows_of_one_kernel_result_not_copies():
     assert row_bytes(grown) == row_bytes(distances_of(ds, out))
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=200),
+    d=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=12),
+)
+def test_row_scan_nearest_equals_argmin_on_tied_grid_data(seed, n, d, k):
+    # Integer-grid points and centroids, repeated centroids among them:
+    # most points are equally near several centroids. Split and merge take
+    # their ids from this scan over a list of distance rows.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 3, size=(n, d)).astype(float)
+    centroids = rng.integers(0, 3, size=(k, d)).astype(float)
+    centroids[rng.random(k) < 0.3] = centroids[0]
+    d2 = squared_distances(points, centroids)
+    got, _, _ = kmeans.nearest_rows(list(np.ascontiguousarray(d2.T)))
+    assert got.dtype == np.int64
+    assert got.tobytes() == d2.argmin(axis=1).astype(np.int64).tobytes()
+
+
 @pytest.fixture(scope="module")
 def large_clustering():
     """20k generated points in 16 clusters with their exact means, and the
