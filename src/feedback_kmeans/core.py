@@ -226,6 +226,16 @@ class Dataset:
         return ids
 
     @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """The points feature-major: a C-contiguous read-only (d, n) copy of
+        points.T, the distance kernels' input, computed on first use and
+        then cached like row_ids. It costs n*d*8 bytes, held for the
+        dataset's life."""
+        columns = np.ascontiguousarray(self.points.T)
+        columns.setflags(write=False)
+        return columns
+
+    @functools.cached_property
     def booking_rank(self) -> np.ndarray:
         """Point indices by descending bookings, ties by lowest index,
         computed on first use and then cached like row_ids."""

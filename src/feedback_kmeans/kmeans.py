@@ -14,16 +14,20 @@ whose rows are each centroid's distances, summing each distance's squared
 differences in one fixed order of IEEE adds, numpy einsum's two-lane
 order, by one add per feature pair over whole rows of the block (rows
 values per inner loop, not d); the order, not the CPU's SIMD width or the
-batch, sets the bits. Lloyd hands the kernel the columns it keeps for its
-centroid sums, so a full pass copies no point and a stale-row pass
-gathers its rows' columns once; ``squared_distances`` hands it the
-transpose of row-major points and returns the (n, k) transpose of the
-result. One scan over the result's rows, ``nearest_rows``, gives every
-pass its nearest ids and Lloyd its two bounds. Lloyd sums clusters from
-the same columns, in point order, into one buffer divided once (an empty
-cluster's NaN comes from a masked division, with no warning to silence);
-its cluster sizes follow the recomputed rows by integer arithmetic. The
-initial draw lists the distinct rows by marking their ids, with no sort.
+batch, sets the bits. The columns come from ``Dataset.columns``, the
+dataset's cached feature-major copy of its points: Lloyd reads them whole
+on a full dataset and gathers a bisect's members once, so a full pass
+copies no point and a stale-row pass gathers its rows' columns once, and
+``assign_points`` and ``operators.distance_rows`` read them as they are;
+``squared_distances`` hands the kernel the transpose of row-major points
+and returns the (n, k) transpose of the result. One scan over the
+result's rows, ``nearest_rows``, gives every pass its nearest ids and
+Lloyd its two bounds. Lloyd sums clusters from the same columns, in point
+order, into one buffer divided once (an empty cluster's NaN comes from a
+masked division, with no warning to silence); its cluster sizes follow
+the recomputed rows by integer arithmetic, and it stops without an update
+once a pass has moved no point. The initial draw lists the distinct rows
+by marking their ids, with no sort.
 
 The distance kernels build their squared differences one block of rows
 at a time, in one buffer of at most _BLOCK_VALUES values, so a pass's
@@ -96,12 +100,13 @@ def column_distances(columns: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     the CPU's SIMD features; where einsum's own loop does not fuse them
     (numpy's x86-64 baseline), they are einsum's bits.
 
-    The columns are read in place, contiguous (Lloyd's own) or not (the
-    transpose of row-major points). Each group of centroids gets a (d,
-    group, rows) slab of squared differences over a block of rows, from one
-    broadcast subtraction and one multiplication, that ``_fold_lanes`` sums
-    with one add per feature pair over whole (group, rows) planes straight
-    into the result's rows: every inner loop is rows long, not d. The slab
+    The columns are read in place, contiguous (``Dataset.columns`` or
+    Lloyd's gather of them) or not (the transpose of row-major points).
+    Each group of centroids gets a (d, group, rows) slab of squared
+    differences over a block of rows, from one broadcast subtraction and
+    one multiplication, that ``_fold_lanes`` sums with one add per feature
+    pair over whole (group, rows) planes straight into the result's rows:
+    every inner loop is rows long, not d. The slab
     is the call's one buffer, of at most _BLOCK_VALUES values, so the
     call's memory is its (k, n) result plus that buffer, not n*k*d values.
     A block holds at most _BLOCK_VALUES // (2d) rows, so a group holds two
@@ -242,8 +247,8 @@ def assign_points(
     if not np.isfinite(centroids).all():
         bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
         raise ValueError(f"centroids must be finite: row(s) {bad[:5].tolist()} are not")
-    d2 = column_distances(dataset.points.T, centroids)
-    assignment = nearest_rows(d2)[0]
+    d2 = column_distances(dataset.columns, centroids)
+    assignment = nearest_rows(d2, second=False)[0]
     return (assignment, d2.T) if return_distances else assignment
 
 
@@ -296,12 +301,13 @@ def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarr
     return Clustering.adopt(assignment, centroids)
 
 
-def nearest_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nearest_rows(rows, *, second: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Nearest centroid per point of k >= 1 distance rows, a (k, n) array
     or a list of (n,) rows: (nearest, best, second), the int64 nearest id
     (ties to the lowest id), its distance and the second-smallest distance
     (inf for k=1), as ``argmin`` and ``partition(1)`` over the stacked rows
-    give them, bit for bit.
+    give them, bit for bit. With second=False the second-smallest distance
+    is not tracked and None stands in its place.
 
     One scan over the rows, each an elementwise pass over n points: rows 0
     and 1 give the first best and second by a compare, a minimum and a
@@ -310,21 +316,22 @@ def nearest_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     first = rows[0]
     if len(rows) == 1:
-        return np.zeros(first.size, dtype=np.int64), first.copy(), np.full(first.size, np.inf)
+        runner_up = np.full(first.size, np.inf) if second else None
+        return np.zeros(first.size, dtype=np.int64), first.copy(), runner_up
     closer = np.less(rows[1], first)
     nearest = closer.astype(np.int64)
     best = np.minimum(first, rows[1])
-    second = np.maximum(first, rows[1])
-    above = np.empty_like(best)
+    runner_up, above = (np.maximum(first, rows[1]), np.empty_like(best)) if second else (None, None)
     for cid in range(2, len(rows)):
         row = rows[cid]
-        # The new second is the old second, or the larger of the old best and the row.
-        np.maximum(best, row, out=above)
-        np.minimum(second, above, out=second)
+        if second:
+            # The new second is the old second, or the larger of the old best and the row.
+            np.maximum(best, row, out=above)
+            np.minimum(runner_up, above, out=runner_up)
         np.less(row, best, out=closer)
         np.putmask(nearest, closer, cid)
         np.minimum(best, row, out=best)
-    return nearest, best, second
+    return nearest, best, runner_up
 
 
 def _bounds(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,19 +363,27 @@ def lloyd_history(
     equals a full nearest-centroid pass on every iteration, bit for bit.
 
     history[0] is n, the first full pass; one entry follows per update+assign
-    iteration: the number of rows whose distances that pass recomputed.
+    iteration: the number of rows whose distances that pass recomputed. The
+    last entry of a converged run is 0: once a pass (and no repair) has
+    changed no assignment, the next update would sum the same members in
+    the same order, give the same centroids bit for bit and so stop the
+    loop with no movement, so that iteration is recorded and skipped.
     """
-    points, row_ids = dataset.points, dataset.row_ids
+    points, columns, row_ids = dataset.points, dataset.columns, dataset.row_ids
     if members is not None:
-        points, row_ids = points[members], row_ids[members]
-    columns = np.ascontiguousarray(points.T)
+        columns, row_ids = columns.take(members, axis=1), row_ids[members]
+        points = columns.T
     centroids = init_centroids(points, row_ids, config.k, config.seed)
     assignment, upper, lower = _bounds(column_distances(columns, centroids))
     # Centroids are distinct data points, so each owns at least itself and
     # the first assignment cannot leave a cluster empty.
     counts = np.bincount(assignment, minlength=config.k)
     history = [len(points)]
+    changed = True  # the centroids are not yet the means of the assignment
     for _ in range(config.max_iterations):
+        if not changed:
+            history.append(0)
+            break
         # No cluster is empty here: see above, and the repair below.
         new_centroids = update_centroids(columns, assignment, counts)
         step = new_centroids - centroids
@@ -379,14 +394,18 @@ def lloyd_history(
         lower -= moved.max()
         stale = upper >= lower * _SLACK
         if stale.all():
-            assignment, upper, lower = _bounds(column_distances(columns, centroids))
+            nearest, upper, lower = _bounds(column_distances(columns, centroids))
+            changed = not np.array_equal(nearest, assignment)
+            assignment = nearest
             counts = np.bincount(assignment, minlength=config.k)
             history.append(len(points))
         else:
             rows = stale.nonzero()[0]
+            changed = False
             if rows.size:
                 old = assignment[rows]
                 new, upper[rows], lower[rows] = _bounds(column_distances(columns.take(rows, axis=1), centroids))
+                changed = bool((new != old).any())
                 assignment[rows] = new
                 counts += np.bincount(new, minlength=config.k) - np.bincount(old, minlength=config.k)
             history.append(rows.size)
@@ -398,6 +417,7 @@ def lloyd_history(
             # The repaired assignment need not be nearest-centroid: every
             # row recomputes on the next pass.
             lower.fill(-np.inf)
+            changed = True
         if not repaired and moved2.max() <= TOLERANCE:
             break
     return Clustering.adopt(assignment, centroids), history

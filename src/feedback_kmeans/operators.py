@@ -41,8 +41,9 @@ def is_splittable(dataset: Dataset, clustering: Clustering, cluster_id: int) -> 
     members = clustering.members(cluster_id)
     if members.size < 2:
         return False
-    pts = dataset.points[members]
-    return bool((pts != pts[0]).any())
+    # Row ids are equal exactly when the rows are.
+    ids = dataset.row_ids[members]
+    return bool((ids != ids[0]).any())
 
 
 def bisect_cluster(
@@ -66,7 +67,7 @@ def distance_rows(dataset: Dataset, centroids: np.ndarray) -> list[np.ndarray]:
     """The distances the operators carry: one contiguous (n,) array per
     centroid, in centroid order, the rows of one ``column_distances``
     result (each a column of ``squared_distances``)."""
-    return list(column_distances(dataset.points.T, centroids))
+    return list(column_distances(dataset.columns, centroids))
 
 
 def _relabel(
@@ -114,7 +115,7 @@ def split_cluster(
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
     _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
     new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, list(child_columns.T))
-    assignment = nearest_rows(distances)[0]
+    assignment = nearest_rows(distances, second=False)[0]
     empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:
         repaired = repair_empty(dataset.points, assignment, new_centroids)
@@ -142,7 +143,7 @@ def merge_pair(
     if clustering.k - 1 < MIN_K:
         raise ValueError(f"minimum cluster count: merging would leave fewer than {MIN_K} clusters")
     union_mask = (clustering.assignment == i) | (clustering.assignment == j)
-    union_centroid = dataset.points[union_mask].mean(axis=0)[None, :]
+    union_centroid = dataset.points.compress(union_mask, axis=0).mean(axis=0)[None, :]
     union_row = distance_rows(dataset, union_centroid)
     new_centroids, distances, remap = _relabel(clustering, distances, [i, j], union_centroid, union_row)
     return Clustering.adopt(remap[clustering.assignment], new_centroids), distances

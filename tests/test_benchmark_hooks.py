@@ -85,7 +85,9 @@ def test_custom_evaluate_looks_up_the_oracle_at_call_time(monkeypatch):
 
 def test_lloyd_updates_centroids_through_the_module_global(monkeypatch):
     # The tracer times kmeans.update_centroids by rebinding the module
-    # global: Lloyd must call it once per update+assign iteration.
+    # global: Lloyd must call it once per update+assign iteration, except
+    # the last iteration of a converged run, which follows a pass that
+    # moved no point, is recorded as 0 rows and runs no update.
     calls = []
     original = kmeans.update_centroids
 
@@ -97,7 +99,12 @@ def test_lloyd_updates_centroids_through_the_module_global(monkeypatch):
     rng = np.random.default_rng(5)
     dataset = make_dataset(np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(6, 1, (60, 2))]))
     _, history = kmeans.lloyd_history(dataset, kmeans.KMeansConfig(k=3, seed=1))
-    assert len(history) > 2 and len(calls) == len(history) - 1
+    assert len(history) > 4 and history[-1] == 0
+    assert len(calls) == len(history) - 2
+    # Capped before it converges, every iteration runs its update.
+    calls.clear()
+    _, history = kmeans.lloyd_history(dataset, kmeans.KMeansConfig(k=3, seed=1, max_iterations=3))
+    assert len(history) == 4 and len(calls) == len(history) - 1
 
 
 def test_split_runs_its_2_means_through_lloyd_on_the_members():

@@ -154,6 +154,16 @@ def test_adopt_shares_the_arrays_it_is_handed_and_freezes_them():
     assert not assignment.flags.writeable and not centroids.flags.writeable
 
 
+def test_columns_are_the_points_feature_major_read_only_and_cached():
+    points = np.random.default_rng(3).normal(size=(7, 3))
+    ds = make_dataset(points)
+    assert "columns" not in vars(ds)  # built on first use
+    columns = ds.columns
+    assert columns.tobytes() == np.ascontiguousarray(points.T).tobytes()
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    assert ds.columns is columns
+
+
 def test_duplicate_points_are_allowed():
     ds = make_dataset([[1.0, 2.0], [1.0, 2.0]])
     assert ds.n_points == 2

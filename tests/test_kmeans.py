@@ -156,6 +156,23 @@ def test_assign_two_centroids_equals_argmin_with_ties_to_id_0():
         assert not assignment[ties].any()
 
 
+def test_assign_points_reads_the_cached_columns_and_returns_squared_distances():
+    rng = np.random.default_rng(9)
+    ds = make_dataset(rng.normal(size=(300, 5)))
+    centroids = rng.normal(size=(4, 5))
+    assignment, distances = assign_points(ds, centroids, return_distances=True)
+    assert "columns" in vars(ds)
+    expected = squared_distances(ds.points, centroids)
+    assert distances.tobytes() == expected.tobytes()
+    assert assignment.tobytes() == expected.argmin(axis=1).astype(np.int64).tobytes()
+
+
+def test_lloyd_reads_the_cached_columns():
+    ds = make_dataset(np.random.default_rng(10).normal(size=(50, 3)))
+    lloyd(ds, KMeansConfig(k=3, seed=1))
+    assert "columns" in vars(ds)
+
+
 def test_assign_rejects_dimension_mismatch():
     ds = make_dataset([[1.0, 2.0]])
     with pytest.raises(ValueError, match="dimension"):
@@ -353,10 +370,12 @@ def test_nearest_rows_equal_argmin_and_partition_bit_for_bit(seed, n, d, k, grid
     result = kmeans.column_distances(points.T, centroids)  # (k, n)
     rows = [row.copy() for row in result] if as_list else result
     nearest, best, second = kmeans.nearest_rows(rows)
+    ids_only = kmeans.nearest_rows(rows, second=False)
     d2 = squared_distances(points, centroids)
     assert np.stack(list(rows)).tobytes() == d2.T.tobytes()  # the rows are left as they were
     assert nearest.dtype == np.int64
     assert nearest.tobytes() == d2.argmin(axis=1).astype(np.int64).tobytes()
+    assert ids_only[0].tobytes() == nearest.tobytes() and ids_only[2] is None
     if k == 1:
         expected_best, expected_second = d2[:, 0], np.full(n, np.inf)
     else:

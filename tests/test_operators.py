@@ -96,6 +96,21 @@ def test_split_rejects_duplicate_only_cluster():
         split_cluster(ds, clustering, distances_of(ds, clustering), target=0, seed=0)
 
 
+def test_rows_that_differ_only_in_the_sign_of_a_zero_are_not_splittable():
+    ds = make_dataset([[0.0, 1.0], [-0.0, 1.0], [5.0, 1.0]])
+    clustering = clustering_from_assignment(ds, np.array([0, 0, 1]), 2)
+    assert not is_splittable(ds, clustering, 0)
+
+
+def test_distance_rows_are_the_columns_of_squared_distances():
+    rng = np.random.default_rng(8)
+    ds = make_dataset(rng.normal(size=(300, 5)))
+    centroids = rng.normal(size=(4, 5))
+    rows = operators.distance_rows(ds, centroids)
+    assert "columns" in vars(ds)  # read from the dataset's cached columns
+    assert b"".join(row_bytes(rows)) == squared_distances(ds.points, centroids).T.tobytes()
+
+
 def test_split_local_improvement_property():
     # size-weighted child RSS never exceeds the parent's contribution,
     # measured before the global reassignment pass
