@@ -48,7 +48,6 @@ from .kmeans import (
     init_centroids,
     lloyd,
     repair_empty,
-    squared_distances,
 )
 from .operators import (
     SMAction,

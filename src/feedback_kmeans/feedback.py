@@ -271,7 +271,7 @@ class RssFeedback:
         def own_distances() -> np.ndarray:
             # Every point's squared distance to its own centroid, computed on
             # the first cluster, once evaluate_per_cluster has validated.
-            return own_squared_distances(dataset.points, clustering.centroids, clustering.assignment)
+            return own_squared_distances(dataset.columns, clustering.centroids, clustering.assignment)
 
         return evaluate_per_cluster(
             dataset,

@@ -6,34 +6,19 @@ repair) as kernels that take arrays; only the entry points ``lloyd*`` and
 on members of it. Split reuses the assignment pass, against its two new
 centroids only, and the repair; merge reuses the distance kernel.
 
-A Lloyd pass costs mostly numpy's fixed overhead per call and memory
-layout, so the kernels keep inner loops long without changing a bit of
-the result. Distances go feature-major columns in, centroid-major rows
-out: ``column_distances`` reads (d, n) columns and writes a (k, n) result
-whose rows are each centroid's distances, summing each distance's squared
-differences in one fixed order of IEEE adds, numpy einsum's two-lane
-order, by one add per feature pair over whole rows of the block (rows
-values per inner loop, not d); the order, not the CPU's SIMD width or the
-batch, sets the bits. The columns come from ``Dataset.columns``, the
-dataset's cached feature-major copy of its points: Lloyd reads them whole
-on a full dataset and gathers a bisect's members once, so a full pass
-copies no point and a stale-row pass gathers its rows' columns once, and
-``assign_points`` and ``operators.distance_rows`` read them as they are;
-``squared_distances`` hands the kernel the transpose of row-major points
-and returns the (n, k) transpose of the result. One scan over the
-result's rows, ``nearest_rows``, gives every pass its nearest ids and
-Lloyd its two bounds. Lloyd sums clusters from the same columns, in point
-order, into one buffer divided once (an empty cluster's NaN comes from a
-masked division, with no warning to silence); its cluster sizes follow
-the recomputed rows by integer arithmetic, and it stops without an update
-once a pass has moved no point. The initial draw lists the distinct rows
-by marking their ids, with no sort.
+One layout: every distance kernel reads (d, n) feature-major columns,
+``Dataset.columns`` or a gather of them, and ``column_distances`` writes a
+(k, n) result of centroid-major rows, which ``nearest_rows`` scans once
+for the nearest ids and Lloyd's two bounds. One summation order: a
+distance sums its squared differences in numpy einsum's two-lane order
+(``_fold_lanes``), so neither the batch nor the CPU's SIMD width sets a
+bit. One recompute path: each Lloyd pass recomputes the rows its bounds
+cannot settle, reading the columns whole when that is every row and
+gathering them otherwise.
 
-The distance kernels build their squared differences one block of rows
-at a time, in one buffer of at most _BLOCK_VALUES values, so a pass's
-temporaries are its O(n*k) result plus that fixed buffer. A run carries
-its distances as a list of per-centroid rows, the rows of kernel results
-(``operators.distance_rows``).
+Each kernel builds its squared differences one block of rows at a time,
+in one buffer of at most _BLOCK_VALUES values, so a pass's temporaries are
+its O(n*k) result plus that fixed buffer.
 """
 
 from __future__ import annotations
@@ -77,12 +62,6 @@ def _block_rows(width: int) -> int:
     """Rows per block at width values a row: as many as _BLOCK_VALUES
     holds, and one at least."""
     return max(1, _BLOCK_VALUES // max(1, width))
-
-
-def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of squared Euclidean distances between float64 rows:
-    the transpose view of ``column_distances(points.T, centroids)``."""
-    return column_distances(points.T, centroids).T
 
 
 def column_distances(columns: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -152,12 +131,6 @@ def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
     is one ``np.add`` over both lanes' planes, an IEEE add per entry, so
     no SIMD width or dispatch changes a bit. The lanes start from squares
     (never -0.0), which equal einsum's 0 + square.
-
-    Where a point's features are adjacent in memory (squares the transpose
-    of row-major rows), numpy would run each add's inner loop over a pair's
-    two lanes; there each pair is read as one complex number, lane 0 its
-    real part, whose add is the two lanes' IEEE adds with an inner loop
-    over points, into a contiguous lane buffer.
     """
     d = squares.shape[0]
     order = _lane_order(d)
@@ -166,14 +139,9 @@ def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
         return
     first, *rest = order
     even = squares[: d - d % 2]
-    if squares.strides[0] == squares.itemsize:
-        pairs = np.moveaxis(np.moveaxis(even, 0, -1).view(np.complex128), -1, 0)
-        lanes = np.add(pairs[rest.pop(0)], pairs[first]) if rest else pairs[first]
-        lane0, lane1 = lanes.real, lanes.imag
-    else:
-        pairs = even.reshape(d // 2, 2, *squares.shape[1:])
-        lanes = pairs[first]
-        lane0, lane1 = lanes
+    pairs = even.reshape(d // 2, 2, *squares.shape[1:])
+    lanes = pairs[first]
+    lane0, lane1 = lanes
     for p in rest:
         np.add(pairs[p], lanes, out=lanes)
     if d % 2:
@@ -181,27 +149,29 @@ def _fold_lanes(squares: np.ndarray, out: np.ndarray) -> None:
     np.add(lane0, lane1, out=out)
 
 
-def own_squared_distances(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """(n,) squared distance of each point to its own centroid,
-    centroids[assignment]; assignment must hold valid ids.
+def own_squared_distances(columns: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """(n,) squared distance of each point, given by the (d, n) feature
+    columns, to its own centroid, centroids[assignment]; assignment must
+    hold valid ids.
 
     Each entry is the ``column_distances`` entry of its pair, bit for bit:
-    the squared differences ``(points - centroids[assignment])**2`` of a
-    block of rows are summed by ``_fold_lanes`` over their feature-major
-    view. A block holds about _BLOCK_VALUES // (2d) rows, so its squares
-    and the fold's lane buffer (two values a row) fit in _BLOCK_VALUES.
+    a block of rows gathers its centroids' columns into one (d, rows)
+    buffer, and their squared differences are summed by ``_fold_lanes``. A
+    block holds about _BLOCK_VALUES // (2d) rows, so its squares and the
+    fold's lane buffer (two values a row) fit in _BLOCK_VALUES.
     """
-    n, d = points.shape
+    d, n = columns.shape
     out = np.empty(n)
     rows = _block_rows(2 * d)
-    buffer = np.empty((min(n, rows), d))
+    buffer = np.empty(d * min(n, rows))
+    centroid_columns = np.ascontiguousarray(centroids.T)
     for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        squares = buffer[: min(rows, n - start)]
-        np.take(centroids, assignment[block], axis=0, out=squares, mode="clip")
-        np.subtract(points[block], squares, out=squares)
+        block, m = slice(start, start + rows), min(rows, n - start)
+        squares = buffer[: d * m].reshape(d, m)
+        np.take(centroid_columns, assignment[block], axis=1, out=squares, mode="clip")
+        np.subtract(columns[:, block], squares, out=squares)
         np.multiply(squares, squares, out=squares)
-        _fold_lanes(squares.T, out[block])
+        _fold_lanes(squares, out[block])
     return out
 
 
@@ -227,15 +197,10 @@ def init_centroids(points: np.ndarray, row_ids: np.ndarray, k: int, seed: int) -
     return points[[np.argmax(row_ids == v) for v in chosen]]
 
 
-def assign_points(
-    dataset: Dataset, centroids: np.ndarray, *, return_distances: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Index of the nearest centroid per point; ties go to the lowest index.
-
-    With return_distances, returns (assignment, distances), distances being
-    the (n, k) ``squared_distances`` matrix the assignment was taken from:
-    the transpose view of a (k, n) ``column_distances`` result, whose rows
-    ``nearest_rows`` scanned.
+def assign_points(dataset: Dataset, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(assignment, distances): the index of the nearest centroid per point,
+    ties to the lowest index, and the (k, n) ``column_distances`` result of
+    the dataset's columns whose rows ``nearest_rows`` scanned for it.
     """
     centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
     if centroids.shape[0] == 0:
@@ -249,7 +214,7 @@ def assign_points(
         raise ValueError(f"centroids must be finite: row(s) {bad[:5].tolist()} are not")
     d2 = column_distances(dataset.columns, centroids)
     assignment = nearest_rows(d2, second=False)[0]
-    return (assignment, d2.T) if return_distances else assignment
+    return assignment, d2
 
 
 def update_centroids(columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -289,7 +254,7 @@ def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarr
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
     for empty in empties:
-        dist = own_squared_distances(points, centroids, assignment)
+        dist = own_squared_distances(points.T, centroids, assignment)
         sizes = np.bincount(assignment, minlength=k)
         eligible = sizes[assignment] >= 2
         if not eligible.any():
@@ -392,27 +357,20 @@ def lloyd_history(
         moved = np.sqrt(moved2)
         upper += moved[assignment]
         lower -= moved.max()
-        stale = upper >= lower * _SLACK
-        if stale.all():
-            nearest, upper, lower = _bounds(column_distances(columns, centroids))
-            changed = not np.array_equal(nearest, assignment)
-            assignment = nearest
-            counts = np.bincount(assignment, minlength=config.k)
-            history.append(len(points))
-        else:
-            rows = stale.nonzero()[0]
-            changed = False
-            if rows.size:
-                old = assignment[rows]
-                new, upper[rows], lower[rows] = _bounds(column_distances(columns.take(rows, axis=1), centroids))
-                changed = bool((new != old).any())
-                assignment[rows] = new
-                counts += np.bincount(new, minlength=config.k) - np.bincount(old, minlength=config.k)
-            history.append(rows.size)
+        rows = (upper >= lower * _SLACK).nonzero()[0]
+        # A full pass reads the columns as they are, with no gather.
+        block = columns if rows.size == len(points) else columns.take(rows, axis=1)
+        old = assignment[rows]
+        new, upper[rows], lower[rows] = _bounds(column_distances(block, centroids))
+        changed = bool((new != old).any())
+        assignment[rows] = new
+        counts += np.bincount(new, minlength=config.k) - np.bincount(old, minlength=config.k)
+        history.append(rows.size)
         repaired = bool((counts == 0).any())
         if repaired:
             clustering = repair_empty(points, assignment, centroids)
-            assignment, centroids = clustering.assignment, clustering.centroids
+            # The clustering's assignment is read-only; the passes write theirs.
+            assignment, centroids = clustering.assignment.copy(), clustering.centroids
             counts = np.bincount(assignment, minlength=config.k)
             # The repaired assignment need not be nearest-centroid: every
             # row recomputes on the next pass.

@@ -12,10 +12,9 @@ return the new clustering's list with it: the removed centroids' rows
 leave and the new centroids' rows are appended, so an operator computes
 and allocates only its new rows (for a split, by an ``assign_points`` pass
 against the two children) and keeps the input's own arrays for the rest.
-New rows are the rows of a ``column_distances`` result, not copies. Each
-row equals the column a full ``squared_distances`` call would give, bit
-for bit, so the split's ``nearest_rows`` scan over the rows is the full
-reassignment's.
+New rows are the rows of a ``column_distances`` result, not copies, and
+equal the rows of a full pass bit for bit, so the split's
+``nearest_rows`` scan over the rows is the full reassignment's.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ def bisect_cluster(
 
 def distance_rows(dataset: Dataset, centroids: np.ndarray) -> list[np.ndarray]:
     """The distances the operators carry: one contiguous (n,) array per
-    centroid, in centroid order, the rows of one ``column_distances``
-    result (each a column of ``squared_distances``)."""
+    centroid, in centroid order: the rows of one ``column_distances``
+    result."""
     return list(column_distances(dataset.columns, centroids))
 
 
@@ -113,8 +112,8 @@ def split_cluster(
     if not 0 <= target < clustering.k:
         raise ValueError(f"split target {target} out of range for k={clustering.k}")
     child_centroids, _ = bisect_cluster(dataset, clustering, target, seed)
-    _, child_columns = assign_points(dataset, child_centroids, return_distances=True)
-    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, list(child_columns.T))
+    _, child_rows = assign_points(dataset, child_centroids)
+    new_centroids, distances, _ = _relabel(clustering, distances, [target], child_centroids, list(child_rows))
     assignment = nearest_rows(distances, second=False)[0]
     empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:

@@ -30,10 +30,10 @@ from feedback_kmeans.feedback import POP_BASELINE_EPSILON
 from feedback_kmeans.kmeans import (
     TOLERANCE,
     assign_points,
+    column_distances,
     init_centroids,
     lloyd_history,
     repair_empty,
-    squared_distances,
     update_centroids,
 )
 from feedback_kmeans.rng import derive_seed, substream
@@ -92,6 +92,13 @@ def make_dataset(points, feature_names=None, **kwargs) -> Dataset:
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(points.shape[1]))
     return Dataset(points=points, feature_names=feature_names, **kwargs)
+
+
+def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances between float64 rows, point-major as numpy's
+    argmin and einsum references read them: the transpose view of
+    ``column_distances(points.T, centroids)``."""
+    return column_distances(points.T, centroids).T
 
 
 def broadcast_squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -179,7 +186,7 @@ def reference_split(dataset: Dataset, clustering: Clustering, target: int, seed:
     subset = Dataset(points=dataset.points[members], feature_names=dataset.feature_names)
     child_centroids = plain_lloyd(subset, KMeansConfig(k=2, seed=seed))[0].centroids
     centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
-    return repair_empty(dataset.points, assign_points(dataset, centroids), centroids)
+    return repair_empty(dataset.points, assign_points(dataset, centroids)[0], centroids)
 
 
 def reference_merge(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clustering:
@@ -245,7 +252,7 @@ def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:
     Lloyd iteration. Lloyd is deterministic, so the state after t iterations
     is lloyd(...) capped at max_iterations=t."""
     centroids = init_centroids(dataset.points, dataset.row_ids, config.k, config.seed)
-    sequence = [weighted_rss(dataset, assign_points(dataset, centroids), centroids)]
+    sequence = [weighted_rss(dataset, assign_points(dataset, centroids)[0], centroids)]
     iterations = len(lloyd_history(dataset, config)[1]) - 1
     for t in range(1, iterations + 1):
         capped = lloyd(dataset, KMeansConfig(k=config.k, seed=config.seed, max_iterations=t))

@@ -1,6 +1,7 @@
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +266,41 @@ def test_the_package_imports_nothing_beyond_numpy_and_the_standard_library():
                 imported.add(node.module.partition(".")[0])
     assert "numpy" in imported
     assert imported - sys.stdlib_module_names - {"numpy"} == set()
+
+
+# Package functions that hand a sum of products to an einsum, BLAS or
+# matmul loop, by (file, function, loop): such a loop may accumulate
+# through a fused multiply-add or in an order set by the build, so an
+# output it sums can differ in its last bit from build to build. The
+# distance kernels sum in one fixed order of IEEE adds instead
+# (kmeans._fold_lanes). These are the known exceptions: a new call fails
+# the guard below, and a call rewritten in a fixed order leaves the table.
+SUMMING_CALLS = {
+    ("feedback.py", "aggregate_weighted", "dot"): 1,
+    ("feedback.py", "OracleProfile.__post_init__", "@"): 2,
+    ("feedback.py", "customizability_cluster", "einsum"): 2,
+    ("kmeans.py", "lloyd_history", "einsum"): 1,
+    ("operators.py", "_centroid_distances", "matmul"): 1,
+}
+
+
+def test_only_the_known_functions_sum_through_einsum_blas_or_matmul():
+    loops = {"einsum", "dot", "vdot", "inner", "matmul", "tensordot"}
+    found = Counter()
+
+    def visit(node, file, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        name = None
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            name = "@"
+        if name in loops or name == "@":
+            found[(file, scope or "<module>", name)] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for path in sorted(Path(feedback_kmeans.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, "")
+    assert dict(found) == SUMMING_CALLS

@@ -20,7 +20,7 @@ from feedback_kmeans import (
     validate_clustering,
 )
 from feedback_kmeans import kmeans
-from feedback_kmeans.kmeans import lloyd_history, squared_distances
+from feedback_kmeans.kmeans import lloyd_history
 
 from helpers import (
     broadcast_squared_distances,
@@ -29,6 +29,7 @@ from helpers import (
     make_dataset,
     objective_sequence,
     plain_lloyd,
+    squared_distances,
     weighted_rss,
 )
 
@@ -124,23 +125,22 @@ def test_init_on_subset_matches_sorted_distinct_draw():
 def test_assign_point_on_centroid():
     ds = make_dataset([[3.0, 3.0]])
     centroids = np.array([[0.0, 0.0], [9.0, 9.0], [3.0, 3.0]])
-    assert assign_points(ds, centroids).tolist() == [2]
+    assert assign_points(ds, centroids)[0].tolist() == [2]
 
 
 def test_assign_tie_goes_to_lowest_index():
     ds = make_dataset([[1.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert assign_points(ds, centroids).tolist() == [0]
+    assert assign_points(ds, centroids)[0].tolist() == [0]
 
 
 def test_assign_hand_computed_two_centroids():
     # squared distances to (0,0) / (10,0): (4,1) -> 17 vs 37; (6,-1) -> 37 vs 17
     ds = make_dataset([[4.0, 1.0], [6.0, -1.0]])
     centroids = np.array([[0.0, 0.0], [10.0, 0.0]])
-    assert assign_points(ds, centroids).tolist() == [0, 1]
-    assignment, distances = assign_points(ds, centroids, return_distances=True)
+    assignment, distances = assign_points(ds, centroids)
     assert assignment.tolist() == [0, 1]
-    assert distances.tolist() == [[17.0, 37.0], [37.0, 17.0]]
+    assert distances.tolist() == [[17.0, 37.0], [37.0, 17.0]]  # row c: every point's distance to centroid c
 
 
 def test_assign_two_centroids_equals_argmin_with_ties_to_id_0():
@@ -148,11 +148,11 @@ def test_assign_two_centroids_equals_argmin_with_ties_to_id_0():
     # the other; the k=2 column compare must give each of them id 0.
     ds = make_dataset([[x, y] for x in range(-3, 6) for y in range(-3, 4)])
     for centroids in ([[0, 0], [2, 0]], [[2, 0], [0, 0]], [[1, -1], [1, 1]], [[0, 0], [2, 2]], [[1, 1], [1, 1]]):
-        assignment, distances = assign_points(ds, centroids, return_distances=True)
-        ties = distances[:, 0] == distances[:, 1]
+        assignment, distances = assign_points(ds, centroids)
+        ties = distances[0] == distances[1]
         assert ties.sum() >= 7
         assert assignment.dtype == np.int64
-        assert np.array_equal(assignment, distances.argmin(axis=1))
+        assert np.array_equal(assignment, distances.argmin(axis=0))
         assert not assignment[ties].any()
 
 
@@ -160,11 +160,13 @@ def test_assign_points_reads_the_cached_columns_and_returns_squared_distances():
     rng = np.random.default_rng(9)
     ds = make_dataset(rng.normal(size=(300, 5)))
     centroids = rng.normal(size=(4, 5))
-    assignment, distances = assign_points(ds, centroids, return_distances=True)
+    assignment, rows = assign_points(ds, centroids)
     assert "columns" in vars(ds)
-    expected = squared_distances(ds.points, centroids)
-    assert distances.tobytes() == expected.tobytes()
-    assert assignment.tobytes() == expected.argmin(axis=1).astype(np.int64).tobytes()
+    # The (k, n) kernel result itself, equal to the kernel's on strided columns.
+    expected = squared_distances(ds.points, centroids).T
+    assert rows.shape == (4, 300) and rows.flags.c_contiguous
+    assert rows.tobytes() == expected.tobytes()
+    assert assignment.tobytes() == expected.argmin(axis=0).astype(np.int64).tobytes()
 
 
 def test_lloyd_reads_the_cached_columns():
@@ -255,9 +257,13 @@ def test_own_squared_distances_equal_the_whole_difference_byte_for_byte(inputs, 
     n, d = points.shape
     assignment = np.random.default_rng(n * d).integers(0, centroids.shape[0], n)
     block_values = data.draw(st.integers(1, max(1, n * d // 2)), label="block_values")
+    # Contiguous columns as Dataset.columns gives them, or the strided
+    # transpose of row-major points as repair_empty passes it.
+    contiguous = data.draw(st.booleans(), label="contiguous")
+    columns = np.ascontiguousarray(points.T) if contiguous else points.T
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kmeans, "_BLOCK_VALUES", block_values)
-        got = kmeans.own_squared_distances(points, centroids, assignment)
+        got = kmeans.own_squared_distances(columns, centroids, assignment)
     diff = points - centroids[assignment]
     # einsum's loop may fuse a multiply and an add (see the kernel's test);
     # the Python reference pins the order regardless.
@@ -273,7 +279,7 @@ def test_squared_distances_of_no_points_or_no_centroids():
         got = squared_distances(p, c)
         assert got.shape == (p.shape[0], c.shape[0])
         assert got.tobytes() == broadcast_squared_distances(p, c).tobytes()
-    assert kmeans.own_squared_distances(points[:0], centroids, np.zeros(0, dtype=np.int64)).shape == (0,)
+    assert kmeans.own_squared_distances(points[:0].T, centroids, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 def test_squared_distances_holds_its_result_and_one_block_buffer():
@@ -301,13 +307,13 @@ _KERNEL_GOLDEN_DIGEST = "f29db749b41a663f88fbf5b450fcb46288abda6bdba5c05cb27a06d
 _KERNEL_DIGEST = """
 import hashlib
 import numpy as np
-from feedback_kmeans.kmeans import squared_distances
+from feedback_kmeans.kmeans import column_distances
 rng = np.random.default_rng(27)
 digest = hashlib.sha256()
 for n, k, d in ((3000, 5, 13), (40, 3, 8)):
     scale = np.ldexp(1.0, rng.integers(-20, 21, size=d))
     points, centroids = (rng.random((n, d)) - 0.5) * scale, (rng.random((k, d)) - 0.5) * scale
-    digest.update(squared_distances(points, centroids).tobytes())
+    digest.update(column_distances(points.T, centroids).T.tobytes())
 digest = digest.hexdigest()
 """
 
@@ -526,7 +532,7 @@ def test_repair_without_empties_is_identity():
 def test_repair_line_dataset_passes_validation():
     ds = make_dataset([[float(i), 0.0] for i in range(10)])
     centroids = np.array([[0.0, 0.0], [9.0, 0.0], [100.0, 0.0]])
-    assignment = assign_points(ds, centroids)  # cluster 2 ends up empty
+    assignment = assign_points(ds, centroids)[0]  # cluster 2 ends up empty
     assert 2 not in assignment
     repaired = repair_empty(ds.points, assignment, centroids)
     assert validate_clustering(ds, repaired) == []
@@ -586,7 +592,7 @@ def test_lloyd_deterministic_bit_for_bit(two_blobs):
 
 def test_lloyd_assignment_is_idempotent_after_convergence(two_blobs):
     clustering = lloyd(two_blobs, KMeansConfig(k=3, seed=4))
-    again = assign_points(two_blobs, clustering.centroids)
+    again = assign_points(two_blobs, clustering.centroids)[0]
     np.testing.assert_array_equal(again, clustering.assignment)
 
 

@@ -21,13 +21,12 @@ from feedback_kmeans import (
     repair_empty,
     sm_decide,
     split_cluster,
-    squared_distances,
     validate_clustering,
     worst_cluster,
 )
 from feedback_kmeans import core, kmeans, operators
 from feedback_kmeans.synth import demo_generator_config, generate, standardize
-from helpers import cluster_means, make_dataset, reference_merge, reference_split
+from helpers import cluster_means, make_dataset, reference_merge, reference_split, squared_distances
 
 
 def clustering_from_assignment(dataset, assignment, k):
@@ -269,7 +268,7 @@ def test_split_that_empties_a_kept_cluster_repairs_it_and_its_column():
     clustering = clustering_from_assignment(ds, np.array([0, 0, 0, 1, 1, 1, 1]), 2)
     child_centroids, _ = bisect_cluster(ds, clustering, target=1, seed=0)
     centroids = np.vstack([clustering.centroids[:1], child_centroids])
-    assert 0 not in assign_points(ds, centroids)
+    assert 0 not in assign_points(ds, centroids)[0]
     out, distances = split_cluster(ds, clustering, distances_of(ds, clustering), target=1, seed=0)
     assert_same_clustering(out, reference_split(ds, clustering, target=1, seed=0))
     assert out.centroids.tobytes() != centroids.tobytes()  # the repair moved centroid 0
