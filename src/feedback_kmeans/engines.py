@@ -85,20 +85,27 @@ class EngineConfig:
             raise ValueError("iterations must be at least 1")
 
 
-def _pick_split_target(
-    dataset: Dataset, clustering: Clustering, report: FeedbackReport
-) -> int | None:
-    """Worst splittable cluster, falling back down the badness order."""
-    for cid in report.sense.worst_first(report.per_cluster):
-        if is_splittable(dataset, clustering, cid):
-            return cid
-    return None
-
-
 # One iteration of a loop: the actions to record, the clustering they
 # produce and its distance rows, or None when no legal action remains
 # (the run stalls).
 _Step = tuple[tuple[Action, ...], Clustering, list[np.ndarray]] | None
+
+
+def _split_step(
+    dataset: Dataset,
+    current: Clustering,
+    distances: list[np.ndarray],
+    report: FeedbackReport,
+    seed: int,
+    iteration: int,
+) -> _Step:
+    """Split the worst splittable cluster, falling back down the badness
+    order; None when no cluster is splittable."""
+    for target in report.sense.worst_first(report.per_cluster):
+        if is_splittable(dataset, current, target):
+            split_seed = derive_seed(seed, "split", iteration)
+            return (Action.split(target),), *split_cluster(dataset, current, distances, target, split_seed)
+    return None
 
 
 def _sme_step(
@@ -110,14 +117,12 @@ def _sme_step(
     iteration: int,
 ) -> _Step:
     """Split the worst splittable cluster, then merge the closest pair."""
-    target = _pick_split_target(dataset, current, report)
-    if target is None:
+    split = _split_step(dataset, current, distances, report, seed, iteration)
+    if split is None:
         return None
-    after_split, distances = split_cluster(
-        dataset, current, distances, target, derive_seed(seed, "split", iteration)
-    )
+    (action,), after_split, distances = split
     i, j = closest_centroid_pair(after_split)
-    return (Action.split(target), Action.merge(i, j)), *merge_pair(dataset, after_split, distances, i, j)
+    return (action, Action.merge(i, j)), *merge_pair(dataset, after_split, distances, i, j)
 
 
 def _sm_step(
@@ -134,11 +139,7 @@ def _sm_step(
     if sm_decide(current, worst) is SMAction.MERGE:
         partner = nearest_cluster(current, worst)
         return (Action.merge(worst, partner),), *merge_pair(dataset, current, distances, worst, partner)
-    target = _pick_split_target(dataset, current, report)  # worst, if splittable
-    if target is None:
-        return None
-    split_seed = derive_seed(seed, "split", iteration)
-    return (Action.split(target),), *split_cluster(dataset, current, distances, target, split_seed)
+    return _split_step(dataset, current, distances, report, seed, iteration)
 
 
 _STEPS = {Method.SME: _sme_step, Method.SM: _sm_step}

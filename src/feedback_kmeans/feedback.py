@@ -114,9 +114,10 @@ class OracleProfile:
                 raise ValueError(
                     f"segment {seg}: weight vector length {arr.shape[0]} != m={m}"
                 )
-            if float(arr @ arr) > self.score_offset + 1e-12:
+            norm2 = math.fsum(arr * arr)
+            if norm2 > self.score_offset + 1e-12:
                 raise ValueError(
-                    f"segment {seg}: ||w*||^2 = {float(arr @ arr):g} exceeds the "
+                    f"segment {seg}: ||w*||^2 = {norm2:g} exceeds the "
                     f"score offset {self.score_offset:g}"
                 )
             weights[int(seg)] = arr

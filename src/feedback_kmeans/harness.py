@@ -19,7 +19,7 @@ from statistics import mean
 
 from .core import Clustering, Dataset, RunTrace, Sense, as_integer
 from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
-from .feedback import BASELINE_EPSILON, FeedbackProvider, OracleProfile, provider_from_name, relative_change
+from .feedback import FeedbackProvider, OracleProfile, provider_from_name, relative_change
 from .kmeans import KMeansConfig, lloyd
 from .operators import MIN_K
 from .rng import derive_seed, substream
@@ -160,13 +160,11 @@ class ExperimentReport:
 
 def impact(initial: float, best: float, sense: Sense) -> float:
     """Relative change between the initial and best evaluation, oriented so
-    that an improvement is positive."""
-    initial = float(initial)
-    if abs(initial) < BASELINE_EPSILON:
-        raise ValueError("degenerate initial evaluation")
-    if sense is Sense.HIGHER_IS_BETTER:
-        return (float(best) - initial) / abs(initial)
-    return (initial - float(best)) / abs(initial)
+    that an improvement is positive: a lower-is-better pair is negated
+    first, which gives (initial - best) / |initial| exactly."""
+    if sense is Sense.LOWER_IS_BETTER:
+        initial, best = -float(initial), -float(best)
+    return relative_change(initial, best)
 
 
 def expected_relative_change(

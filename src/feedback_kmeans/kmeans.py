@@ -4,7 +4,8 @@ Provides the individual steps (init / assign / update / empty-cluster
 repair) as kernels that take arrays; only the entry points ``lloyd*`` and
 ``assign_points`` take a ``Dataset``, and Lloyd runs on a whole dataset or
 on members of it. Split reuses the assignment pass, against its two new
-centroids only, and the repair; merge reuses the distance kernel.
+centroids only, and the repair; merge and the rules that pick a merge
+reuse the distance kernel.
 
 One layout: every distance kernel reads (d, n) feature-major columns,
 ``Dataset.columns`` or a gather of them, and ``column_distances`` writes a
@@ -249,8 +250,6 @@ def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarr
     if k > points.shape[0]:
         raise ValueError(f"cannot repair: k={k} exceeds dataset size {points.shape[0]}")
     empties = np.flatnonzero(np.bincount(assignment, minlength=k) == 0)
-    if not empties.size:
-        return Clustering(assignment=assignment, centroids=centroids)
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
     for empty in empties:

@@ -15,6 +15,10 @@ against the two children) and keeps the input's own arrays for the rest.
 New rows are the rows of a ``column_distances`` result, not copies, and
 equal the rows of a full pass bit for bit, so the split's
 ``nearest_rows`` scan over the rows is the full reassignment's.
+
+The merge rules pick their pair by centroid-to-centroid distances from
+the same ``column_distances`` fold, so no distance here has a second
+summation order.
 """
 
 from __future__ import annotations
@@ -148,38 +152,31 @@ def merge_pair(
     return Clustering.adopt(remap[clustering.assignment], new_centroids), distances
 
 
-def _centroid_distances(clustering: Clustering) -> np.ndarray:
-    """(k, k) squared distances between centroids.
-
-    Each entry is the 1 x d by d x 1 product diff @ diff of its pair, which
-    is bit-identical to a per-pair ``diff @ diff``; einsum or a summed
-    square may differ in the last bit and so flip near-ties.
-    """
-    c = clustering.centroids
-    diff = c[:, None, :] - c[None, :, :]
-    return np.matmul(diff[:, :, None, :], diff[:, :, :, None])[:, :, 0, 0]
-
-
 def closest_centroid_pair(clustering: Clustering) -> tuple[int, int]:
     """Unordered pair of clusters with minimum squared centroid distance.
 
-    Ties break to the lexicographically smallest (i, j).
+    The distances are the ``column_distances`` fold of the centroids against
+    themselves, symmetric since (a-b)**2 == (b-a)**2 exactly. Ties break to
+    the lexicographically smallest (i, j).
     """
     if clustering.k < 2:
         raise ValueError("need at least 2 clusters to pick a pair")
+    c = clustering.centroids
     rows, cols = np.triu_indices(clustering.k, 1)  # pairs i < j in lexicographic order
-    best = int(np.argmin(_centroid_distances(clustering)[rows, cols]))
+    best = int(np.argmin(column_distances(c.T, c)[rows, cols]))
     return int(rows[best]), int(cols[best])
 
 
 def nearest_cluster(clustering: Clustering, target: int) -> int:
-    """Cluster whose centroid is nearest the target's (ties -> lowest id)."""
+    """Cluster whose centroid is nearest the target's (ties -> lowest id),
+    by the ``column_distances`` fold of the target's centroid."""
     if clustering.k < 2:
         raise ValueError("need at least 2 clusters")
     if not 0 <= target < clustering.k:
         raise ValueError(f"cluster {target} out of range for k={clustering.k}")
+    c = clustering.centroids
     others = np.flatnonzero(np.arange(clustering.k) != target)
-    return int(others[np.argmin(_centroid_distances(clustering)[target, others])])
+    return int(others[np.argmin(column_distances(c.T, c[target : target + 1])[0][others])])
 
 
 def worst_cluster(report: FeedbackReport) -> int:

@@ -142,6 +142,14 @@ def test_split_runs_its_2_means_through_lloyd_on_the_members():
     assert tracer_module.layer_metrics(tracer)["kmeans.lloyd.calls"] == (1, "count")
 
 
+# The 240-point desk_grid pass's digest by OpenBLAS kernel
+# (OPENBLAS_CORETYPE, or the kernel DYNAMIC_ARCH picks).
+PASS_DIGESTS = {
+    "SkylakeX": "e54b4da718750a07e05f7d5174c442fd4e6a3f3ce5c981f4f40cfcaa4da7454a",
+    "Haswell, Sandybridge": "4dd13dd1fca77a4a52f4cdf047c623d397dbe7f521021e193d2b197653ceeca6",
+}
+
+
 def test_csv_workload_setup_and_pass_check_clean(tmp_path, monkeypatch):
     # desk_grid and deep_refine build their inputs through write_csv,
     # read_csv(standardize=True) and build_oracle_profile; a 240-point,
@@ -159,3 +167,8 @@ def test_csv_workload_setup_and_pass_check_clean(tmp_path, monkeypatch):
     result = workloads.run_pass(workload, inputs, tmp_path, contextlib.nullcontext, speed.SpeedProbe())
     assert result.problems == []
     assert result.cells == 24
+    # The pass's output digest sees a change of summation order that the
+    # CLI goldens miss (the oracle's norms through np.add.reduce, for one).
+    # aggregate_weighted's np.dot sets a last bit by OpenBLAS kernel, so
+    # each kernel this was pinned on has its digest.
+    assert result.digest in PASS_DIGESTS.values()

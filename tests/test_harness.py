@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedback_kmeans import (
     Clustering,
@@ -50,6 +52,31 @@ def test_impact_no_improvement_is_positive_zero(sense, value):
 def test_impact_negative_initial_orientation():
     # improvement stays positive when the baseline is negative
     assert impact(-0.2, -0.1, Sense.HIGHER_IS_BETTER) == pytest.approx(0.5, abs=1e-12)
+
+
+def _two_branch_impact(initial, best, sense):
+    # The orientation written out per sense, with no negation.
+    if sense is Sense.HIGHER_IS_BETTER:
+        return (best - initial) / abs(initial)
+    return (initial - best) / abs(initial)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=_finite.filter(lambda v: abs(v) >= 1e-12),
+    best=_finite,
+    same=st.booleans(),
+    sense=st.sampled_from(list(Sense)),
+)
+def test_impact_equals_the_two_branch_formula_bit_for_bit(initial, best, same, sense):
+    # Negating a lower-is-better pair is exact, and (-best) - (-initial)
+    # rounds as initial - best does, with the same sign of a zero.
+    best = initial if same else best
+    expected = _two_branch_impact(initial, best, sense)
+    assert np.float64(impact(initial, best, sense)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_impact_degenerate_initial():

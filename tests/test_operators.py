@@ -400,13 +400,18 @@ def test_operators_keep_each_row_and_allocate_only_the_new_rows(large_clustering
 
 # ---------------------------------------------------------------- closest pair
 
+def _pair_distance(centroids, i, j):
+    """Squared distance between centroids i and j, folded as a pair alone."""
+    return float(squared_distances(centroids[i : i + 1], centroids[j : j + 1])[0, 0])
+
+
 def _brute_force_pair(centroids):
     best = None
     best_d = np.inf
     k = len(centroids)
     for i in range(k):
         for j in range(i + 1, k):
-            d = float(np.sum((centroids[i] - centroids[j]) ** 2))
+            d = _pair_distance(centroids, i, j)
             if d < best_d:
                 best_d = d
                 best = (i, j)
@@ -434,15 +439,20 @@ def test_closest_pair_tie_is_lexicographic():
 
 
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31))
-def test_closest_pair_matches_brute_force(seed):
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.integers(min_value=1, max_value=9))
+def test_closest_pair_matches_brute_force(seed, d):
+    # Per-pair references from the fold: the selection rules read the same
+    # sums, so a near-tie goes the same way.
     rng = np.random.default_rng(seed)
-    centroids = rng.normal(size=(6, 3))
+    centroids = rng.normal(size=(6, d))
+    pairs = kmeans.column_distances(centroids.T, centroids)
+    assert pairs.tobytes() == pairs.T.tobytes()
+    assert (np.diag(pairs) == 0).all()
     clustering = _clustering_with_centroids(centroids)
     assert closest_centroid_pair(clustering) == _brute_force_pair(centroids)
     for target in range(6):
-        diffs = {c: centroids[c] - centroids[target] for c in range(6) if c != target}
-        expected = min(diffs, key=lambda c: (float(diffs[c] @ diffs[c]), c))
+        others = [c for c in range(6) if c != target]
+        expected = min(others, key=lambda c: (_pair_distance(centroids, c, target), c))
         assert nearest_cluster(clustering, target) == expected
 
 
