@@ -163,9 +163,12 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-_ACTION_RE = re.compile(r"^(init|split\(\d+\)|merge\(\d+,\d+\))(\+(split\(\d+\)|merge\(\d+,\d+\)))*$")
-_MERGE_RE = re.compile(r"merge\((\d+),(\d+)\)")
-_ID_RE = re.compile(r"\d+")
+# A cluster id as the export writes it: ASCII digits, no leading zero.
+_ID = r"(?:0|[1-9][0-9]*)"
+_PART = rf"split\({_ID}\)|merge\({_ID},{_ID}\)"
+_ACTION_RE = re.compile(rf"(?:init|{_PART})(?:\+(?:{_PART}))*")
+_MERGE_RE = re.compile(rf"merge\(({_ID}),({_ID})\)")
+_ID_RE = re.compile(_ID)
 
 # The JSON types each trace record field may have. Types are compared
 # exactly, so a bool is not taken for a number.
@@ -205,7 +208,7 @@ def validate_trace_records(records: list[dict], method: str | None = None) -> li
             continue
         if rec["step"] != pos:
             violations.append(f"step {pos}: step numbering broken (found {rec['step']})")
-        if not _ACTION_RE.match(rec["action"]):
+        if not _ACTION_RE.fullmatch(rec["action"]):
             violations.append(f"step {pos}: malformed action {rec['action']!r}")
         for i, j in _MERGE_RE.findall(rec["action"]):
             if int(i) >= int(j):

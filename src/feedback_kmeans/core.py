@@ -19,27 +19,27 @@ import numpy as np
 
 
 class Sense(enum.Enum):
-    """Orientation of a feedback value."""
+    """Orientation of a feedback value. ``oriented`` is the one rule: every
+    comparison below compares oriented values, higher being better."""
 
     HIGHER_IS_BETTER = "higher"
     LOWER_IS_BETTER = "lower"
 
+    def oriented(self, value: float) -> float:
+        """value, negated under LOWER_IS_BETTER, so that higher is better."""
+        return -value if self is Sense.LOWER_IS_BETTER else value
+
     def better(self, candidate: float, incumbent: float) -> bool:
         """True iff candidate is strictly better than incumbent."""
-        if self is Sense.HIGHER_IS_BETTER:
-            return candidate > incumbent
-        return candidate < incumbent
+        return self.oriented(candidate) > self.oriented(incumbent)
 
     def reached(self, value: float, target: float) -> bool:
         """True iff value is at least as good as target."""
-        if self is Sense.HIGHER_IS_BETTER:
-            return value >= target
-        return value <= target
+        return self.oriented(value) >= self.oriented(target)
 
     def worst_first(self, values) -> list[int]:
         """Indices of values ordered worst to best, ties by lowest index."""
-        sign = -1.0 if self is Sense.LOWER_IS_BETTER else 1.0
-        return sorted(range(len(values)), key=lambda i: (sign * values[i], i))
+        return sorted(range(len(values)), key=lambda i: (self.oriented(values[i]), i))
 
     def best_flags(self, values) -> list[bool]:
         """True for the first value and for each value strictly better than
@@ -57,6 +57,17 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_seed(name: str, value) -> int:
+    """value as a seed: an integer in [0, 2**64), rejected by name otherwise,
+    so that no two seeds name one random stream."""
+    seed = as_integer(name, value)
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    if seed >= 2**64:
+        raise ValueError(f"{name} must be below 2**64, got {seed}")
+    return seed
 
 
 def as_number(name: str, value) -> float:

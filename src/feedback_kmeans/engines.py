@@ -34,6 +34,7 @@ from .core import (
     RunTrace,
     TraceStep,
     as_integer,
+    as_seed,
     named_errors,
 )
 from .feedback import FeedbackProvider
@@ -80,7 +81,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         iterations = DEFAULT_ITERATIONS[self.method] if self.iterations is None else self.iterations
         object.__setattr__(self, "iterations", as_integer("iterations", iterations))
-        object.__setattr__(self, "seed", as_integer("seed", self.seed))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 

@@ -24,6 +24,7 @@ import copy
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -31,7 +32,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, as_number, check_keys
-from .core import keyed_errors, read_json, validate_clustering
+from .core import as_seed, keyed_errors, read_json, validate_clustering
 from .kmeans import own_squared_distances
 from .rng import substream
 
@@ -59,6 +60,19 @@ def relative_change(reference: float, new: float) -> float:
     if abs(reference) < BASELINE_EPSILON:
         raise ValueError(f"degenerate baseline: |{reference!r}| < {BASELINE_EPSILON}")
     return (float(new) - reference) / abs(reference)
+
+
+# A segment id in the decimal form save_oracle_profile writes it.
+_SEGMENT_ID_RE = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _segment_id(key) -> int:
+    """A segment_weights key as an id: an integer, or a string in the form
+    _SEGMENT_ID_RE takes. Any other key is an error, so that no two keys
+    name one segment unnoticed."""
+    if isinstance(key, str) and _SEGMENT_ID_RE.fullmatch(key):
+        return int(key)
+    return as_integer("segment id", key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +104,8 @@ class OracleProfile:
     def __post_init__(self) -> None:
         for name in ("score_offset", "noise_sigma", "eval_pool_fraction"):
             object.__setattr__(self, name, as_number(name, getattr(self, name)))
-        for name in ("sample_size", "rng_seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "sample_size", as_integer("sample_size", self.sample_size))
+        object.__setattr__(self, "rng_seed", as_seed("rng_seed", self.rng_seed))
         if self.score_offset <= 0:
             raise ValueError("score_offset must be positive")
         if self.noise_sigma < 0:
@@ -104,7 +118,10 @@ class OracleProfile:
             raise ValueError("oracle profile needs at least one segment")
         weights: dict[int, np.ndarray] = {}
         m = None if self.m is None else as_integer("m", self.m)
-        for seg, w in self.segment_weights.items():
+        for key, w in self.segment_weights.items():
+            seg = _segment_id(key)
+            if seg in weights:
+                raise ValueError(f"segment {seg} is given twice")
             arr = _frozen_f64(w, f"segment {seg}: weights", ndim=1)
             if not np.isfinite(arr).all():
                 raise ValueError(f"segment {seg}: weights must be finite, got {arr.tolist()}")
@@ -120,7 +137,7 @@ class OracleProfile:
                     f"segment {seg}: ||w*||^2 = {norm2:g} exceeds the "
                     f"score offset {self.score_offset:g}"
                 )
-            weights[int(seg)] = arr
+            weights[seg] = arr
         object.__setattr__(self, "segment_weights", weights)
         object.__setattr__(self, "m", int(m))
         # Sorted segment ids and the (S, m) table of their weight rows: a
@@ -134,7 +151,7 @@ class OracleProfile:
         """This profile under another seed. Only the seed is checked: the
         copy shares the checked weights and the segment table."""
         profile = copy.copy(self)
-        object.__setattr__(profile, "rng_seed", as_integer("rng_seed", rng_seed))
+        object.__setattr__(profile, "rng_seed", as_seed("rng_seed", rng_seed))
         return profile
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from statistics import mean
 
-from .core import Clustering, Dataset, RunTrace, Sense, as_integer
+from .core import Clustering, Dataset, RunTrace, Sense, as_integer, as_seed
 from .engines import DEFAULT_ITERATIONS, EngineConfig, Method, best_clustering, run_engine
 from .feedback import FeedbackProvider, OracleProfile, provider_from_name, relative_change
 from .kmeans import KMeansConfig, lloyd
@@ -64,8 +64,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(_method(m) for m in self.methods))
-        for name in ("sme_iterations", "sm_iterations", "repeats_per_cell", "fluctuation_calls", "seed"):
+        for name in ("sme_iterations", "sm_iterations", "repeats_per_cell", "fluctuation_calls"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         object.__setattr__(self, "k_values", tuple(as_integer("k_values", k) for k in self.k_values))
         if not self.methods:
             raise ValueError("methods must be non-empty")
@@ -162,9 +163,7 @@ def impact(initial: float, best: float, sense: Sense) -> float:
     """Relative change between the initial and best evaluation, oriented so
     that an improvement is positive: a lower-is-better pair is negated
     first, which gives (initial - best) / |initial| exactly."""
-    if sense is Sense.LOWER_IS_BETTER:
-        initial, best = -float(initial), -float(best)
-    return relative_change(initial, best)
+    return relative_change(sense.oriented(float(initial)), sense.oriented(float(best)))
 
 
 def expected_relative_change(
@@ -204,7 +203,7 @@ def run_method(
     """One run of method from k seeded clusters, as an experiment cell and
     the CLI's run command make it. A customizability-driven run evaluates
     on the profile re-seeded from seed, so the arguments fix the run."""
-    seed = as_integer("seed", seed)  # named before the oracle's seed derives from it
+    seed = as_seed("seed", seed)  # named before the oracle's seed derives from it
     if method.feedback_kind == "custom" and profile is not None:
         profile = profile.with_rng_seed(derive_seed(seed, "oracle"))
     provider = provider_from_name(method.feedback_kind, profile)

@@ -1,11 +1,11 @@
 """Lloyd's k-means with seeded random initialization.
 
 Provides the individual steps (init / assign / update / empty-cluster
-repair) as kernels that take arrays; only the entry points ``lloyd*`` and
-``assign_points`` take a ``Dataset``, and Lloyd runs on a whole dataset or
-on members of it. Split reuses the assignment pass, against its two new
-centroids only, and the repair; merge and the rules that pick a merge
-reuse the distance kernel.
+repair) as kernels that take (d, n) feature columns and return arrays; only
+``lloyd*`` and ``assign_points`` take a ``Dataset``, only ``lloyd*`` return
+a ``Clustering``, and Lloyd runs on a whole dataset or on members of it.
+Split reuses the assignment pass, against its two new centroids only, and
+the repair; merge and the rules that pick a merge reuse the distance kernel.
 
 One layout: every distance kernel reads (d, n) feature-major columns,
 ``Dataset.columns`` or a gather of them, and ``column_distances`` writes a
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustering, Dataset, as_integer
+from .core import Clustering, Dataset, as_integer, as_seed
 
 # Lloyd stops once centroid movement, the maximum over centroids of the
 # squared displacement between consecutive iterations, is at most this.
@@ -49,10 +49,9 @@ class KMeansConfig:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("k", "seed", "max_iterations"):
+        for name in ("k", "max_iterations"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.max_iterations < 1:
@@ -81,7 +80,7 @@ def column_distances(columns: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     (numpy's x86-64 baseline), they are einsum's bits.
 
     The columns are read in place, contiguous (``Dataset.columns`` or
-    Lloyd's gather of them) or not (the transpose of row-major points).
+    Lloyd's gather of them) or not (the merge rules' transposed centroids).
     Each group of centroids gets a (d, group, rows) slab of squared
     differences over a block of rows, from one broadcast subtraction and
     one multiplication, that ``_fold_lanes`` sums with one add per feature
@@ -176,8 +175,9 @@ def own_squared_distances(columns: np.ndarray, centroids: np.ndarray, assignment
     return out
 
 
-def init_centroids(points: np.ndarray, row_ids: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k distinct rows of points chosen uniformly without replacement.
+def init_centroids(columns: np.ndarray, row_ids: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k distinct points of the (d, n) feature columns, as (k, d) rows,
+    chosen uniformly without replacement.
 
     row_ids are the points' ``Dataset.row_ids``: they compare like the rows
     but need not be dense. Sampling is over the distinct ids in ascending
@@ -195,7 +195,7 @@ def init_centroids(points: np.ndarray, row_ids: np.ndarray, k: int, seed: int) -
         raise ValueError(f"k exceeds distinct points: k={k}, distinct={distinct.size}")
     rng = np.random.default_rng(seed)
     chosen = distinct[rng.choice(distinct.size, size=k, replace=False)]
-    return points[[np.argmax(row_ids == v) for v in chosen]]
+    return columns.T[[np.argmax(row_ids == v) for v in chosen]]
 
 
 def assign_points(dataset: Dataset, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +236,9 @@ def update_centroids(columns: np.ndarray, assignment: np.ndarray, counts: np.nda
     return np.divide(sums.T, counts[:, None], out=means, where=counts[:, None] > 0)
 
 
-def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarray) -> Clustering:
-    """Re-seed each empty cluster at the point farthest from its centroid.
+def repair_empty(columns: np.ndarray, assignment: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each empty cluster re-seeded at the point of the (d, n) feature
+    columns farthest from its centroid, as new (assignment, centroids).
 
     The empty ids are those of the k = len(centroids) ids that no point is
     assigned to. In ascending id order, the chosen point (ties broken by
@@ -247,22 +248,22 @@ def repair_empty(points: np.ndarray, assignment: np.ndarray, centroids: np.ndarr
     would loop.
     """
     k = centroids.shape[0]
-    if k > points.shape[0]:
-        raise ValueError(f"cannot repair: k={k} exceeds dataset size {points.shape[0]}")
+    if k > columns.shape[1]:
+        raise ValueError(f"cannot repair: k={k} exceeds dataset size {columns.shape[1]}")
     empties = np.flatnonzero(np.bincount(assignment, minlength=k) == 0)
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     centroids = np.asarray(centroids, dtype=np.float64).copy()
     for empty in empties:
-        dist = own_squared_distances(points.T, centroids, assignment)
+        dist = own_squared_distances(columns, centroids, assignment)
         sizes = np.bincount(assignment, minlength=k)
         eligible = sizes[assignment] >= 2
         if not eligible.any():
             raise ValueError("cannot repair: no cluster has a point to spare")
         dist = np.where(eligible, dist, -np.inf)
-        donor_point = int(np.argmax(dist))
-        centroids[empty] = points[donor_point]
-        assignment[donor_point] = empty
-    return Clustering.adopt(assignment, centroids)
+        donor = int(np.argmax(dist))
+        centroids[empty] = columns[:, donor]
+        assignment[donor] = empty
+    return assignment, centroids
 
 
 def nearest_rows(rows, *, second: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -333,16 +334,16 @@ def lloyd_history(
     the same order, give the same centroids bit for bit and so stop the
     loop with no movement, so that iteration is recorded and skipped.
     """
-    points, columns, row_ids = dataset.points, dataset.columns, dataset.row_ids
+    columns, row_ids = dataset.columns, dataset.row_ids
     if members is not None:
         columns, row_ids = columns.take(members, axis=1), row_ids[members]
-        points = columns.T
-    centroids = init_centroids(points, row_ids, config.k, config.seed)
+    n = columns.shape[1]
+    centroids = init_centroids(columns, row_ids, config.k, config.seed)
     assignment, upper, lower = _bounds(column_distances(columns, centroids))
     # Centroids are distinct data points, so each owns at least itself and
     # the first assignment cannot leave a cluster empty.
     counts = np.bincount(assignment, minlength=config.k)
-    history = [len(points)]
+    history = [n]
     changed = True  # the centroids are not yet the means of the assignment
     for _ in range(config.max_iterations):
         if not changed:
@@ -358,7 +359,7 @@ def lloyd_history(
         lower -= moved.max()
         rows = (upper >= lower * _SLACK).nonzero()[0]
         # A full pass reads the columns as they are, with no gather.
-        block = columns if rows.size == len(points) else columns.take(rows, axis=1)
+        block = columns if rows.size == n else columns.take(rows, axis=1)
         old = assignment[rows]
         new, upper[rows], lower[rows] = _bounds(column_distances(block, centroids))
         changed = bool((new != old).any())
@@ -367,9 +368,7 @@ def lloyd_history(
         history.append(rows.size)
         repaired = bool((counts == 0).any())
         if repaired:
-            clustering = repair_empty(points, assignment, centroids)
-            # The clustering's assignment is read-only; the passes write theirs.
-            assignment, centroids = clustering.assignment.copy(), clustering.centroids
+            assignment, centroids = repair_empty(columns, assignment, centroids)
             counts = np.bincount(assignment, minlength=config.k)
             # The repaired assignment need not be nearest-centroid: every
             # row recomputes on the next pass.

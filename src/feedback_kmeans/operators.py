@@ -121,10 +121,9 @@ def split_cluster(
     assignment = nearest_rows(distances, second=False)[0]
     empties = (np.bincount(assignment, minlength=len(new_centroids)) == 0).nonzero()[0]
     if empties.size:
-        repaired = repair_empty(dataset.points, assignment, new_centroids)
-        for cid, row in zip(empties, distance_rows(dataset, repaired.centroids[empties])):
+        assignment, new_centroids = repair_empty(dataset.columns, assignment, new_centroids)
+        for cid, row in zip(empties, distance_rows(dataset, new_centroids[empties])):
             distances[cid] = row
-        return repaired, distances
     return Clustering.adopt(assignment, new_centroids), distances
 
 

@@ -15,10 +15,9 @@ _FNV_PRIME64 = 0x100000001B3
 
 
 def _as_entropy(part: int | str) -> int:
-    """Map a stream label to a non-negative entropy word.
-
-    Strings go through 64-bit FNV-1a; the built-in ``hash()`` is salted per
-    process and would break cross-run reproducibility.
+    """Map a stream label to an entropy word: an int as it is (``SeedSequence``
+    rejects a negative one), a string by 64-bit FNV-1a; the built-in ``hash()``
+    is salted per process and would break cross-run reproducibility.
     """
     if isinstance(part, str):
         h = _FNV_OFFSET64
@@ -26,7 +25,7 @@ def _as_entropy(part: int | str) -> int:
             h ^= b
             h = (h * _FNV_PRIME64) & _MASK64
         return h
-    return int(part) & _MASK64
+    return int(part)
 
 
 def substream(seed: int, *parts: int | str) -> np.random.Generator:

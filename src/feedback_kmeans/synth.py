@@ -13,12 +13,12 @@ Dataset read-only, so the Dataset shares them instead of copying them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, as_integer, as_number, check_keys, keyed_errors, read_json
+from .core import Dataset, as_integer, as_number, as_seed, check_keys, keyed_errors, read_json
 from .feedback import PROFILE_KEYS, OracleProfile
 
 FEATURE_NAMES = (
@@ -81,12 +81,10 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_points", as_integer("n_points", self.n_points))
-        object.__setattr__(self, "seed", as_integer("seed", self.seed))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.n_points < 1:
             raise ValueError("n_points must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.segments:
             raise ValueError("at least one segment is required")
         ids = [s.id for s in self.segments]
@@ -186,17 +184,7 @@ def standardize(dataset: Dataset) -> tuple[Dataset, FeatureScaling]:
     scaling = FeatureScaling(mean=mean, stddev=stddev)
     points = scaling.apply(dataset.points)
     points.setflags(write=False)
-    return (
-        Dataset(
-            points=points,
-            feature_names=dataset.feature_names,
-            bookings=dataset.bookings,
-            hidden_segment=dataset.hidden_segment,
-            origins=dataset.origins,
-            destinations=dataset.destinations,
-        ),
-        scaling,
-    )
+    return replace(dataset, points=points), scaling
 
 
 def build_oracle_profile(config: GeneratorConfig, **knobs) -> OracleProfile:

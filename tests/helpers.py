@@ -159,7 +159,7 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
     def nearest(centroids):
         return squared_distances(dataset.points, centroids).argmin(axis=1)
 
-    centroids = init_centroids(dataset.points, dataset.row_ids, config.k, config.seed)
+    centroids = init_centroids(dataset.columns, dataset.row_ids, config.k, config.seed)
     assignment = nearest(centroids)
     iterations = 0
     for _ in range(config.max_iterations):
@@ -170,8 +170,7 @@ def plain_lloyd(dataset: Dataset, config: KMeansConfig) -> tuple[Clustering, int
         assignment = nearest(centroids)
         repaired = bool((np.bincount(assignment, minlength=config.k) == 0).any())
         if repaired:
-            clustering = repair_empty(dataset.points, assignment, centroids)
-            assignment, centroids = clustering.assignment, clustering.centroids
+            assignment, centroids = repair_empty(dataset.columns, assignment, centroids)
         if not repaired and shift <= TOLERANCE:
             break
     return Clustering(assignment=assignment, centroids=centroids), iterations
@@ -186,7 +185,7 @@ def reference_split(dataset: Dataset, clustering: Clustering, target: int, seed:
     subset = Dataset(points=dataset.points[members], feature_names=dataset.feature_names)
     child_centroids = plain_lloyd(subset, KMeansConfig(k=2, seed=seed))[0].centroids
     centroids = np.vstack([np.delete(clustering.centroids, target, axis=0), child_centroids])
-    return repair_empty(dataset.points, assign_points(dataset, centroids)[0], centroids)
+    return Clustering(*repair_empty(dataset.columns, assign_points(dataset, centroids)[0], centroids))
 
 
 def reference_merge(dataset: Dataset, clustering: Clustering, i: int, j: int) -> Clustering:
@@ -251,7 +250,7 @@ def objective_sequence(dataset: Dataset, config: KMeansConfig) -> list[float]:
     """Weighted RSS after init plus the first assignment, then after each
     Lloyd iteration. Lloyd is deterministic, so the state after t iterations
     is lloyd(...) capped at max_iterations=t."""
-    centroids = init_centroids(dataset.points, dataset.row_ids, config.k, config.seed)
+    centroids = init_centroids(dataset.columns, dataset.row_ids, config.k, config.seed)
     sequence = [weighted_rss(dataset, assign_points(dataset, centroids)[0], centroids)]
     iterations = len(lloyd_history(dataset, config)[1]) - 1
     for t in range(1, iterations + 1):

@@ -12,6 +12,7 @@ from feedback_kmeans.cli import _EXPERIMENT_KEYS, build_parser, main, validate_t
 from feedback_kmeans.engines import read_trace_records
 from feedback_kmeans.feedback import PROFILE_KEYS
 from feedback_kmeans.ingest import read_report
+from feedback_kmeans.synth import FEATURE_NAMES
 
 
 def write_config(path, n_points=400, seed=5, noise_sigma=0.05):
@@ -283,6 +284,36 @@ def test_run_custom_without_oracle_names_the_flag(tmp_path, generated, capsys):
         main(["run", "--dataset", str(dataset), "--method", "sme", "--feedback", "custom", "--k", "2"])
     assert excinfo.value.code == 2
     assert "--oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "experiment"])
+def test_a_negative_seed_flag_is_named(tmp_path, generated, capsys, command):
+    dataset, _ = generated
+    grid = ["--method", "sme", "--k", "2"] if command == "run" else ["--methods", "sme:rss", "--out", str(tmp_path / "r")]
+    assert main([command, "--dataset", str(dataset), "--seed", "-1", *grid]) == 1
+    assert "error: seed must be non-negative, got -1\n" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_says_when_it_stalled(tmp_path, capsys):
+    # k=2 on two distinct points, each given twice: neither cluster holds
+    # two distinct points, so no split is legal. The oracle scores the
+    # clusters, whose RSS of 0 would be a degenerate impact baseline.
+    rows = [[1.0] * 8 + [5, 0], [1.0] * 8 + [3, 0], [2.0] * 8 + [4, 1], [2.0] * 8 + [2, 1]]
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join(",".join(map(str, row)) for row in [[*FEATURE_NAMES, "bookings", "hidden_segment"], *rows]))
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({
+        "m": 2, "segments": {"0": [1.0, 0.0], "1": [0.0, 1.0]}, "C": 10.0, "noise_sigma": 0.05,
+        "sample_size": 100, "eval_pool_fraction": 0.2,
+    }))
+    trace = tmp_path / "trace.jsonl"
+    argv = ["run", "--dataset", str(dataset), "--oracle", str(oracle), "--method", "sme", "--feedback", "custom",
+            "--k", "2", "--out", str(trace)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("final k (best clustering): 2\nrun stalled: no legal action remained\n")
+    assert f"wrote {trace} (1 steps)" in out and len(read_trace_records(trace)) == 1
 
 
 def test_run_deterministic_trace_bytes(tmp_path, generated):
@@ -689,6 +720,11 @@ def test_validate_records_unit_checks():
             ],
         ),
         (5, "split(0)", ["step 1: k=5 after k=2 and split(0), not 3"]),
+        (2, "init", ["step 1: init action after step 0"]),
+        # An id is ASCII digits with no leading zero, and the label ends at its last ")".
+        (2, "split(01)+merge(1,2)", ["step 1: malformed action 'split(01)+merge(1,2)'"]),
+        (2, "split(\u0661)+merge(1,2)", ["step 1: malformed action 'split(\u0661)+merge(1,2)'"]),
+        (2, "split(0)+merge(1,2)\n", ["step 1: malformed action 'split(0)+merge(1,2)\\n'"]),
     ],
 )
 def test_validate_flags_a_step_no_engine_produces(k, action, expected):
@@ -700,6 +736,29 @@ def test_validate_flags_a_step_no_engine_produces(k, action, expected):
     step = dict(init, step=1, action=action, k=k, per_cluster_feedback=[1.0] * k, is_best=False)
     for method in [None, "sm"] + (["sme"] if k == init["k"] else []):
         assert validate_trace_records([init, step], method=method) == expected, method
+
+
+_STEP_0 = {"step": 0, "action": "init", "k": 2, "per_cluster_feedback": [1.0, 1.0], "aggregate": 1.0, "is_best": True}
+_STEP_1 = dict(_STEP_0, step=1, action="split(0)+merge(1,2)", is_best=False)
+
+
+@pytest.mark.parametrize(
+    "records, method, expected",
+    [
+        ([{k: v for k, v in _STEP_0.items() if k != "is_best"}], None, ["step 0: missing fields ['is_best']"]),
+        ([_STEP_0, dict(_STEP_1, step=5)], None, ["step 1: step numbering broken (found 5)"]),
+        ([dict(_STEP_0, action="split(0)"), _STEP_1], None, ["step 0 is not the initial clustering"]),
+        (
+            [_STEP_0, dict(_STEP_1, action="split(0)", k=3, per_cluster_feedback=[1.0] * 3)],
+            "sme",
+            ["cluster count not preserved across steps: [2, 3]"],
+        ),
+        ([_STEP_0, dict(_STEP_1, action="split(0)", k=3, per_cluster_feedback=[1.0] * 3)], "sm", []),
+    ],
+    ids=["missing-field", "step-numbering", "no-init", "sme-count-drift", "sm-count-drift"],
+)
+def test_validate_flags_a_trace_no_engine_writes(records, method, expected):
+    assert validate_trace_records(records, method=method) == expected
 
 
 @pytest.mark.parametrize(

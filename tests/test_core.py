@@ -19,6 +19,7 @@ from feedback_kmeans import (
     validate_clustering,
 )
 from feedback_kmeans.core import as_number, check_keys, read_json
+from feedback_kmeans.rng import derive_seed, substream
 
 from helpers import make_dataset
 
@@ -32,6 +33,15 @@ def test_as_number_takes_finite_ints_and_floats(value):
 def test_as_number_rejects_the_rest_by_name(value):
     with pytest.raises(ValueError, match=rf"^noise_sigma must be a finite int or float, got {re.escape(repr(value))}$"):
         as_number("noise_sigma", value)
+
+
+@pytest.mark.parametrize("draw", [substream, derive_seed])
+def test_a_negative_seed_that_reaches_the_streams_is_an_error(draw):
+    # It once entered them modulo 2**64, as the seed 2**64 - 1.
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        draw(-1, "split", 3)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        draw(5, -1)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +230,24 @@ def test_sense_reached_is_inclusive():
     assert not Sense.LOWER_IS_BETTER.reached(0.6, 0.5)
 
 
+def test_sense_oriented_negates_lower_is_better_values_only():
+    assert Sense.HIGHER_IS_BETTER.oriented(2.5) == 2.5
+    assert Sense.LOWER_IS_BETTER.oriented(2.5) == -2.5
+    assert repr(Sense.LOWER_IS_BETTER.oriented(0.0)) == "-0.0"
+
+
+@given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False))
+def test_sense_comparisons_equal_their_per_sense_forms(a, b):
+    # Negation is exact, so comparing oriented values is comparing the
+    # values themselves, the other way round under lower-is-better.
+    higher, lower = Sense.HIGHER_IS_BETTER, Sense.LOWER_IS_BETTER
+    assert (higher.better(a, b), lower.better(a, b)) == (a > b, a < b)
+    assert (higher.reached(a, b), lower.reached(a, b)) == (a >= b, a <= b)
+    values = [a, b, a, b]
+    assert higher.worst_first(values) == sorted(range(4), key=lambda i: (values[i], i))
+    assert lower.worst_first(values) == sorted(range(4), key=lambda i: (-1.0 * values[i], i))
+
+
 def test_sense_best_flags_mark_the_first_value_and_strict_improvements():
     values = (2.0, 3.0, 1.0, 1.0, 3.0, 0.5)
     assert Sense.LOWER_IS_BETTER.best_flags(values) == [True, False, True, False, False, True]
@@ -302,3 +330,17 @@ def test_only_the_known_functions_sum_through_einsum_blas_or_matmul():
     for path in sorted(Path(feedback_kmeans.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, "")
     assert dict(found) == SUMMING_CALLS
+
+
+def test_no_kmeans_function_reads_a_points_attribute():
+    # Every k-means kernel takes (d, n) feature columns, so each distance
+    # pass reads Dataset.columns or a gather of it, never row-major points.
+    path = Path(feedback_kmeans.__file__).parent / "kmeans.py"
+    readers = sorted(
+        function.name
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "points"
+    )
+    assert readers == []

@@ -765,9 +765,15 @@ def test_profile_json_round_trip(tmp_path):
         (lambda payload: {**payload, "C": -1}, "C must be positive"),
         (lambda payload: {**payload, "segments": {"0": [float("nan"), 0.5]}}, "segment 0: weights must be finite"),
         (lambda payload: {**payload, "rng_seed": 5}, "unknown top level key(s) rng_seed (accepted: m, segments, C, "),
+        # Each of these keys once loaded as segment 1 or 10, silently.
+        (lambda payload: {**payload, "segments": {"1": [1.0, 0.0], "01": [0.0, 2.0]}},
+         "segment id must be an integer, got '01'"),
+        (lambda payload: {**payload, "segments": {"0": [1.0, 0.0], "1_0": [0.0, 2.0]}},
+         "segment id must be an integer, got '1_0'"),
+        (lambda payload: {**payload, "segments": {"0": [1.0, 0.0], "-0": [0.0, 2.0]}}, "segment 0 is given twice"),
     ],
     ids=["top-level-list", "segments-list", "fractional-m", "null-C", "missing-field", "nan-literal", "string-C",
-         "negative-C", "nan-weight", "unknown-key"],
+         "negative-C", "nan-weight", "unknown-key", "zero-padded-id", "underscored-id", "repeated-id"],
 )
 def test_malformed_profile_file_is_a_named_error(tmp_path, change, message):
     path = tmp_path / "oracle.json"
@@ -775,6 +781,31 @@ def test_malformed_profile_file_is_a_named_error(tmp_path, change, message):
     path.write_text(json.dumps(change(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=rf"^oracle profile {re.escape(str(path))}: .*{re.escape(message)}"):
         load_oracle_profile(path)
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ({True: [1.0]}, "segment id must be an integer, got True"),
+        ({1.5: [1.0]}, "segment id must be an integer, got 1.5"),
+        ({"+1": [1.0]}, "segment id must be an integer, got '+1'"),
+        ({1: [1.0], "1": [0.5]}, "segment 1 is given twice"),
+    ],
+)
+def test_profile_segment_ids_are_integers_given_once(segments, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OracleProfile(segment_weights=segments)
+
+
+def test_profile_segment_ids_round_trip(tmp_path):
+    profile = OracleProfile(segment_weights={"-3": [1.0], np.int64(12): [0.5], "0": [0.0]})
+    assert list(profile.segment_weights) == [-3, 12, 0]
+    assert all(type(seg) is int for seg in profile.segment_weights)
+    path = tmp_path / "oracle.json"
+    save_oracle_profile(profile, path)
+    assert set(json.loads(path.read_text())["segments"]) == {"-3", "12", "0"}
+    loaded = load_oracle_profile(path)
+    assert {seg: w.tolist() for seg, w in loaded.segment_weights.items()} == {-3: [1.0], 12: [0.5], 0: [0.0]}
 
 
 def test_provider_from_name():

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from feedback_kmeans import (
     Clustering,
     CustomizabilityFeedback,
+    EngineConfig,
     ExperimentConfig,
     ExperimentMethod,
     ExperimentReport,
     ImpactRecord,
     KMeansConfig,
+    Method,
+    OracleProfile,
     RssFeedback,
     Sense,
     build_oracle_profile,
@@ -412,6 +415,32 @@ def test_run_method_seed_that_is_not_an_integer_is_named(planted_small, method, 
     dataset, profile = planted_small
     with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
         harness.run_method(dataset, method, 2, seed, profile)
+
+
+# Every entry point that takes a seed, by the name its errors give it. A
+# seed once entered the random streams modulo 2**64, so seed 2**64 ran seed
+# 0's run and recorded it under another seed.
+SEED_ENTRY_POINTS = {
+    "kmeans": ("seed", lambda ds, seed: KMeansConfig(k=2, seed=seed)),
+    "generator": ("seed", lambda ds, seed: demo_generator_config(n_points=10, seed=seed)),
+    "engine": ("seed", lambda ds, seed: EngineConfig(Method.SME, RssFeedback(), seed)),
+    "experiment": ("seed", lambda ds, seed: ExperimentConfig(seed=seed)),
+    "run_method": ("seed", lambda ds, seed: harness.run_method(ds, ExperimentMethod.SME_RSS, 2, seed, iterations=1)),
+    "profile": ("rng_seed", lambda ds, seed: OracleProfile(segment_weights={0: [1.0]}, rng_seed=seed)),
+    "with_rng_seed": ("rng_seed", lambda ds, seed: OracleProfile(segment_weights={0: [1.0]}).with_rng_seed(seed)),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "seed, problem", [(-1, "must be non-negative, got -1"), (2**64, f"must be below 2**64, got {2**64}")],
+    ids=["-1", "2**64"],
+)
+def test_every_seed_entry_point_takes_exactly_the_64_bit_seeds(two_blobs, entry, seed, problem):
+    name, build = SEED_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(problem)}$"):
+        build(two_blobs, seed)
+    build(two_blobs, 2**64 - 1)
 
 
 def test_config_validation():

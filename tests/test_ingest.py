@@ -387,6 +387,21 @@ def _report():
             final_k=5,
             stalled=False,
         ),
+        # An RSS-driven cell of an experiment run without an oracle.
+        ImpactRecord(
+            method="sm:rss",
+            k=4,
+            seed=7,
+            driving_feedback="rss",
+            initial_eval=1.25,
+            best_eval=1.0,
+            impact=0.2,
+            custom_initial=None,
+            custom_reference=None,
+            custom_impact=None,
+            final_k=4,
+            stalled=True,
+        ),
     )
     failures = (CellFailure(method="sm:rss", k=7, seed=5, error="ValueError: boom"),)
     return ExperimentReport(records=records, failures=failures, fluctuation_by_k={2: 0.01})
@@ -398,6 +413,7 @@ def test_report_round_trip_csv(tmp_path):
     write_report(report, path, format="csv")
     loaded = read_report(path)
     assert loaded == report.record_dicts()
+    assert path.read_text().splitlines()[3] == "sm:rss,4,7,rss,1.25,1.0,0.2,,,,4,true"
 
 
 def test_report_round_trip_json(tmp_path):
@@ -431,6 +447,17 @@ def test_empty_report_is_header_only(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == [",".join(REPORT_COLUMNS)]
     assert read_report(path) == []
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("", "empty report file"), ("method,k\r\nsme:rss,2\r\n", "unexpected report header ['method', 'k']")],
+)
+def test_report_csv_without_its_header_names_the_file(tmp_path, content, message):
+    path = tmp_path / "report.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        read_report(path)
 
 
 def test_non_utf8_report_names_the_file(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import feedback_kmeans
 from feedback_kmeans import (
+    Clustering,
     KMeansConfig,
     assign_points,
     init_centroids,
@@ -37,13 +38,14 @@ from helpers import (
 # ---------------------------------------------------------------- init
 
 def _init(ds, k, seed):
-    return init_centroids(ds.points, ds.row_ids, k, seed)
+    return init_centroids(ds.columns, ds.row_ids, k, seed)
 
 
 def test_init_forced_selection_with_exactly_k_points():
     ds = make_dataset([[0, 0], [5, 5], [9, 1]])
     centroids = _init(ds, k=3, seed=0)
     assert sorted(centroids.tolist()) == sorted(ds.points.tolist())
+    assert centroids.shape == (3, 2) and centroids.flags.c_contiguous
 
 
 def test_init_deterministic_per_seed():
@@ -76,7 +78,7 @@ def test_empty_members_name_the_distinct_count():
     with pytest.raises(ValueError, match=message):
         lloyd(ds, KMeansConfig(k=2, seed=0), np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match=message):
-        init_centroids(np.empty((0, 2)), np.array([], dtype=np.int64), 2, seed=0)
+        init_centroids(np.empty((2, 0)), np.array([], dtype=np.int64), 2, seed=0)
 
 
 def _sorted_distinct_draw(points, k, seed):
@@ -99,11 +101,11 @@ def test_init_on_subset_matches_sorted_distinct_draw():
     for k in (1, 2, 5, distinct):
         for seed in range(6):
             np.testing.assert_array_equal(
-                init_centroids(points, ids, k, seed), _sorted_distinct_draw(points, k, seed)
+                init_centroids(points.T, ids, k, seed), _sorted_distinct_draw(points, k, seed)
             )
             np.testing.assert_array_equal(_init(ds, k, seed), _sorted_distinct_draw(ds.points, k, seed))
     with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
-        init_centroids(points, ids, distinct + 1, seed=0)
+        init_centroids(points.T, ids, distinct + 1, seed=0)
     # Members of those members: their ids skip the ranks of both dropped sets.
     nested = members[points[:, 1] != 2.0]
     points, ids = ds.points[nested], ds.row_ids[nested]
@@ -114,10 +116,10 @@ def test_init_on_subset_matches_sorted_distinct_draw():
     for k in (1, 2, 5, distinct):
         for seed in range(6):
             np.testing.assert_array_equal(
-                init_centroids(points, ids, k, seed), _sorted_distinct_draw(points, k, seed)
+                init_centroids(points.T, ids, k, seed), _sorted_distinct_draw(points, k, seed)
             )
     with pytest.raises(ValueError, match=f"k exceeds distinct points: k={distinct + 1}, distinct={distinct}"):
-        init_centroids(points, ids, distinct + 1, seed=0)
+        init_centroids(points.T, ids, distinct + 1, seed=0)
 
 
 # ---------------------------------------------------------------- assign
@@ -257,8 +259,8 @@ def test_own_squared_distances_equal_the_whole_difference_byte_for_byte(inputs, 
     n, d = points.shape
     assignment = np.random.default_rng(n * d).integers(0, centroids.shape[0], n)
     block_values = data.draw(st.integers(1, max(1, n * d // 2)), label="block_values")
-    # Contiguous columns as Dataset.columns gives them, or the strided
-    # transpose of row-major points as repair_empty passes it.
+    # Contiguous columns as Dataset.columns and Lloyd's gather give them, or
+    # the strided transpose of row-major points, which is read in place too.
     contiguous = data.draw(st.booleans(), label="contiguous")
     columns = np.ascontiguousarray(points.T) if contiguous else points.T
     with pytest.MonkeyPatch.context() as patch:
@@ -514,17 +516,19 @@ def test_repair_moves_farthest_point():
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [0.0, 0.0]])
     assignment = np.array([0, 0, 0])  # everything ties to cluster 0
-    repaired = repair_empty(ds.points, assignment, centroids)
+    repaired = Clustering(*repair_empty(ds.columns, assignment, centroids))
     assert repaired.assignment.tolist() == [0, 0, 1]  # farthest point moved
     np.testing.assert_array_equal(repaired.centroids[1], [5.0, 0.0])
     assert validate_clustering(ds, repaired) == []
+    # The repair returns new arrays and leaves its inputs as they are.
+    assert assignment.tolist() == [0, 0, 0] and not centroids.any()
 
 
 def test_repair_without_empties_is_identity():
     ds = make_dataset([[0.0, 0.0], [5.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [5.0, 0.0]])
     assignment = np.array([0, 1])
-    repaired = repair_empty(ds.points, assignment, centroids)
+    repaired = Clustering(*repair_empty(ds.columns, assignment, centroids))
     np.testing.assert_array_equal(repaired.assignment, assignment)
     np.testing.assert_array_equal(repaired.centroids, centroids)
 
@@ -534,7 +538,7 @@ def test_repair_line_dataset_passes_validation():
     centroids = np.array([[0.0, 0.0], [9.0, 0.0], [100.0, 0.0]])
     assignment = assign_points(ds, centroids)[0]  # cluster 2 ends up empty
     assert 2 not in assignment
-    repaired = repair_empty(ds.points, assignment, centroids)
+    repaired = Clustering(*repair_empty(ds.columns, assignment, centroids))
     assert validate_clustering(ds, repaired) == []
 
 
@@ -545,7 +549,7 @@ def test_repair_never_drains_a_singleton_donor():
     ds = make_dataset([[5.0], [0.0], [0.0]])
     assignment = np.array([1, 0, 0])
     centroids = np.array([[0.0], [5.0], [7.0]])  # cluster 2 empty
-    repaired = repair_empty(ds.points, assignment, centroids)
+    repaired = Clustering(*repair_empty(ds.columns, assignment, centroids))
     assert validate_clustering(ds, repaired) == []
     assert repaired.assignment[0] == 1  # the singleton kept its point
     assert sorted(repaired.sizes().tolist()) == [1, 1, 1]
@@ -554,7 +558,7 @@ def test_repair_never_drains_a_singleton_donor():
 def test_repair_impossible_when_k_exceeds_points():
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="repair"):
-        repair_empty(ds.points, np.array([0, 1]), np.zeros((3, 2)))
+        repair_empty(ds.columns, np.array([0, 1]), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------- lloyd

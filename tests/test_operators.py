@@ -18,7 +18,6 @@ from feedback_kmeans import (
     lloyd,
     merge_pair,
     nearest_cluster,
-    repair_empty,
     sm_decide,
     split_cluster,
     validate_clustering,
@@ -297,9 +296,8 @@ def copies(monkeypatch):
         lambda ds, c: lloyd(ds, KMeansConfig(k=2, seed=0), c.members(0)),
         lambda ds, c: split_cluster(ds, c, distances_of(ds, c), target=0, seed=0),
         lambda ds, c: merge_pair(ds, c, distances_of(ds, c), 0, 1),
-        lambda ds, c: repair_empty(ds.points, c.assignment, np.vstack([c.centroids, [[5.0]]])),
     ],
-    ids=["lloyd", "lloyd_members", "split", "merge", "repair"],
+    ids=["lloyd", "lloyd_members", "split", "merge"],
 )
 def test_producers_hand_their_values_arrays_they_built_uncopied(copies, produce):
     ds, clustering = clustering_with_sizes([3, 4, 2])

@@ -156,19 +156,30 @@ def test_generate_scales_the_draw_as_the_broadcast_formula():
 
 
 def test_generate_and_standardize_hand_their_arrays_to_the_dataset(monkeypatch):
-    # Both mark their fresh arrays read-only, so the Dataset shares them.
-    handed = []
+    # Both mark their fresh arrays read-only, so the Dataset shares them:
+    # generate's draws, and the scaled points standardize rebuilds with.
+    handed, scaled = [], []
+    apply = FeatureScaling.apply
 
     def recording_dataset(**fields):
         handed.append(fields)
         return Dataset(**fields)
 
+    def recording_apply(self, points):
+        scaled.append(apply(self, points))
+        return scaled[-1]
+
     monkeypatch.setattr(synth, "Dataset", recording_dataset)
+    monkeypatch.setattr(FeatureScaling, "apply", recording_apply)
     generated = generate(demo_generator_config(n_points=500, seed=3))
     standardized, _ = standardize(generated)
-    for fields, dataset in zip(handed, (generated, standardized), strict=True):
-        for name in ("points", "bookings", "hidden_segment"):
-            assert np.shares_memory(getattr(dataset, name), fields[name])
+    (fields,) = handed
+    for name in ("points", "bookings", "hidden_segment"):
+        assert np.shares_memory(getattr(generated, name), fields[name])
+    (points,) = scaled
+    assert np.shares_memory(standardized.points, points)
+    assert standardized.bookings is generated.bookings
+    assert standardized.hidden_segment is generated.hidden_segment
     assert not generated.points.flags.writeable and not standardized.points.flags.writeable
 
 
