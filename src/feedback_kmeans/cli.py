@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engines, harness, ingest, synth
-from .core import Sense, as_integer, check_keys, keyed_errors, named_errors, read_json
+from .core import Sense, check_keys, field_errors, read_json
 from .feedback import load_oracle_profile, save_oracle_profile
 from .operators import MIN_K
 
@@ -104,9 +104,9 @@ _LIST_KEYS = {"methods": "comma-separated, e.g. sme:rss,sm:custom", "k_values": 
 
 
 def _experiment_value(key: str, value):
-    """Coerce one config-file or flag value to its ExperimentConfig type;
+    """Coerce one config-file or flag value to its ExperimentConfig type:
     list settings may be JSON lists or comma-separated strings, and every
-    other setting must be an integer (a bool or a fraction is rejected)."""
+    other setting is passed on for ExperimentConfig to check."""
     if key in _LIST_KEYS:
         raw = ",".join(str(v) for v in value) if isinstance(value, (list, tuple)) else str(value)
         if key == "methods":  # ExperimentConfig checks the names
@@ -115,11 +115,11 @@ def _experiment_value(key: str, value):
             return tuple(int(tok) for tok in raw.replace(",", " ").split())
         except ValueError:
             raise ValueError(f"k_values must be integers, got {value!r}") from None
-    return as_integer(key, value)
+    return value
 
 
-def _with_settings(config: harness.ExperimentConfig, settings: dict) -> harness.ExperimentConfig:
-    with keyed_errors(_EXPERIMENT_KEYS, settings):
+def _with_settings(config: harness.ExperimentConfig, settings: dict, prefix: str = "") -> harness.ExperimentConfig:
+    with field_errors(prefix, _EXPERIMENT_KEYS, settings):
         return replace(config, **{_EXPERIMENT_KEYS[k]: _experiment_value(k, v) for k, v in settings.items()})
 
 
@@ -128,8 +128,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if args.config is not None:
         settings = read_json(args.config, args.config)
         check_keys(args.config, "experiment config", settings, _EXPERIMENT_KEYS)
-        with named_errors(args.config, ValueError):  # checked before the flags, to name the file
-            config = _with_settings(config, settings)
+        config = _with_settings(config, settings, f"{args.config}: ")  # before the flags, to name the file
     flags = {key: getattr(args, key) for key in _EXPERIMENT_KEYS if getattr(args, key) is not None}
     config = _with_settings(config, flags)
     if args.oracle is None and any(m.feedback_kind == "custom" for m in config.methods):

@@ -3,6 +3,9 @@
 All types are immutable values after construction; operators and engines
 produce new values instead of mutating. Numpy arrays held by these types
 are marked read-only.
+
+The rules that every input file is checked by each have one owner here:
+parse_json, check_keys, field_errors, and as_integer/as_number/as_numbers.
 """
 
 from __future__ import annotations
@@ -80,6 +83,18 @@ def as_number(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite int or float, got {value!r}")
 
 
+def as_numbers(name: str, values, length: int | None = None) -> tuple[float, ...]:
+    """values, a list, tuple or 1-D array of length entries (any count if
+    None), as floats, each checked by as_number."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values  # messages print nan, not np.float64(nan)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    numbers = tuple(as_number(f"{name}[{i}]", v) for i, v in enumerate(values))
+    if length is not None and len(numbers) != length:
+        raise ValueError(f"{name} must have {length} entries, got {len(numbers)}")
+    return numbers
+
+
 @contextlib.contextmanager
 def named_errors(what: str | Path, *errors: type[Exception]):
     """Re-raise any of errors from inside the block as ValueError("<what>: <error>")."""
@@ -90,24 +105,40 @@ def named_errors(what: str | Path, *errors: type[Exception]):
 
 
 @contextlib.contextmanager
-def keyed_errors(keys: dict[str, str], written):
-    """Re-raise a ValueError about the field of a written key under the key:
-    keys maps each input key to the field it sets, and a message starting
-    with such a field name starts with the key instead."""
+def field_errors(prefix: str = "", keys: dict[str, str] | None = None, written=()):
+    """Re-raise a bad or missing field's error as ValueError(prefix + detail),
+    a KeyError as "missing field 'x'". keys maps each input key to the field
+    it sets; a detail starting with a written key's field starts with the key."""
     try:
         yield
-    except ValueError as exc:
-        message = str(exc)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         for key in written:
-            if message.startswith(keys[key] + " "):
-                raise ValueError(key + message[len(keys[key]):]) from None
-        raise
+            if detail.startswith(keys[key] + " "):
+                detail = key + detail[len(keys[key]):]
+                break
+        raise ValueError(prefix + detail) from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error, not its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is given twice")
+    return obj
+
+
+def parse_json(data: bytes, what: str | Path):
+    """Parse UTF-8 JSON bytes; bytes that are not, or an object that gives
+    a key twice, are a ValueError naming what."""
+    with named_errors(what, ValueError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
 
 
 def read_json(path: str | Path, what: str):
-    """Parse a UTF-8 JSON file; one that is not is a ValueError naming what."""
-    with named_errors(what, json.JSONDecodeError, UnicodeDecodeError):
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+    """parse_json of a file's bytes."""
+    return parse_json(Path(path).read_bytes(), what)
 
 
 def check_keys(what: str, where: str, block, accepted) -> None:

@@ -35,7 +35,7 @@ from .core import (
     TraceStep,
     as_integer,
     as_seed,
-    named_errors,
+    parse_json,
 )
 from .feedback import FeedbackProvider
 from .kmeans import KMeansConfig, lloyd
@@ -208,10 +208,5 @@ def write_trace(trace: RunTrace, path: str | Path) -> None:
 
 def read_trace_records(path: str | Path) -> list[dict]:
     """Parse a JSON-lines trace export; a line that is not UTF-8 JSON is named."""
-    records = []
     with open(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            with named_errors(f"{path}: line {line_no}", json.JSONDecodeError, UnicodeDecodeError):
-                if line.strip():
-                    records.append(json.loads(line.decode("utf-8")))
-    return records
+        return [parse_json(line, f"{path}: line {n}") for n, line in enumerate(handle, start=1) if line.strip()]

@@ -31,8 +31,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import Clustering, Dataset, FeedbackReport, Sense, _frozen_f64, as_integer, as_number, check_keys
-from .core import as_seed, keyed_errors, read_json, validate_clustering
+from .core import Clustering, Dataset, FeedbackReport, Sense, as_integer, as_number, as_numbers, as_seed
+from .core import check_keys, field_errors, read_json, validate_clustering
 from .kmeans import own_squared_distances
 from .rng import substream
 
@@ -122,9 +122,8 @@ class OracleProfile:
             seg = _segment_id(key)
             if seg in weights:
                 raise ValueError(f"segment {seg} is given twice")
-            arr = _frozen_f64(w, f"segment {seg}: weights", ndim=1)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"segment {seg}: weights must be finite, got {arr.tolist()}")
+            arr = np.array(as_numbers(f"segment {seg}: weights", w))
+            arr.setflags(write=False)
             if m is None:
                 m = arr.shape[0]
             if arr.shape[0] != m:
@@ -370,12 +369,8 @@ def load_oracle_profile(path: str | Path) -> OracleProfile:
     what = f"oracle profile {path}"
     payload = read_json(path, what)
     check_keys(what, "top level", payload, PROFILE_KEYS)
-    try:
+    with field_errors(f"{what}: ", PROFILE_KEYS, payload):
         fields = {field: payload[key] for key, field in PROFILE_KEYS.items()}
         if not isinstance(fields["segment_weights"], dict):
             raise ValueError("field 'segments' must be a JSON object of segment id -> weights")
-        with keyed_errors(PROFILE_KEYS, payload):
-            return OracleProfile(**fields)  # it reads the ids and the weights
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{what}: {detail}") from None
+        return OracleProfile(**fields)  # it reads the ids and the weights

@@ -223,11 +223,17 @@ def _record_to_row(record: dict) -> list[str]:
 _REPORT_TYPES = typing.get_type_hints(ImpactRecord)
 _NULLABLE = {name for name, hint in _REPORT_TYPES.items() if type(None) in typing.get_args(hint)}
 
+
+def _bool_cell(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
+
+
 # Each report column's cell parser, from its field type; the optional
-# custom_* floats take the float default. A bad cell raises ValueError, or
-# KeyError for a bool cell other than true/false.
+# custom_* floats take the float default. A bad cell raises ValueError.
 _REPORT_PARSERS = {
-    name: {int: int, str: str, bool: {"true": True, "false": False}.__getitem__}.get(hint, float)
+    name: {int: int, str: str, bool: _bool_cell}.get(hint, float)
     for name, hint in _REPORT_TYPES.items()
 }
 
@@ -237,7 +243,7 @@ def _row_to_record(row: list[str], where: str) -> dict:
         raise ValueError(f"{where}: expected {len(REPORT_COLUMNS)} cells, got {len(row)}")
     record = {}
     for col, cell in zip(REPORT_COLUMNS, row):
-        with named_errors(f"{where}: {col}", KeyError, ValueError):
+        with named_errors(f"{where}: {col}", ValueError):
             record[col] = None if cell == "" and col in _NULLABLE else _REPORT_PARSERS[col](cell)
     return record
 

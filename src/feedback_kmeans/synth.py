@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, as_integer, as_number, as_seed, check_keys, keyed_errors, read_json
+from .core import Dataset, as_integer, as_number, as_numbers, as_seed, check_keys, field_errors, read_json
 from .feedback import PROFILE_KEYS, OracleProfile
 
 FEATURE_NAMES = (
@@ -32,16 +32,6 @@ FEATURE_NAMES = (
     "ret_dow",
 )
 N_FEATURES = len(FEATURE_NAMES)
-
-
-def _numbers(name: str, values, length: int | None = None) -> tuple[float, ...]:
-    """values, a list or tuple of length entries (any count if None), as floats."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-    numbers = tuple(as_number(f"{name}[{i}]", v) for i, v in enumerate(values))
-    if length is not None and len(numbers) != length:
-        raise ValueError(f"{name} must have {length} entries, got {len(numbers)}")
-    return numbers
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ class SegmentSpec:
             raise ValueError(f"mixture_weight must be non-negative, got {self.mixture_weight!r}")
         for name, length in (("feature_means", N_FEATURES), ("feature_stddevs", N_FEATURES),
                              ("oracle_weights", None), ("booking_lognormal", 2)):
-            object.__setattr__(self, name, _numbers(name, getattr(self, name), length))
+            object.__setattr__(self, name, as_numbers(name, getattr(self, name), length))
         if min(self.feature_stddevs) < 0 or self.booking_lognormal[1] < 0:
             raise ValueError("feature_stddevs and the booking_lognormal sigma must be non-negative")
 
@@ -190,8 +180,7 @@ def standardize(dataset: Dataset) -> tuple[Dataset, FeatureScaling]:
 def build_oracle_profile(config: GeneratorConfig, **knobs) -> OracleProfile:
     """Oracle profile with the config's segment weights, so it covers every
     generated point; knobs set its other fields, which default otherwise."""
-    segment_weights = {s.id: np.asarray(s.oracle_weights) for s in config.segments}
-    return OracleProfile(segment_weights=segment_weights, **knobs)
+    return OracleProfile(segment_weights={s.id: s.oracle_weights for s in config.segments}, **knobs)
 
 
 # The keys a generator config JSON may hold: at the top level, in each
@@ -207,26 +196,20 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, OracleProf
     what = f"generator config {path}"
     payload = read_json(path, what)
     check_keys(what, "top-level", payload, _CONFIG_KEYS)
-    segments = payload.get("segments", [])
+    with field_errors(f"{what}: "):
+        segments = payload["segments"]
     if not isinstance(segments, list):
         raise ValueError(f"{what}: segments must be a JSON list, got {segments!r}")
-    for index, segment in enumerate(segments):
-        check_keys(what, f"segment {index}", segment, _SEGMENT_KEYS)
     oracle = payload.get("oracle", {})
     check_keys(what, "oracle", oracle, _ORACLE_KEYS)
-    try:
-        specs = []
-        for index, segment in enumerate(payload["segments"]):
-            try:
-                specs.append(SegmentSpec(**{key: segment[key] for key in _SEGMENT_KEYS}))
-            except ValueError as exc:
-                raise ValueError(f"segment {index} {exc}") from None
+    specs = []
+    for index, segment in enumerate(segments):
+        check_keys(what, f"segment {index}", segment, _SEGMENT_KEYS)
+        with field_errors(f"{what}: segment {index} "):
+            specs.append(SegmentSpec(**{key: segment[key] for key in _SEGMENT_KEYS}))
+    with field_errors(f"{what}: ", _ORACLE_KEYS, oracle):
         config = GeneratorConfig(n_points=payload["n_points"], segments=specs, seed=payload["seed"])
-        with keyed_errors(_ORACLE_KEYS, oracle):
-            profile = build_oracle_profile(config, **{_ORACLE_KEYS[key]: value for key, value in oracle.items()})
-    except (KeyError, ValueError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{what}: {detail}") from None
+        profile = build_oracle_profile(config, **{_ORACLE_KEYS[key]: value for key, value in oracle.items()})
     return config, profile
 
 

@@ -184,6 +184,9 @@ def test_generate_oracle_knob_that_is_not_a_finite_number_exits_1(tmp_path, caps
     assert not (out / "dataset.csv").exists() and not (out / "oracle.json").exists()
 
 
+_ABSENT = object()  # a value that deletes its key
+
+
 @pytest.mark.parametrize(
     "segment, key, value, message",
     [
@@ -194,22 +197,27 @@ def test_generate_oracle_knob_that_is_not_a_finite_number_exits_1(tmp_path, caps
         (0, "mixture_weight", None, "segment 0 mixture_weight must be a finite int or float, got None"),
         (0, "mixture_weight", -0.6, "segment 0 mixture_weight must be non-negative, got -0.6"),
         (0, "booking_lognormal", 3, "segment 0 booking_lognormal must be a list of numbers, got 3"),
+        (1, "booking_lognormal", _ABSENT, "segment 1 missing field 'booking_lognormal'"),
+        (None, "seed", _ABSENT, "missing field 'seed'"),
     ],
     ids=[
         "segments-number", "negative-seed", "huge-id", "means-number", "null-weight", "negative-weight",
-        "lognormal-number",
+        "lognormal-number", "segment-key-missing", "top-level-key-missing",
     ],
 )
 def test_generate_malformed_config_value_is_named(tmp_path, capsys, segment, key, value, message):
     # These raised an uncaught TypeError or OverflowError, or failed in
     # numpy without naming the file: the negative seed, and the negative
-    # weight, which segment 1's 1.6 keeps summing to 1.
+    # weight, which segment 1's 1.6 keeps summing to 1. A segment's missing
+    # key named the file but not the segment.
     config = write_config(tmp_path / "config.json")
     payload = json.loads(config.read_text())
-    if segment is None:
-        payload[key] = value
+    block = payload if segment is None else payload["segments"][segment]
+    if value is _ABSENT:
+        del block[key]
     else:
-        payload["segments"][segment][key] = value
+        block[key] = value
+    if segment is not None:
         payload["segments"][1]["mixture_weight"] = 1.6 if value == -0.6 else 0.4
     config.write_text(json.dumps(payload))
     assert main(["generate", "--config", str(config), "--out", str(tmp_path / "data")]) == 1
@@ -231,6 +239,54 @@ def test_json_input_with_a_syntax_error_names_the_file(tmp_path, generated, caps
     }[command]
     assert main([command, flag, str(bad), *args]) == 1
     assert capsys.readouterr().err.startswith(f"error: {what}{bad}: Expecting property name")
+
+
+def _json_input(kind, tmp_path, dataset, oracle):
+    """A file of one kind of JSON input, and the command that reads it
+    (None for a report, which read_report reads)."""
+    if kind == "generator config":
+        path = write_config(tmp_path / "gen.json")
+        return path, ["generate", "--config", str(path), "--out", str(tmp_path / "o")]
+    if kind == "oracle profile":
+        return oracle, ["run", "--dataset", str(dataset), "--method", "sm", "--feedback", "custom", "--k", "2",
+                        "--oracle", str(oracle)]
+    if kind == "experiment config":
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"methods": ["sme:rss"], "k_values": [2], "repeats": 1}))
+        return path, ["experiment", "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r"),
+                      "--config", str(path)]
+    if kind == "report":
+        grid = ["--methods", "sme:rss", "--k-values", "2", "--repeats", "1", "--fluctuation-calls", "2"]
+        assert main(["experiment", "--dataset", str(dataset), *grid, "--out", str(tmp_path / "r")]) == 0
+        return tmp_path / "r" / "report.json", None
+    path = tmp_path / "trace.jsonl"
+    assert main(["run", "--dataset", str(dataset), "--method", "sme", "--k", "2", "--out", str(path)]) == 0
+    return path, ["validate", "--trace", str(path)]
+
+
+@pytest.mark.parametrize(
+    "kind, key, where",
+    [
+        ("generator config", "seed", "generator config {path}: "),
+        ("oracle profile", "0", "oracle profile {path}: "),  # a segment id, inside "segments"
+        ("experiment config", "repeats", "{path}: "),
+        ("report", "seed", "{path}: "),  # inside the first record
+        ("trace", "k", "{path}: line 1: "),
+    ],
+    ids=["generator-config", "oracle-profile", "experiment-config", "report", "trace"],
+)
+def test_a_key_given_twice_in_any_json_input_is_named(tmp_path, generated, capsys, kind, key, where):
+    # Each of these files ran on the key's last value, as json.loads keeps it.
+    path, argv = _json_input(kind, tmp_path, *generated)
+    path.write_text(path.read_text().replace(f'"{key}": ', f'"{key}": 0, "{key}": ', 1))
+    capsys.readouterr()
+    message = where.format(path=path) + f"key {key!r} is given twice"
+    if argv is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_report(path)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------- run

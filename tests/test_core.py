@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 import feedback_kmeans
 from feedback_kmeans import (
+    Action,
     Clustering,
     Dataset,
     FeedbackReport,
     OracleProfile,
+    RunTrace,
     Sense,
+    TraceStep,
     validate_clustering,
 )
 from feedback_kmeans.core import as_number, check_keys, read_json
@@ -45,7 +48,9 @@ def test_a_negative_seed_that_reaches_the_streams_is_an_error(draw):
 
 
 @pytest.mark.parametrize(
-    "content, error", [(b'{"a": 1,}', "Expecting property name"), (b'{"a": "\xff"}', "'utf-8' codec can't decode")]
+    "content, error",
+    [(b'{"a": 1,}', "Expecting property name"), (b'{"a": "\xff"}', "'utf-8' codec can't decode"),
+     (b'{"a": {"b": 1, "b": 2}}', "key 'b' is given twice$")],
 )
 def test_read_json_names_the_file_it_cannot_parse(tmp_path, content, error):
     path = tmp_path / "f.json"
@@ -130,6 +135,27 @@ def test_dataset_invariants():
     with pytest.raises(ValueError, match="bookings must be integral"):
         make_dataset([[0.0], [1.0]], bookings=[1.0, np.nan])
     assert make_dataset([[0.0], [1.0]], bookings=[1.0, 2.0]).bookings.tolist() == [1, 2]
+
+
+def _step(action):
+    clustering = Clustering(assignment=[0, 1], centroids=[[0.0], [1.0]])
+    return TraceStep((action,), clustering, FeedbackReport((1.0, 1.0), 1.0, Sense.LOWER_IS_BETTER))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Clustering(assignment=[0], centroids=np.zeros((1, 1, 2))),
+         "centroids must be 2-dimensional, got shape (1, 1, 2)"),
+        (lambda: make_dataset([[0.0], [1.0]], bookings=[[1], [2]]), "bookings must be 1-dimensional, got shape (2, 1)"),
+        (lambda: RunTrace(steps=(), seed=0), "trace must contain at least the initial step"),
+        (lambda: RunTrace(steps=(_step(Action.split(0)),), seed=0), "step 0 must be the initial clustering"),
+    ],
+    ids=["3-d-centroids", "2-d-bookings", "no-steps", "no-initial-step"],
+)
+def test_a_value_of_the_wrong_shape_is_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_dataset_points_are_read_only():
@@ -330,6 +356,26 @@ def test_only_the_known_functions_sum_through_einsum_blas_or_matmul():
     for path in sorted(Path(feedback_kmeans.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, "")
     assert dict(found) == SUMMING_CALLS
+
+
+def test_parse_json_is_the_only_caller_of_the_json_parser():
+    # json.loads keeps the last value of a key given twice, where parse_json
+    # rejects it: a second caller would read such a file silently.
+    callers = []
+
+    def visit(node, file, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and getattr(node.value, "id", None) == "json":
+            callers.append((file, scope or "<module>"))
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            callers.append((file, "from json import"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for path in sorted(Path(feedback_kmeans.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, "")
+    assert callers == [("core.py", "parse_json")]
 
 
 def test_no_kmeans_function_reads_a_points_attribute():

@@ -103,6 +103,8 @@ def test_aggregate_weighted_mean():
 def test_aggregate_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         aggregate_weighted([1.0, 2.0], [1])
+    with pytest.raises(ValueError, match="^cluster sizes must sum to a positive count$"):
+        aggregate_weighted([1.0, 2.0], [0, 0])
 
 
 @given(
@@ -685,7 +687,7 @@ def test_profile_rejects_mixed_dimensions():
         ({"noise_sigma": float("nan")}, "noise_sigma must be a finite int or float, got nan"),
         ({"score_offset": float("inf")}, "score_offset must be a finite int or float, got inf"),
         ({"eval_pool_fraction": "0.2"}, "eval_pool_fraction must be a finite int or float, got '0.2'"),
-        ({"segment_weights": {0: np.array([np.nan, 0.0])}}, "segment 0: weights must be finite, got [nan, 0.0]"),
+        ({"segment_weights": {0: np.array([np.nan, 0.0])}}, "segment 0: weights[0] must be a finite int or float, got nan"),
         ({"sample_size": 40.5}, "sample_size must be an integer, got 40.5"),
         ({"sample_size": True}, "sample_size must be an integer, got True"),
         ({"m": 2.0}, "m must be an integer, got 2.0"),
@@ -700,6 +702,20 @@ def test_profile_rejects_mixed_dimensions():
 def test_profile_rejects_a_field_that_is_not_a_finite_number(fields, message):
     # Each of these used to build a profile whose every evaluation was nan,
     # or was stored truncated, or raised a TypeError at the first use.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OracleProfile(**{"segment_weights": {0: np.array([1.0, 0.0])}, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"noise_sigma": -0.01}, "noise_sigma must be non-negative"),
+        ({"sample_size": 0}, "sample_size must be at least 1"),
+        ({"segment_weights": {}}, "oracle profile needs at least one segment"),
+    ],
+    ids=["negative-noise", "zero-sample-size", "no-segment"],
+)
+def test_profile_rejects_a_field_out_of_range(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         OracleProfile(**{"segment_weights": {0: np.array([1.0, 0.0])}, **fields})
 
@@ -763,7 +779,11 @@ def test_profile_json_round_trip(tmp_path):
         (lambda payload: {**payload, "C": "10"}, "C must be a finite int or float, got '10'"),
         # The scalar checks come before the segments' ||w*||^2 <= C check.
         (lambda payload: {**payload, "C": -1}, "C must be positive"),
-        (lambda payload: {**payload, "segments": {"0": [float("nan"), 0.5]}}, "segment 0: weights must be finite"),
+        (lambda payload: {**payload, "segments": {"0": [float("nan"), 0.5]}},
+         "segment 0: weights[0] must be a finite int or float, got nan"),
+        # These two loaded as [1.0, 0.5]: a weight is a number, as every other field.
+        (lambda payload: {**payload, "segments": {"0": [True, 0.5]}}, "segment 0: weights[0] must be a finite int or float, got True"),
+        (lambda payload: {**payload, "segments": {"0": [1.0, "0.5"]}}, "segment 0: weights[1] must be a finite int or float, got '0.5'"),
         (lambda payload: {**payload, "rng_seed": 5}, "unknown top level key(s) rng_seed (accepted: m, segments, C, "),
         # Each of these keys once loaded as segment 1 or 10, silently.
         (lambda payload: {**payload, "segments": {"1": [1.0, 0.0], "01": [0.0, 2.0]}},
@@ -773,7 +793,8 @@ def test_profile_json_round_trip(tmp_path):
         (lambda payload: {**payload, "segments": {"0": [1.0, 0.0], "-0": [0.0, 2.0]}}, "segment 0 is given twice"),
     ],
     ids=["top-level-list", "segments-list", "fractional-m", "null-C", "missing-field", "nan-literal", "string-C",
-         "negative-C", "nan-weight", "unknown-key", "zero-padded-id", "underscored-id", "repeated-id"],
+         "negative-C", "nan-weight", "bool-weight", "string-weight", "unknown-key", "zero-padded-id", "underscored-id",
+         "repeated-id"],
 )
 def test_malformed_profile_file_is_a_named_error(tmp_path, change, message):
     path = tmp_path / "oracle.json"

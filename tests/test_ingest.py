@@ -492,8 +492,10 @@ def test_report_bad_cell_names_line_and_column(tmp_path, column, cell):
     cells[REPORT_COLUMNS.index(column)] = cell
     lines[2] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"report.csv: line 3: {column}: .*{cell}"):
+    with pytest.raises(ValueError, match=f"report.csv: line 3: {column}: .*{cell}") as excinfo:
         read_report(path)
+    if column == "stalled":  # a KeyError's bare 'maybe' did not say what was expected
+        assert str(excinfo.value).endswith("line 3: stalled: expected true or false, got 'maybe'")
 
 
 def test_report_line_numbers_count_the_lines_of_a_quoted_cell(tmp_path):

@@ -183,6 +183,11 @@ def test_assign_rejects_dimension_mismatch():
         assign_points(ds, np.zeros((2, 3)))
 
 
+def test_assign_rejects_no_centroids():
+    with pytest.raises(ValueError, match="^centroids must be non-empty$"):
+        assign_points(make_dataset([[1.0, 2.0]]), np.zeros((0, 2)))
+
+
 def test_assign_rejects_non_finite_centroids():
     # argmin over a NaN column picks it for every row
     ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 5.0]])
@@ -522,6 +527,14 @@ def test_repair_moves_farthest_point():
     assert validate_clustering(ds, repaired) == []
     # The repair returns new arrays and leaves its inputs as they are.
     assert assignment.tolist() == [0, 0, 0] and not centroids.any()
+
+
+def test_repair_with_an_id_of_k_or_more_finds_no_donor():
+    # The point with id 5, beyond k=3, fills none of the three clusters:
+    # cluster 0's pair fills empty cluster 1, and then no cluster has a
+    # point to spare for empty cluster 2.
+    with pytest.raises(ValueError, match="^cannot repair: no cluster has a point to spare$"):
+        repair_empty(np.array([[0.0, 1.0, 2.0]]), np.array([0, 0, 5]), np.zeros((3, 1)))
 
 
 def test_repair_without_empties_is_identity():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,24 @@ def test_merge_rejects_same_or_invalid_ids():
         merge_pair(ds, clustering, distances_of(ds, clustering), 1, 1)
     with pytest.raises(ValueError):
         merge_pair(ds, clustering, distances_of(ds, clustering), 0, 5)
+
+
+@pytest.mark.parametrize(
+    "sizes, operate, message",
+    [
+        ([2, 2], lambda ds, c: split_cluster(ds, c, distances_of(ds, c), target=2, seed=0),
+         "split target 2 out of range for k=2"),
+        ([4], lambda ds, c: closest_centroid_pair(c), "need at least 2 clusters to pick a pair"),
+        ([4], lambda ds, c: nearest_cluster(c, 0), "need at least 2 clusters"),
+        ([2, 2], lambda ds, c: nearest_cluster(c, -1), "cluster -1 out of range for k=2"),
+        ([2, 2], lambda ds, c: sm_decide(c, 2), "cluster 2 out of range for k=2"),
+    ],
+    ids=["split-target", "pair-at-k1", "nearest-at-k1", "nearest-target", "sm-decide-target"],
+)
+def test_operators_reject_a_cluster_they_cannot_act_on(sizes, operate, message):
+    ds, clustering = clustering_with_sizes(sizes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        operate(ds, clustering)
 
 
 @settings(max_examples=40, deadline=None)

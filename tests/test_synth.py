@@ -250,6 +250,11 @@ def test_config_validation():
             oracle_weights=(1.0,),
             booking_lognormal=(1.0, 1.0),
         )
+    with pytest.raises(ValueError, match="^n_points must be positive$"):
+        GeneratorConfig(n_points=0, segments=good.segments, seed=0)
+    half = replace(good.segments[0], mixture_weight=0.5)
+    with pytest.raises(ValueError, match="^segment ids must be distinct$"):
+        GeneratorConfig(n_points=10, segments=(half, half), seed=0)
 
 
 def test_oracle_profile_norm_bound_enforced():
